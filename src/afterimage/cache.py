@@ -55,6 +55,8 @@ class CacheModel:
         self.config = config or CacheConfig()
         self._slice_hash = slice_hash
         self._slice_bits = self.config.slices.bit_length() - 1
+        self._slice_mask = self.config.slices - 1
+        self._set_mask = self.config.sets_per_slice - 1
         # (slice, set) -> LRU-ordered line indices, most recent last
         self.sets: dict[tuple[int, int], list[int]] = {}
         self._prefetched: set[int] = set()
@@ -65,24 +67,29 @@ class CacheModel:
 
     # -- placement -------------------------------------------------------
 
-    def slice_of(self, paddr: int) -> int:
-        li = line_index(paddr)
+    def _slice(self, li: int) -> int:
         if self._slice_hash is not None:
-            return self._slice_hash(li) & (self.config.slices - 1)
-        if self.config.slices == 1:
+            return self._slice_hash(li) & self._slice_mask
+        # XOR of all slice-bit-wide chunks of li: fold halves of
+        # doubling width until one chunk holds them all
+        s = self._slice_bits
+        if s == 0:
             return 0
-        h = 0
-        mask = self.config.slices - 1
-        while li:
-            h ^= li & mask
-            li >>= self._slice_bits
-        return h
+        h, width = li, li.bit_length()
+        while s < width:
+            h ^= h >> s
+            s <<= 1
+        return h & self._slice_mask
+
+    def slice_of(self, paddr: int) -> int:
+        return self._slice(line_index(paddr))
 
     def set_of(self, paddr: int) -> int:
-        return line_index(paddr) & (self.config.sets_per_slice - 1)
+        return line_index(paddr) & self._set_mask
 
     def location(self, paddr: int) -> tuple[int, int]:
-        return self.slice_of(paddr), self.set_of(paddr)
+        li = line_index(paddr)
+        return self._slice(li), li & self._set_mask
 
     # -- operations ------------------------------------------------------
 

@@ -939,7 +939,8 @@ def load_trace(path: str | Path) -> list[tuple[int, int, int]]:
     """Parse a load trace: one ``ip_hex,vaddr_hex,domain_id`` per line.
 
     Blank lines and lines starting with ``#`` are skipped.  Malformed
-    lines raise ValueError naming the file and line number.
+    lines, and negative IPs or addresses, raise ValueError naming the
+    file and line number.
     """
     records = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -958,6 +959,9 @@ def load_trace(path: str | Path) -> list[tuple[int, int, int]]:
         except ValueError:
             raise ValueError(
                 f"{path}:{lineno}: malformed field in {line!r}") from None
+        if ip < 0 or vaddr < 0:
+            raise ValueError(
+                f"{path}:{lineno}: negative ip or address in {line!r}")
         records.append((ip, vaddr, domain_id))
     return records
 
@@ -1003,6 +1007,8 @@ def mitigation_eval(workload=None, flush_period_cycles: int | None = 36_000,
     compares a flushed run against an unflushed one on the same loads.
     A period of None (or infinity) disables flushing.
     """
+    if write_ports < 1:
+        raise ValueError("write_ports must be >= 1")
     if workload is None:
         workload = synthetic_workload()
     loads = [(item[0], item[1]) for item in workload]

@@ -2,8 +2,7 @@
 
 These functions hold the single authoritative implementation of the
 table's update rules.  Table state lives in plain Python lists, which
-the interpreter reads and writes far faster than numpy scalars; the TLB
-still keeps numpy arrays.
+the interpreter reads and writes far faster than numpy scalars.
 
 Table state lists (one element per slot):
     tags    int     low-8-bit IP tag of the owning load instruction
@@ -16,10 +15,9 @@ Table state lists (one element per slot):
 Beside them, ``owner`` is a dict from the tag of every valid slot to
 that slot, so a load finds its entry with one hash probe.
 
-TLB state arrays:
-    frames  int64   cached physical page frames
-    stamp   int64   LRU timestamps, 0 means the slot is empty
-    meta    int64[1] running clock for the timestamps
+TLB state: an ``OrderedDict`` whose keys are the cached physical page
+frames, least recently used first, and a capacity.  A hit moves its
+frame to the end; a miss into a full map evicts the first key.
 """
 
 TABLE_SLOTS = 24
@@ -48,41 +46,19 @@ def plru_victim(mru):
     return -1
 
 
-def tlb_lookup(frames, stamp, meta, frame):
-    """Hit test with recency refresh; never installs."""
-    for i in range(frames.shape[0]):
-        if stamp[i] != 0 and frames[i] == frame:
-            meta[0] += 1
-            stamp[i] = meta[0]
-            return True
-    return False
-
-
-def tlb_access(frames, stamp, meta, frame):
+def tlb_access(lru, capacity, frame):
     """Hit test with install-on-miss, evicting the LRU frame when full."""
-    meta[0] += 1
-    clock = meta[0]
-    for i in range(frames.shape[0]):
-        if stamp[i] != 0 and frames[i] == frame:
-            stamp[i] = clock
-            return True
-    victim = 0
-    best = 0x7FFFFFFFFFFFFFFF
-    for i in range(frames.shape[0]):
-        s = stamp[i]
-        if s == 0:
-            victim = i
-            break
-        if s < best:
-            best = s
-            victim = i
-    frames[victim] = frame
-    stamp[victim] = clock
+    if frame in lru:
+        lru.move_to_end(frame)
+        return True
+    if len(lru) >= capacity:
+        lru.popitem(last=False)
+    lru[frame] = None
     return False
 
 
 def table_step(tag, paddr, tags, last, stride, conf, valid, mru, owner,
-               tlb_frames, tlb_stamp, tlb_meta, tlb_on):
+               tlb, tlb_capacity):
     """Feed one demand load to the table.
 
     Returns (emitted, target, slot).  A load whose page translation
@@ -90,14 +66,14 @@ def table_step(tag, paddr, tags, last, stride, conf, valid, mru, owner,
     address leaves the entry untouched: the walk consumes the access and
     only a repeat on the now-warm frame can trigger.  Emitted targets are
     confined to the load's own frame or the next one up; anything else
-    is dropped after the entry update.
+    is dropped after the entry update.  ``tlb`` is the TLB's LRU map, or
+    None when translation is off.
     """
     slot = owner.get(tag, -1)
 
     tlb_hit = True
-    if tlb_on:
-        tlb_hit = tlb_access(tlb_frames, tlb_stamp, tlb_meta,
-                             paddr >> PAGE_SHIFT)
+    if tlb is not None:
+        tlb_hit = tlb_access(tlb, tlb_capacity, paddr >> PAGE_SHIFT)
 
     if slot < 0:
         try:
@@ -143,14 +119,14 @@ def table_step(tag, paddr, tags, last, stride, conf, valid, mru, owner,
 
 
 def run_table_batch(in_tags, in_addrs, tags, last, stride, conf, valid, mru,
-                    owner, tlb_frames, tlb_stamp, tlb_meta, tlb_on,
+                    owner, tlb, tlb_capacity,
                     out_emit, out_target, out_last, out_stride, out_conf):
     """Replay a load trace, recording each step's emission and touched-entry state."""
     emits, targets, lasts, strides, confs = [], [], [], [], []
     for tag, paddr in zip(in_tags.tolist(), in_addrs.tolist()):
         emitted, target, slot = table_step(
             tag, paddr, tags, last, stride, conf, valid, mru, owner,
-            tlb_frames, tlb_stamp, tlb_meta, tlb_on)
+            tlb, tlb_capacity)
         emits.append(emitted)
         targets.append(target)
         lasts.append(last[slot])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,34 +77,18 @@ class Tlb:
         if capacity < 1:
             raise ValueError("tlb capacity must be at least 1")
         self.capacity = capacity
-        self.frames = np.zeros(capacity, dtype=np.int64)
-        self.stamp = np.zeros(capacity, dtype=np.int64)
-        self.meta = np.zeros(1, dtype=np.int64)
-
-    def lookup(self, frame: int) -> bool:
-        """Hit test; refreshes recency on hit, never installs."""
-        return bool(kernels.tlb_lookup(self.frames, self.stamp, self.meta, frame))
+        self.lru: OrderedDict[int, None] = OrderedDict()  # oldest first
 
     def access(self, frame: int) -> bool:
         """Translate a frame: hit test plus install-on-miss."""
-        return bool(kernels.tlb_access(self.frames, self.stamp, self.meta, frame))
-
-    def install(self, frame: int) -> None:
-        kernels.tlb_access(self.frames, self.stamp, self.meta, frame)
+        return kernels.tlb_access(self.lru, self.capacity, frame)
 
     def __contains__(self, frame: int) -> bool:
-        return any(self.stamp[i] != 0 and self.frames[i] == frame
-                   for i in range(self.capacity))
+        """Membership only; recency is left as it is."""
+        return frame in self.lru
 
     def clear(self) -> None:
-        self.stamp[:] = 0
-        self.meta[0] = 0
-
-
-# dummy TLB arrays passed to the kernel when translation is disabled
-_NO_TLB_FRAMES = np.zeros(1, dtype=np.int64)
-_NO_TLB_STAMP = np.zeros(1, dtype=np.int64)
-_NO_TLB_META = np.zeros(1, dtype=np.int64)
+        self.lru.clear()
 
 
 class PrefetchTable:
@@ -160,14 +145,11 @@ class PrefetchTable:
     def observe_load(self, tlb: Tlb | None, full_ip: Address, paddr: Address,
                      now: int = 0) -> list[PrefetchRequest]:
         """Feed one demand load; returns the prefetches it triggered (0 or 1)."""
-        if tlb is None:
-            tf, ts, tm, on = _NO_TLB_FRAMES, _NO_TLB_STAMP, _NO_TLB_META, False
-        else:
-            tf, ts, tm, on = tlb.frames, tlb.stamp, tlb.meta, True
+        lru, capacity = (None, 0) if tlb is None else (tlb.lru, tlb.capacity)
         tag = ip_tag(full_ip)
         emitted, target, _slot = kernels.table_step(
             tag, paddr, self.tags, self.last, self.stride, self.conf,
-            self.valid, self.mru, self.owner, tf, ts, tm, on)
+            self.valid, self.mru, self.owner, lru, capacity)
         if emitted:
             return [PrefetchRequest(target=int(target), origin_tag=tag, issued_at=now)]
         return []

@@ -1,6 +1,8 @@
 """Cache model: placement, LRU behaviour, flush and eviction sets."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from afterimage.cache import (
     CacheConfig,
@@ -100,6 +102,25 @@ def test_slice_hash_spreads_and_is_deterministic():
     c2 = CacheModel()
     for a in range(0, 1 << 20, 4096):
         assert c.slice_of(a) == c2.slice_of(a)
+
+
+def chunk_fold(li, bits):
+    """Reference slice hash: XOR the line index one bits-wide chunk at a time."""
+    h = 0
+    while li:
+        h ^= li & ((1 << bits) - 1)
+        li >>= bits
+    return h
+
+
+@given(slices=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+       paddr=st.integers(0, 1 << 64))
+def test_slice_fold_matches_chunk_loop(slices, paddr):
+    c = CacheModel(CacheConfig(slices=slices))
+    bits = slices.bit_length() - 1
+    want = chunk_fold(paddr >> 6, bits) if bits else 0
+    assert c.slice_of(paddr) == want
+    assert c.location(paddr) == (want, c.set_of(paddr))
 
 
 def test_custom_slice_hash_is_honoured():

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import afterimage
 from afterimage.cli import emit_csv, main, read_config
 
 
@@ -288,6 +292,31 @@ def test_mitigate_malformed_trace_exits_2(tmp_path, capsys):
 def test_mitigate_too_short_period_exits_2(tmp_path):
     assert main(["mitigate", "--period-us", "0.001",
                  "--output", str(tmp_path / "x.csv")]) == 2
+
+
+def test_mitigate_zero_write_ports_exits_2(tmp_path, capsys):
+    assert main(["mitigate", "--write-ports", "0",
+                 "--output", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: write_ports must be >= 1"]
+
+
+def test_mitigate_negative_trace_address_exits_2(tmp_path):
+    # a negative line index used to make the slice hash loop forever;
+    # the child process lets the timeout stop such a regression
+    trace = tmp_path / "neg.txt"
+    trace.write_text("0x400100,-0x10,0\n")
+    src = str(Path(afterimage.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "afterimage.cli", "mitigate",
+         "--trace", str(trace), "--output", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "neg.txt:1" in lines[0]
+    assert not (tmp_path / "x.csv").exists()
 
 
 # --------------------------------------------------------------------------

@@ -22,10 +22,9 @@ def replay_both(pairs):
     table = PrefetchTable()
     t_emit = np.zeros(n, dtype=np.bool_)
     t_out = tuple(np.zeros(n, dtype=np.int64) for _ in range(4))
-    z = lambda: np.zeros(1, dtype=np.int64)
     run_table_batch(tags, addrs, table.tags, table.last, table.stride,
                     table.conf, table.valid, table.mru, table.owner,
-                    z(), z(), z(), False, t_emit, *t_out)
+                    None, 0, t_emit, *t_out)
 
     ref = ReferenceModel()
     r_emit, r_target, r_last, r_stride, r_conf = ref.replay(tags, addrs)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afterimage.uarch import (
     PAGE_BYTES,
@@ -171,6 +173,75 @@ def test_cold_tlb_still_creates_fresh_entries():
     tlb = Tlb()
     assert t.observe_load(tlb, 0x4010A0, PAGE) == []
     assert t.entry_for(0xA0) is not None
+
+
+class StampScanTlb:
+    """Reference LRU TLB: fixed slots, each with a frame and a timestamp.
+
+    A stamp of 0 marks an empty slot.  Every access advances the clock;
+    a hit restamps its slot, a miss fills the first empty slot or else
+    the slot with the oldest stamp.
+    """
+
+    def __init__(self, capacity):
+        self.frames = [0] * capacity
+        self.stamp = [0] * capacity
+        self.clock = 0
+
+    def access(self, frame):
+        self.clock += 1
+        for i in range(len(self.frames)):
+            if self.stamp[i] != 0 and self.frames[i] == frame:
+                self.stamp[i] = self.clock
+                return True
+        victim = 0
+        for i in range(len(self.frames)):
+            if self.stamp[i] == 0:
+                victim = i
+                break
+            if self.stamp[i] < self.stamp[victim]:
+                victim = i
+        self.frames[victim] = frame
+        self.stamp[victim] = self.clock
+        return False
+
+    def contains(self, frame):
+        return any(self.stamp[i] != 0 and self.frames[i] == frame
+                   for i in range(len(self.frames)))
+
+    def by_recency(self):
+        """Cached frames, least recently used first."""
+        slots = sorted((s, f) for f, s in zip(self.frames, self.stamp) if s)
+        return [f for _, f in slots]
+
+    def clear(self):
+        self.stamp = [0] * len(self.stamp)
+        self.clock = 0
+
+
+@st.composite
+def tlb_runs(draw):
+    capacity = draw(st.integers(1, 70))
+    frames = st.integers(0, capacity + capacity // 4 + 2)
+    kinds = st.sampled_from(["access"] * 6 + ["in"] * 3 + ["clear"])
+    ops = draw(st.lists(st.tuples(kinds, frames), max_size=4 * capacity + 40))
+    return capacity, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(tlb_runs())
+def test_tlb_matches_stamp_scan_lru(run):
+    capacity, ops = run
+    tlb, ref = Tlb(capacity), StampScanTlb(capacity)
+    for kind, frame in ops:
+        if kind == "access":
+            assert tlb.access(frame) == ref.access(frame)
+        elif kind == "in":
+            assert (frame in tlb) == ref.contains(frame)
+        else:
+            tlb.clear()
+            ref.clear()
+        assert list(tlb.lru) == ref.by_recency()
 
 
 def test_reset_cost_scales_with_write_ports():

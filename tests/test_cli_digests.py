@@ -1,0 +1,116 @@
+"""Pinned CLI outputs: every CSV must keep its recorded sha256.
+
+The digests were recorded at a fixed revision of the simulator.  A
+refactor that changes no behaviour leaves them all as they are; a
+change that is meant to alter an output must re-record the digest of
+that case and say why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from afterimage.cli import main
+
+
+def _trace() -> str:
+    """600 loads from six interleaved streams over two domains: short
+    and page-crossing strides, a backward walk and stray jumps."""
+    strides = (448, 1600, -704, 64, 2040, 896)
+    lines = []
+    for i in range(600):
+        k = i % 6
+        step = i // 6
+        vaddr = 0x10000000 + k * 0x1000000 + 0x80000 + step * strides[k]
+        if i % 37 == 0:
+            vaddr += 0x123440
+        ip = 0x400000 + k * 0x1000 + 0x20 + 11 * k
+        lines.append(f"{ip:#x},{vaddr:#x},{k % 2}")
+    return "\n".join(lines) + "\n"
+
+
+def _attack(variant, channel, *extra):
+    return ["attack", "--variant", str(variant), "--channel", channel,
+            "--rounds", "20", "--seed", "3", *extra, "--output", "out.csv"]
+
+
+# name -> (argv, {output file: sha256})
+CASES = {
+    "reveng_all": (
+        ["reveng", "--which", "all", "--out-dir", "."],
+        {"reveng_indexing.csv":
+         "ea1d9697f2f9015d153ade30b24a61d0ed0017fdaaaf03b4206ad69dac6ba7df",
+         "reveng_confstride.csv":
+         "020d63898bd1234265f0dbb3c043d281b617b9afa5d7ce75e8fec72744f8ed8f",
+         "reveng_page.csv":
+         "8d764b6ac338f1085f0f4b859a1f31e7ebe91aabac168adcbd70b742129b8c06",
+         "reveng_entries.csv":
+         "9ebc346a18e05ccb5d39aad367d6dd7a41e41230dc3b38625269903db926d434",
+         "reveng_replacement.csv":
+         "3e2cfee96b92a203d5a9a0101477aed517f898e3182c101bb451af5720649954"}),
+    "mitigate_flushed": (
+        ["mitigate", "--trace", "trace.txt", "--period-us", "0.25",
+         "--write-ports", "3", "--output", "out.csv"],
+        {"out.csv":
+         "bff23db7c874623a0d6335be6d44082b449559d147744a1a94c130291c74df2b"}),
+    "mitigate_unflushed": (
+        ["mitigate", "--trace", "trace.txt", "--period-us", "inf",
+         "--output", "out.csv"],
+        {"out.csv":
+         "f2a84aa258d6dd316f6de51a383038c0d04fd08a0399a592d8349b62050bcd34"}),
+    "v1_prime_probe": (
+        _attack(1, "prime_probe", "--noise-evict", "0.01"),
+        {"out.csv":
+         "55f02a9849a8b1fdf475f467ff52888ada74923d80e75ef9bb185ba9c69e5736"}),
+    "v1_flush_reload": (
+        _attack(1, "flush_reload", "--noise-evict", "0.01",
+                "--noise-load", "0.2"),
+        {"out.csv":
+         "a335349d12688345685b6cdcf5937285259c2a8ff863cdf17a2d18aff9cee1ee"}),
+    "v1_status_probe": (
+        _attack(1, "status_probe", "--noise-evict", "0.05"),
+        {"out.csv":
+         "c54475e90b16e6e301750a498d78a6a2165b1b33515f18dd64e842ab73e76d03"}),
+    "v2_flush_reload": (
+        _attack(2, "flush_reload", "--next-line-noise"),
+        {"out.csv":
+         "5ef36bebf9d7dc5a535ce2717ab9bb1941e67f3881fd4846436eadae79d906a4"}),
+    "v3_flush_reload": (
+        _attack(3, "flush_reload"),
+        {"out.csv":
+         "2138f17a38c08ff7352dfe97596b084b040a9904770f3767d02332735c7fe707"}),
+    "v2_flush_on_switch": (
+        _attack(2, "flush_reload", "--flush-on-switch"),
+        {"out.csv":
+         "497a7738db6470d947845637805d9dcbfaef0f0e1d00088f2fe537114c4a53ee"}),
+    "v3_flush_on_switch": (
+        _attack(3, "flush_reload", "--flush-on-switch"),
+        {"out.csv":
+         "9e71be8d7633c55969e7de044cadc7dc890416c5e80a92c1cca4b475a28261ea"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_pinned_digest(name, tmp_path, monkeypatch):
+    # relative paths: the mitigate header echoes the trace path as given
+    monkeypatch.chdir(tmp_path)
+    Path("trace.txt").write_text(_trace())
+    argv, digests = CASES[name]
+    assert main(argv) == 0
+    got = {f: hashlib.sha256(Path(f).read_bytes()).hexdigest()
+           for f in digests}
+    assert got == digests
+
+
+def test_flushed_trace_case_flushes_several_times(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("trace.txt").write_text(_trace())
+    assert main(CASES["mitigate_flushed"][0]) == 0
+    lines = [ln for ln in Path("out.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert int(row["flushes"]) >= 3
+    assert int(row["prefetch_requests"]) > 0

@@ -22,7 +22,6 @@ from .uarch import (
     ip_tag,
     line_index,
     page_frame,
-    reset_prefetcher,
 )
 
 __version__ = "0.1.0"
@@ -40,7 +39,6 @@ __all__ = [
     "line_index",
     "mitigation_eval",
     "page_frame",
-    "reset_prefetcher",
     "rev_conf_stride",
     "rev_entries",
     "rev_indexing",

@@ -142,12 +142,6 @@ class CacheModel:
         for i in range(n_lines):
             self.flush_line(base + i * LINE_BYTES)
 
-    def reset_stats(self) -> None:
-        self.demand_accesses = 0
-        self.demand_misses = 0
-        self.prefetch_installs = 0
-        self.useful_prefetch_hits = 0
-
 
 def build_eviction_set(cache: CacheModel, set_index: int, slice_index: int,
                        candidate_pool: Iterable[int]) -> MinimalEvictionSet:

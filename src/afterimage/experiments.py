@@ -24,7 +24,6 @@ from pathlib import Path
 
 from .cache import CacheModel, MinimalEvictionSet, build_eviction_set
 from .programs import (
-    KERNEL_CODE_BASE,
     Domain,
     FlushLines,
     Machine,
@@ -46,14 +45,7 @@ from .sidechannel import (
     prime,
     probe,
 )
-from .uarch import (
-    LINE_BYTES,
-    PAGE_BYTES,
-    PrefetchTable,
-    Tlb,
-    line_index,
-    page_frame,
-)
+from .uarch import LINE_BYTES, PAGE_BYTES, line_index, page_frame
 
 #: Clock used to convert flush periods given in microseconds.
 DEFAULT_CLOCK_GHZ = 3.6
@@ -132,41 +124,13 @@ def _apply_probe_noise(cache: CacheModel, noise: NoiseModel,
 
 
 # --------------------------------------------------------------------------
-# shared bench plumbing
+# shared bench plumbing: each run is a fresh Machine, and a timing read
 # --------------------------------------------------------------------------
 
 
-class _Bench:
-    """A bare table/TLB/cache triple for the reverse-engineering runs.
-
-    The attack rigs go through :class:`~afterimage.programs.Machine`;
-    these benches only need the load path and a timing read.
-    """
-
-    def __init__(self, cache_config=None) -> None:
-        self.table = PrefetchTable()
-        self.tlb = Tlb()
-        self.cache = CacheModel(cache_config)
-
-    def warm_translation(self, paddr: int) -> None:
-        """Install a page translation without touching the prefetcher,
-        the way buffer initialisation before a trial would."""
-        self.tlb.access(page_frame(paddr))
-
-    def load(self, ip: int, paddr: int) -> int:
-        requests = self.table.observe_load(self.tlb, ip, paddr)
-        latency = self.cache.access(paddr)
-        for req in requests:
-            self.cache.install_prefetch(req)
-        return latency
-
-    def flush(self, paddr: int) -> None:
-        # flushing a line needs its translation, so it warms the TLB
-        self.tlb.access(page_frame(paddr))
-        self.cache.flush_line(paddr)
-
-    def is_hot(self, paddr: int) -> bool:
-        return self.cache.access(paddr) < self.cache.config.threshold
+def _is_hot(cache: CacheModel, paddr: int) -> bool:
+    """Time one access: True when the line was already cached."""
+    return cache.access(paddr) < cache.config.threshold
 
 
 # --------------------------------------------------------------------------
@@ -218,13 +182,14 @@ def rev_indexing(trained_tag: int = 0x2C, stride_lines: int = 7,
     replay_base = (0x400000 + 0x2000) ^ 0x200
     triggered = []
     for offset in range(256):
-        bench = _Bench(cache_config)
-        bench.warm_translation(train_page)
-        bench.warm_translation(replay_page)
+        bench = Machine(cache=CacheModel(cache_config))
+        # buffer initialisation installs the translations, not the table
+        bench.tlb.access(page_frame(train_page))
+        bench.tlb.access(page_frame(replay_page))
         for i in range(4):
             bench.load(train_ip, train_page + i * sb)
         bench.load(ip_with_tag(replay_base, offset), replay_page)
-        triggered.append(bench.is_hot(replay_page + sb))
+        triggered.append(_is_hot(bench.cache, replay_page + sb))
     return IndexingResult(trained_tag, stride_lines, triggered)
 
 
@@ -285,8 +250,8 @@ def rev_conf_stride(st1: int = 7, st2: int = 5, tr1: int = 4, tr2: int = 3,
     ip = ip_with_tag(0x400000, 0x51)
     rng = random.Random(seed)
 
-    bench = _Bench(cache_config)
-    bench.warm_translation(page)
+    bench = Machine(cache=CacheModel(cache_config))
+    bench.tlb.access(page_frame(page))
     last = page + (tr1 - 1) * sb1
     for i in range(tr1):
         bench.load(ip, page + i * sb1)
@@ -305,8 +270,8 @@ def rev_conf_stride(st1: int = 7, st2: int = 5, tr1: int = 4, tr2: int = 3,
     for i in range(tr2):
         addr = start + i * sb2
         bench.load(ip, addr)
-        hot1 = bench.is_hot(addr + sb1)
-        hot2 = bench.is_hot(addr + sb2)
+        hot1 = _is_hot(bench.cache, addr + sb1)
+        hot2 = _is_hot(bench.cache, addr + sb2)
         if hot1 and not hot2:
             label = st1
         elif hot2 and not hot1:
@@ -391,13 +356,13 @@ def _page_trial(pool: str, offset_pages: int, *, two_access: bool = False,
         dom = Domain("bench")
     else:
         raise ValueError(f"unknown pool {pool!r}")
-    bench = _Bench(cache_config)
+    bench = Machine(cache=CacheModel(cache_config))
     ip = ip_with_tag(0x400000, 0x9D)
-    bench.warm_translation(dom.translate(vbase))
+    bench.tlb.access(page_frame(dom.translate(vbase)))
     if pool == "locked" and precondition_next:
         # the hardware walks the adjacent page's translation as a
         # stream nears the boundary, so the very next frame starts warm
-        bench.warm_translation(dom.translate(vbase + PAGE_BYTES))
+        bench.tlb.access(page_frame(dom.translate(vbase + PAGE_BYTES)))
     for i in range(4):
         bench.load(ip, dom.translate(vbase + i * sb))
     # probe mid-page so the timed line overlaps nothing from training
@@ -408,7 +373,7 @@ def _page_trial(pool: str, offset_pages: int, *, two_access: bool = False,
         if attempt:
             bench.flush(test_paddr + sb)
         bench.load(ip, test_paddr)
-        flags.append(bench.is_hot(test_paddr + sb))
+        flags.append(_is_hot(bench.cache, test_paddr + sb))
     return flags
 
 
@@ -469,7 +434,7 @@ def rev_entries(n_ips: int, cache_config=None) -> EntriesResult:
     sb = 448
     alive = []
     for probed in range(n_ips):
-        bench = _Bench(cache_config)
+        bench = Machine(cache=CacheModel(cache_config))
         for j in range(n_ips):
             ip = ip_with_tag(0x400000 + j * 0x1000, j)
             page = 0x1000000 + j * PAGE_BYTES
@@ -478,7 +443,7 @@ def rev_entries(n_ips: int, cache_config=None) -> EntriesResult:
         page = 0x1000000 + probed * PAGE_BYTES
         probe_addr = page + 4 * sb
         bench.load(ip_with_tag(0x400000 + probed * 0x1000, probed), probe_addr)
-        alive.append(bench.is_hot(probe_addr + sb))
+        alive.append(_is_hot(bench.cache, probe_addr + sb))
     return EntriesResult(n_ips, alive)
 
 
@@ -528,7 +493,7 @@ def rev_replacement(n_retrain: int = 8, n_new: int = 8,
     sb = 448
     alive = []
     for probed in range(24):
-        bench = _Bench(cache_config)
+        bench = Machine(cache=CacheModel(cache_config))
         pos = {}
         for j in range(24):
             ip = ip_with_tag(0x400000 + j * 0x1000, j)
@@ -551,7 +516,7 @@ def rev_replacement(n_retrain: int = 8, n_new: int = 8,
         page = 0x1000000 + probed * PAGE_BYTES
         probe_addr = page + pos[probed] * sb
         bench.load(ip, probe_addr)
-        alive.append(bench.is_hot(probe_addr + sb))
+        alive.append(_is_hot(bench.cache, probe_addr + sb))
     return ReplacementResult(n_retrain, n_new, alive)
 
 
@@ -706,9 +671,8 @@ def _same_space_attack(machine: Machine, channel: str, rounds: int,
         if channel == "status_probe":
             dropped = {t for t in (if_tag, else_tag)
                        if rng.random() < noise.p_evict}
-            alive = prefetcher_status_probe(
-                machine.table, machine.tlb, machine.cache, probes,
-                drop_targets=dropped)
+            alive = prefetcher_status_probe(machine, probes,
+                                            drop_targets=dropped)
             if not alive[if_tag] and alive[else_tag]:
                 detected, inferred = stride_if, 1
             elif not alive[else_tag] and alive[if_tag]:
@@ -859,9 +823,8 @@ def run_attack(variant: int, channel: str, rounds: int = 200,
     if rounds < 1:
         raise ValueError("rounds must be positive")
     noise = noise if noise is not None else NoiseModel()
-    machine = Machine(
-        cache=CacheModel(cache_config),
-        flush_policy="flush_on_switch" if flush_on_switch else "none")
+    machine = Machine(cache=CacheModel(cache_config),
+                      flush_on_switch=flush_on_switch)
     if variant == 1:
         records, detail = _same_space_attack(machine, channel, rounds, noise,
                                              seed, flush_on_switch)
@@ -966,35 +929,6 @@ def load_trace(path: str | Path) -> list[tuple[int, int, int]]:
     return records
 
 
-def _run_stream(loads, use_prefetcher: bool, flush_period: int | None,
-                write_ports: int, cycles_per_load: int, cache_config=None):
-    table = PrefetchTable()
-    tlb = Tlb()
-    cache = CacheModel(cache_config)
-    clock = 0
-    flushes = 0
-    reset_cycles = 0
-    requests_issued = 0
-    next_flush = flush_period
-    for ip, paddr in loads:
-        while next_flush is not None and clock >= next_flush:
-            cost = table.reset(write_ports)
-            clock += cost
-            reset_cycles += cost
-            flushes += 1
-            next_flush += flush_period
-        if use_prefetcher:
-            requests = table.observe_load(tlb, ip, paddr)
-            requests_issued += len(requests)
-        else:
-            requests = ()
-        cache.access(paddr)
-        for req in requests:
-            cache.install_prefetch(req)
-        clock += cycles_per_load
-    return cache, flushes, reset_cycles, requests_issued
-
-
 def mitigation_eval(workload=None, flush_period_cycles: int | None = 36_000,
                     write_ports: int = 1, cycles_per_load: int = 10,
                     cache_config=None) -> MitigationReport:
@@ -1005,29 +939,31 @@ def mitigation_eval(workload=None, flush_period_cycles: int | None = 36_000,
     the domain ignored.  Coverage is the fraction of the
     prefetcher-off miss count that prefetch hits absorb; the report
     compares a flushed run against an unflushed one on the same loads.
-    A period of None (or infinity) disables flushing.
+    Each load advances the clock by ``cycles_per_load``, which must be
+    at least 1: a clock that stands still never flushes.  A period of
+    None (or infinity) disables flushing.
     """
-    if write_ports < 1:
-        raise ValueError("write_ports must be >= 1")
+    if cycles_per_load < 1:
+        raise ValueError("cycles_per_load must be >= 1")
+    if flush_period_cycles is not None and math.isinf(flush_period_cycles):
+        flush_period_cycles = None
+    # building the flushed machine checks the ports and the period
+    unflushed = Machine(cache=CacheModel(cache_config))
+    flushed = Machine(cache=CacheModel(cache_config),
+                      flush_period=flush_period_cycles,
+                      write_ports=write_ports)
     if workload is None:
         workload = synthetic_workload()
     loads = [(item[0], item[1]) for item in workload]
-    if flush_period_cycles is not None and math.isinf(flush_period_cycles):
-        flush_period_cycles = None
-    reset_cost = math.ceil(24 / write_ports)
-    if flush_period_cycles is not None and flush_period_cycles < reset_cost:
-        raise ValueError(
-            f"flush period {flush_period_cycles} is shorter than the "
-            f"{reset_cost}-cycle table reset itself")
 
-    base_cache, _, _, _ = _run_stream(loads, False, None, write_ports,
-                                      cycles_per_load, cache_config)
+    base_cache = CacheModel(cache_config)  # prefetcher off
+    for _ip, paddr in loads:
+        base_cache.access(paddr)
     baseline_misses = base_cache.demand_misses
-    on_cache, _, _, _ = _run_stream(loads, True, None, write_ports,
-                                    cycles_per_load, cache_config)
-    flu_cache, flushes, reset_cycles, requests = _run_stream(
-        loads, True, flush_period_cycles, write_ports, cycles_per_load,
-        cache_config)
+    for machine in (unflushed, flushed):
+        for ip, paddr in loads:
+            machine.load(ip, paddr)
+            machine.clock += cycles_per_load
 
     def coverage(cache: CacheModel) -> float:
         if baseline_misses == 0:
@@ -1038,11 +974,11 @@ def mitigation_eval(workload=None, flush_period_cycles: int | None = 36_000,
         flush_period=flush_period_cycles,
         write_ports=write_ports,
         loads=len(loads),
-        flushes=flushes,
-        reset_cycles=reset_cycles,
+        flushes=flushed.flush_count,
+        reset_cycles=flushed.reset_cycles,
         baseline_misses=baseline_misses,
-        prefetch_requests=requests,
-        useful_prefetches=flu_cache.useful_prefetch_hits,
-        coverage=coverage(flu_cache),
-        coverage_no_flush=coverage(on_cache),
+        prefetch_requests=flushed.prefetch_requests,
+        useful_prefetches=flushed.cache.useful_prefetch_hits,
+        coverage=coverage(flushed.cache),
+        coverage_no_flush=coverage(unflushed.cache),
     )

@@ -1,19 +1,22 @@
 """Straight-line victim/attacker programs and their execution.
 
-Programs are flat lists of steps (loads, flushes, secret-dependent
-branches, hooks) run by a Machine that owns the prefetcher table, the
-TLB and the cache and keeps a cycle clock fed by load latencies.
-Domains give each simulated protection context its own page mapping;
-translation is identity-plus-offset with explicit per-frame overrides so
-that shared memory can alias one physical page from several domains.
+Programs are flat lists of steps (loads, flushes and secret-dependent
+branches) run by a Machine that owns the prefetcher table, the TLB and
+the cache and keeps a cycle clock fed by load latencies.  Every demand
+load in the simulator, whether a program step, a bench load, a status
+probe or a replayed trace, goes through ``Machine.load``.  Domains give
+each simulated protection context its own page mapping; translation is
+identity-plus-offset with explicit per-frame overrides so that shared
+memory can alias one physical page from several domains.
 
 Prefetcher and cache state persist across domain switches unless a flush
-policy is armed: "flush_on_switch" wipes the table at every switch,
-"periodic" wipes it whenever the clock crosses a period boundary.
+is armed: ``flush_on_switch`` wipes the table at every switch, and a
+``flush_period`` wipes it whenever the clock crosses a period boundary.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import warnings
 from dataclasses import dataclass, field
@@ -33,17 +36,8 @@ KERNEL_CODE_BASE = 0x7FFF00F000  # fixed: kernel text is not randomized here
 AddrExpr = Union[int, Callable[[random.Random], int]]
 
 
-class ScheduleError(ValueError):
-    pass
-
-
 def ip_with_tag(code_base: int, tag: int) -> int:
     return (code_base & ~0xFF) | (tag & 0xFF)
-
-
-def aslr_slide(rng: random.Random, bits: int = 16) -> int:
-    """Per-run page-aligned slide; low 12 bits of every IP survive it."""
-    return rng.randrange(1 << bits) * PAGE_BYTES
 
 
 @dataclass(frozen=True)
@@ -65,12 +59,7 @@ class Branch:
     not_taken: tuple = ()
 
 
-@dataclass(frozen=True)
-class Hook:
-    fn: Callable[["Machine"], None]
-
-
-Step = Union[Load, FlushLines, Branch, Hook]
+Step = Union[Load, FlushLines, Branch]
 
 
 @dataclass
@@ -140,79 +129,97 @@ class Event:
     detail: str = ""
 
 
-@dataclass
-class Schedule:
-    domains: dict[str, Domain]
-    slices: list[tuple[str, Program]]
-    flush_policy: str = "none"  # none / flush_on_switch / periodic
-    flush_period: int | None = None
-
-    def __post_init__(self):
-        if self.flush_policy not in ("none", "flush_on_switch", "periodic"):
-            raise ScheduleError(f"unknown flush policy {self.flush_policy!r}")
-        if self.flush_policy == "periodic" and not self.flush_period:
-            raise ScheduleError("periodic policy needs flush_period")
-        for name, _prog in self.slices:
-            if name not in self.domains:
-                raise ScheduleError(f"schedule references unknown domain {name!r}")
-
-
 class Machine:
-    """Executes programs against one table/TLB/cache triple."""
+    """Executes programs against one table/TLB/cache triple.
+
+    ``flush_on_switch`` clears the table whenever a program runs in a
+    different domain than the last one; ``flush_period`` arms the
+    periodic flush clock.  Both charge the reset's cycles to the clock.
+    """
 
     def __init__(self, table: PrefetchTable | None = None,
                  tlb: Tlb | None = None,
                  cache: CacheModel | None = None,
-                 flush_policy: str = "none",
+                 flush_on_switch: bool = False,
                  flush_period: int | None = None,
                  write_ports: int = 1):
+        if write_ports < 1:
+            raise ValueError("write_ports must be >= 1")
+        reset_cost = math.ceil(PrefetchTable.SLOTS / write_ports)
+        if flush_period is not None and flush_period <= reset_cost:
+            # the clock would owe a reset again as soon as one ended
+            raise ValueError(
+                f"flush period {flush_period} does not exceed the "
+                f"{reset_cost}-cycle table reset itself")
         self.table = table if table is not None else PrefetchTable()
         self.tlb = tlb if tlb is not None else Tlb()
         self.cache = cache if cache is not None else CacheModel()
-        self.flush_policy = flush_policy
+        self.flush_on_switch = flush_on_switch
         self.flush_period = flush_period
         self.write_ports = write_ports
         self.clock = 0
         self.current_domain: str | None = None
-        self.events: list[Event] = []
         self.flush_count = 0
         self.reset_cycles = 0
-        self._next_flush = flush_period if flush_policy == "periodic" else None
+        self.prefetch_requests = 0
+        self._next_flush = flush_period
+        self._events: list[Event] | None = None  # set while run_program runs
 
-    # -- flush policy ----------------------------------------------------
+    # -- the load path ---------------------------------------------------
+
+    def load(self, ip: int, paddr: int) -> int:
+        """Run one demand load and return its latency.
+
+        This is the one load path: the periodic flush clock, then the
+        table, then the cache access, then the prefetch installs.  The
+        caller decides what the latency costs on the clock.
+        """
+        while self._next_flush is not None and self.clock >= self._next_flush:
+            self._reset_table("periodic")
+            self._next_flush += self.flush_period
+        requests = self.table.observe_load(self.tlb, ip, paddr)
+        latency = self.cache.access(paddr)
+        for req in requests:
+            self.cache.install_prefetch(req)
+            if self._events is not None:
+                self._events.append(Event(
+                    self.clock + latency, self.current_domain, "prefetch",
+                    ip, 0, req.target, detail=f"tag {req.origin_tag:#x}"))
+        self.prefetch_requests += len(requests)
+        return latency
+
+    def flush(self, paddr: int) -> None:
+        """Flush one line; flushing needs the translation, so it warms
+        the TLB."""
+        self.tlb.access(page_frame(paddr))
+        self.cache.flush_line(paddr)
 
     def _reset_table(self, reason: str) -> None:
         cycles = self.table.reset(self.write_ports)
         self.clock += cycles
         self.flush_count += 1
         self.reset_cycles += cycles
-        self.events.append(Event(self.clock, self.current_domain or "-",
-                                 "table_reset", detail=reason))
-
-    def _tick_periodic(self) -> None:
-        if self._next_flush is None:
-            return
-        while self.clock >= self._next_flush:
-            self._reset_table("periodic")
-            self._next_flush += self.flush_period
-
-    def _enter(self, domain: Domain) -> None:
-        if self.current_domain is not None and domain.name != self.current_domain:
-            self.events.append(Event(self.clock, domain.name, "switch",
-                                     detail=f"from {self.current_domain}"))
-            if self.flush_policy == "flush_on_switch":
-                self._reset_table("switch")
-        self.current_domain = domain.name
+        if self._events is not None:
+            self._events.append(Event(self.clock, self.current_domain,
+                                      "table_reset", detail=reason))
 
     # -- execution -------------------------------------------------------
 
     def run_program(self, domain: Domain, program: Program,
                     rng: random.Random | None = None) -> list[Event]:
+        """Run a program in a domain; returns the events of this call,
+        the switch into the domain and any table reset included."""
         rng = rng or random.Random(0)
-        self._enter(domain)
-        start = len(self.events)
+        self._events = events = []
+        if self.current_domain is not None and domain.name != self.current_domain:
+            events.append(Event(self.clock, domain.name, "switch",
+                                detail=f"from {self.current_domain}"))
+            if self.flush_on_switch:
+                self._reset_table("switch")
+        self.current_domain = domain.name
         self._run_steps(domain, program.steps, rng)
-        return self.events[start:]
+        self._events = None
+        return events
 
     def _run_steps(self, domain: Domain, steps, rng: random.Random) -> None:
         for step in steps:
@@ -222,52 +229,31 @@ class Machine:
                 self._do_flush(domain, step)
             elif isinstance(step, Branch):
                 bit = step.source.next_bit()
-                self.events.append(Event(self.clock, domain.name, "branch",
-                                         detail=str(bit)))
+                self._events.append(Event(self.clock, domain.name, "branch",
+                                          detail=str(bit)))
                 self._run_steps(domain, step.taken if bit else step.not_taken, rng)
-            elif isinstance(step, Hook):
-                step.fn(self)
             else:
                 raise TypeError(f"unknown step {step!r}")
 
     def _do_load(self, domain: Domain, step: Load, rng: random.Random) -> None:
-        self._tick_periodic()
         vaddr = step.vaddr(rng) if callable(step.vaddr) else step.vaddr
         paddr = domain.translate(vaddr)
-        requests = self.table.observe_load(self.tlb, step.ip, paddr, now=self.clock)
-        latency = self.cache.access(paddr)
+        issued = self.prefetch_requests
+        latency = self.load(step.ip, paddr)
         self.clock += latency
-        self.events.append(Event(self.clock, domain.name, "load", step.ip,
-                                 vaddr, paddr, latency))
-        for req in requests:
-            self.cache.install_prefetch(req)
-            self.events.append(Event(self.clock, domain.name, "prefetch",
-                                     step.ip, 0, req.target,
-                                     detail=f"tag {req.origin_tag:#x}"))
+        # list the load after any periodic reset it waited for and before
+        # the prefetches it triggered
+        events = self._events
+        events.insert(len(events) - (self.prefetch_requests - issued),
+                      Event(self.clock, domain.name, "load", step.ip,
+                            vaddr, paddr, latency))
 
     def _do_flush(self, domain: Domain, step: FlushLines) -> None:
         for i in range(step.n_lines):
-            vaddr = step.vaddr + i * LINE_BYTES
-            paddr = domain.translate(vaddr)
-            # flushing needs the translation too, so it warms the TLB
-            self.tlb.access(page_frame(paddr))
-            self.cache.flush_line(paddr)
-        self.events.append(Event(self.clock, domain.name, "flush",
-                                 0, step.vaddr, domain.translate(step.vaddr),
-                                 detail=f"{step.n_lines} lines"))
-
-
-def run_schedule(schedule: Schedule, table: PrefetchTable | None = None,
-                 tlb: Tlb | None = None, cache: CacheModel | None = None,
-                 rng: random.Random | None = None,
-                 write_ports: int = 1) -> list[Event]:
-    """Run every slice in order on a fresh or supplied machine."""
-    machine = Machine(table, tlb, cache, schedule.flush_policy,
-                      schedule.flush_period, write_ports)
-    rng = rng or random.Random(0)
-    for name, program in schedule.slices:
-        machine.run_program(schedule.domains[name], program, rng)
-    return machine.events
+            self.flush(domain.translate(step.vaddr + i * LINE_BYTES))
+        self._events.append(Event(self.clock, domain.name, "flush",
+                                  0, step.vaddr, domain.translate(step.vaddr),
+                                  detail=f"{step.n_lines} lines"))
 
 
 # -- program builders ----------------------------------------------------
@@ -365,7 +351,3 @@ def ip_matching_groups(n_groups: int = 20, group_size: int = 24,
         groups.append(Program(f"group{g}", steps))
     return groups
 
-
-def group_tags(n_groups: int, group_size: int) -> list[list[int]]:
-    return [[(g * group_size + j) % 256 for j in range(group_size)]
-            for g in range(n_groups)]

@@ -8,9 +8,8 @@ keeps them resident afterwards.
 
 Both observers talk to the cache only, modelling a pointer-chasing,
 serialised measurement loop that the prefetcher cannot learn from; they
-never touch the table.  flush_reload can optionally route its loads
-through the table to reproduce the self-noise of a naive sequential
-observer, either with one shared IP or with a reserved per-line tag.
+never touch the table.  The status probe is the exception: it replays
+trained loads through the machine's load path on purpose.
 """
 
 from __future__ import annotations
@@ -19,7 +18,8 @@ import random
 from dataclasses import dataclass, field
 
 from .cache import CacheModel, MinimalEvictionSet
-from .uarch import LINE_BYTES, PrefetchTable, Tlb
+from .programs import Machine
+from .uarch import LINE_BYTES
 
 PAGE_LINES = 64
 
@@ -30,10 +30,6 @@ class TimingVector:
     phase: str
     targets: list[int]
     times: list[int]
-
-    def rows(self):
-        return [{"phase": self.phase, "target": t, "time": c}
-                for t, c in zip(self.targets, self.times)]
 
 
 @dataclass
@@ -88,37 +84,20 @@ def probe(cache: CacheModel, mes_list: list[MinimalEvictionSet],
     return evicted, tv
 
 
-def flush_page(cache: CacheModel, page_base: int,
-               n_lines: int = PAGE_LINES) -> None:
-    cache.flush_lines(page_base, n_lines)
-
-
 def flush_reload(cache: CacheModel, page_base: int, rng: random.Random,
-                 threshold: int | None = None, n_lines: int = PAGE_LINES,
-                 table: PrefetchTable | None = None, tlb: Tlb | None = None,
-                 observer_tag_base: int = 0, single_ip: int | None = None,
-                 shuffle: bool = True) -> set[int]:
-    """Measure which page lines are cached; leaves all of them resident.
-
-    With a table supplied revision loads are fed to the prefetcher as
-    well: through one fixed IP (single_ip) or through a reserved tag per
-    line starting at observer_tag_base.
-    """
+                 threshold: int | None = None,
+                 n_lines: int = PAGE_LINES) -> set[int]:
+    """Measure which page lines are cached, in shuffled order; leaves
+    all of them resident."""
     if threshold is None:
         threshold = cache.config.threshold
     order = list(range(n_lines))
-    if shuffle:
-        rng.shuffle(order)
+    rng.shuffle(order)
     cached = set()
     for i in order:
         addr = page_base + i * LINE_BYTES
         if cache.access(addr) < threshold:
             cached.add(i)
-        if table is not None:
-            ip = single_ip if single_ip is not None else \
-                0x7E0000 | ((observer_tag_base + i) & 0xFF)
-            for req in table.observe_load(tlb, ip, addr):
-                cache.install_prefetch(req)
     return cached
 
 
@@ -149,8 +128,7 @@ def detect_stride(observed, candidates: list[int]) -> StrideDetection:
                            len(ranked) > 1, ranked)
 
 
-def prefetcher_status_probe(table: PrefetchTable, tlb: Tlb | None,
-                            cache: CacheModel, probes: list[StatusProbe],
+def prefetcher_status_probe(machine: Machine, probes: list[StatusProbe],
                             threshold: int | None = None,
                             drop_targets: frozenset | set = frozenset(),
                             ) -> dict[int, bool]:
@@ -159,21 +137,20 @@ def prefetcher_status_probe(table: PrefetchTable, tlb: Tlb | None,
     Replays each trained IP once at its expected next address and times
     the single line the old stride would fetch.  An entry whose stride
     was disturbed in the meantime no longer prefetches it, so the load
-    misses.  Unlike the pure cache observers this does feed the table.
+    misses.  Unlike the pure cache observers this does feed the table,
+    through ``machine.load``; it leaves the machine's clock alone.
 
     Tags listed in drop_targets lose their target line between install
     and timing, modelling an unrelated eviction inside the probe window.
     """
+    cache = machine.cache
     if threshold is None:
         threshold = cache.config.threshold
     verdict = {}
     for p in probes:
         target = p.replay_addr + p.stride
         cache.flush_line(target)
-        requests = table.observe_load(tlb, p.ip, p.replay_addr)
-        cache.access(p.replay_addr)
-        for req in requests:
-            cache.install_prefetch(req)
+        machine.load(p.ip, p.replay_addr)
         if p.tag in drop_targets:
             cache.flush_line(target)
         verdict[p.tag] = cache.access(target) < threshold

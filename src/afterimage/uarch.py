@@ -56,7 +56,6 @@ class PrefetchRequest:
     """A prefetch the table asked the cache hierarchy to perform."""
     target: Address
     origin_tag: int
-    issued_at: int = 0
 
 
 @dataclass(frozen=True)
@@ -142,8 +141,8 @@ class PrefetchTable:
 
     # -- updates ---------------------------------------------------------
 
-    def observe_load(self, tlb: Tlb | None, full_ip: Address, paddr: Address,
-                     now: int = 0) -> list[PrefetchRequest]:
+    def observe_load(self, tlb: Tlb | None, full_ip: Address,
+                     paddr: Address) -> list[PrefetchRequest]:
         """Feed one demand load; returns the prefetches it triggered (0 or 1)."""
         lru, capacity = (None, 0) if tlb is None else (tlb.lru, tlb.capacity)
         tag = ip_tag(full_ip)
@@ -151,7 +150,7 @@ class PrefetchTable:
             tag, paddr, self.tags, self.last, self.stride, self.conf,
             self.valid, self.mru, self.owner, lru, capacity)
         if emitted:
-            return [PrefetchRequest(target=int(target), origin_tag=tag, issued_at=now)]
+            return [PrefetchRequest(target=int(target), origin_tag=tag)]
         return []
 
     def plru_touch(self, slot: int) -> None:
@@ -178,7 +177,3 @@ class PrefetchTable:
         self.mru[:] = [False] * self.SLOTS
         self.owner.clear()
         return math.ceil(self.SLOTS / write_ports)
-
-
-def reset_prefetcher(table: PrefetchTable, write_ports: int = 1) -> int:
-    return table.reset(write_ports)

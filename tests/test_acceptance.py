@@ -23,7 +23,7 @@ from afterimage.experiments import (
     run_attack,
 )
 from afterimage.oracle import run_equivalence_check, warmup
-from afterimage.sidechannel import flush_page, flush_reload, prime, probe
+from afterimage.sidechannel import flush_reload, prime, probe
 from afterimage.uarch import PrefetchTable, Tlb, page_frame
 
 ALL_PAIRS = [(1, "prime_probe"), (1, "flush_reload"), (1, "status_probe"),
@@ -145,7 +145,7 @@ def test_10_observers_alone_leave_the_prefetcher_untouched():
             (0x800000 + k * 64 for k in range(1 << 20))))
     baseline = prime(cache, mes_list)
     probe(cache, mes_list, baseline)
-    flush_page(cache, page)
+    cache.flush_lines(page, 64)
     flush_reload(cache, page, random.Random(0))
 
     after = table.state_hash()

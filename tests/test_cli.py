@@ -301,6 +301,39 @@ def test_mitigate_zero_write_ports_exits_2(tmp_path, capsys):
         "error: write_ports must be >= 1"]
 
 
+@pytest.mark.parametrize("cycles", ["0", "-5"])
+def test_mitigate_nonpositive_cycles_per_load_exits_2(tmp_path, capsys,
+                                                      cycles):
+    # a clock that never advances never flushes, and the report would
+    # price the mitigation at nothing
+    out = tmp_path / "x.csv"
+    assert main(["mitigate", "--cycles-per-load", cycles,
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: cycles_per_load must be >= 1"]
+    assert not out.exists()
+
+
+def test_mitigate_period_equal_to_reset_exits_2(tmp_path):
+    # a period of exactly one reset (24 cycles at 1 port) used to owe the
+    # next reset as soon as one ended and never let a load through; the
+    # child process lets the timeout stop such a regression
+    trace = tmp_path / "t.txt"
+    trace.write_text("0x400100,0x10000,0\n0x400100,0x10040,0\n")
+    src = str(Path(afterimage.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "afterimage.cli", "mitigate",
+         "--trace", str(trace), "--period-us", str(24 / 3600),
+         "--output", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: flush period 24 does not exceed the 24-cycle table reset "
+        "itself"]
+
+
 def test_mitigate_negative_trace_address_exits_2(tmp_path):
     # a negative line index used to make the slice hash loop forever;
     # the child process lets the timeout stop such a regression

@@ -1,6 +1,7 @@
 """Tests for the reverse-engineering benches, attacks and mitigation."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -177,6 +178,21 @@ def test_attack_is_seed_reproducible():
     assert first.rows() == second.rows()
     other = run_attack(2, "flush_reload", rounds=40, seed=12)
     assert other.records != first.records
+
+
+def test_attack_memory_stays_bounded_in_rounds():
+    # per round an attack keeps only its RoundRecord and the secret bit;
+    # the events of a round must not outlive it
+    def peak(rounds):
+        tracemalloc.start()
+        try:
+            run_attack(2, "flush_reload", rounds=rounds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_round = (peak(1000) - peak(200)) / 800
+    assert per_round < 512, f"{per_round:.0f} B per round"
 
 
 def test_kernel_attack_finds_matching_group_via_channel():

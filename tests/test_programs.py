@@ -1,4 +1,4 @@
-"""Domains, secret sources, program builders and schedule execution."""
+"""Domains, secret sources, program builders and the Machine."""
 
 import random
 
@@ -11,17 +11,11 @@ from afterimage.programs import (
     Load,
     Machine,
     Program,
-    Schedule,
-    ScheduleError,
     SecretSource,
-    aslr_slide,
     build_gadget,
     build_kernel_syscall,
     build_victim,
-    group_tags,
     ip_matching_groups,
-    ip_with_tag,
-    run_schedule,
 )
 from afterimage.uarch import ip_tag
 
@@ -53,13 +47,6 @@ def test_domain_translation_and_sharing():
         Domain("x", phys_offset=123)
     with pytest.raises(ValueError):
         Domain("x", kind="enclave")
-
-
-def test_aslr_slide_preserves_tags():
-    rng = random.Random(3)
-    for _ in range(20):
-        base = 0x400000 + aslr_slide(rng)
-        assert ip_tag(ip_with_tag(base, 0xA0)) == 0xA0
 
 
 def test_gadget_builder_validation():
@@ -117,7 +104,7 @@ def test_kernel_syscall_loads_only_when_bit_set():
 def test_ip_matching_groups_cover_tag_space():
     groups = ip_matching_groups(20, 24)
     assert len(groups) == 20
-    covered = {t for tags in group_tags(20, 24) for t in tags}
+    covered = {ip_tag(s.ip) for g in groups for s in g.steps}
     assert covered == set(range(256))
     # each group's loads carry its own distinct tags, one page frame each
     g0 = groups[0]
@@ -133,20 +120,11 @@ def test_group_training_triggers_matching_tag():
     groups = ip_matching_groups(20, 24, stride_lines=11)
     m = Machine()
     m.run_program(Domain("u"), groups[3])
-    for tag in group_tags(20, 24)[3]:
+    tags = {ip_tag(s.ip) for s in groups[3].steps}
+    assert tags == {(3 * 24 + j) % 256 for j in range(24)}
+    for tag in tags:
         e = m.table.entry_for(tag)
         assert e is not None and e.confidence >= 2 and e.stride == 11 * 64
-
-
-def test_schedule_validation():
-    d = {"a": Domain("a")}
-    with pytest.raises(ScheduleError):
-        Schedule(d, [("missing", Program("p"))])
-    with pytest.raises(ScheduleError):
-        Schedule(d, [], flush_policy="sometimes")
-    with pytest.raises(ScheduleError):
-        Schedule(d, [], flush_policy="periodic")
-    assert run_schedule(Schedule(d, [])) == []
 
 
 def test_state_persists_across_switches_by_default():
@@ -154,31 +132,55 @@ def test_state_persists_across_switches_by_default():
     m = Machine()
     m.run_program(a, build_gadget(0xA0, 0xB4, 7, 13))
     h = m.table.state_hash()
-    m.run_program(b, Program("idle", []))
+    events = m.run_program(b, Program("idle", []))
     assert m.table.state_hash() == h
-    assert any(e.kind == "switch" for e in m.events)
+    assert [e.kind for e in events] == ["switch"]
 
 
 def test_flush_on_switch_wipes_the_table():
     a, b = Domain("a"), Domain("b", phys_offset=0x100000000)
-    m = Machine(flush_policy="flush_on_switch")
+    m = Machine(flush_on_switch=True)
     m.run_program(a, build_gadget(0xA0, 0xB4, 7, 13))
     assert m.table.occupancy() == 2
-    m.run_program(b, Program("idle", []))
+    events = m.run_program(b, Program("idle", []))
+    assert [e.kind for e in events] == ["switch", "table_reset"]
     assert m.table.occupancy() == 0
     assert m.flush_count == 1 and m.reset_cycles == 24
 
 
 def test_periodic_flush_accounting():
-    m = Machine(flush_policy="periodic", flush_period=1000)
+    m = Machine(flush_period=1000)
     prog = Program("walk", [Load(0x400000, 0x10000 + i * 64) for i in range(60)])
-    m.run_program(Domain("a"), prog)
+    events = m.run_program(Domain("a"), prog)
     # the walk crosses several period boundaries (most loads are prefetched
     # hits at 40 cycles, so the clock grows slower than the miss rate implies)
     assert m.flush_count >= 2
     assert m.reset_cycles == 24 * m.flush_count
-    resets = [e.time for e in m.events if e.kind == "table_reset"]
+    resets = [e.time for e in events if e.kind == "table_reset"]
+    assert len(resets) == m.flush_count
     assert all(t >= 1000 * (i + 1) for i, t in enumerate(resets))
+    # every prefetch is listed right after the load that triggered it
+    prefetches = [i for i, e in enumerate(events) if e.kind == "prefetch"]
+    assert prefetches
+    for i in prefetches:
+        assert events[i - 1].kind == "load"
+        assert events[i - 1].time == events[i].time
+
+
+def test_flush_period_must_exceed_the_reset():
+    # a period no longer than the reset would owe the next reset as soon
+    # as one ended, so the flush clock would never let a load through
+    with pytest.raises(ValueError):
+        Machine(flush_period=24)
+    with pytest.raises(ValueError):
+        Machine(flush_period=12, write_ports=2)
+    with pytest.raises(ValueError):
+        Machine(write_ports=0)
+    m = Machine(flush_period=25)
+    m.load(0x400000, 0x10000)
+    m.clock += 25
+    m.load(0x400000, 0x10040)
+    assert m.flush_count == 1 and m.clock == 25 + 24
 
 
 def test_clock_tracks_latencies():

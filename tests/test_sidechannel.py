@@ -5,16 +5,16 @@ import random
 import pytest
 
 from afterimage.cache import CacheModel, build_eviction_set
+from afterimage.programs import Machine
 from afterimage.sidechannel import (
     StatusProbe,
     detect_stride,
-    flush_page,
     flush_reload,
     prefetcher_status_probe,
     prime,
     probe,
 )
-from afterimage.uarch import LINE_BYTES, PrefetchTable, Tlb
+from afterimage.uarch import LINE_BYTES, PrefetchTable, Tlb, page_frame
 
 PAGE = 0x600000  # maps to sets 24576 % 2048 = 0 .. 63, one per line
 
@@ -60,7 +60,7 @@ def test_probe_flags_victim_touched_sets():
 def test_flush_reload_reports_exactly_the_cached_lines():
     cache = CacheModel()
     rng = random.Random(1)
-    flush_page(cache, PAGE)
+    cache.flush_lines(PAGE, 64)
     cache.access(PAGE + 12 * LINE_BYTES)
     cache.access(PAGE + 25 * LINE_BYTES)
     assert flush_reload(cache, PAGE, rng) == {12, 25}
@@ -71,20 +71,26 @@ def test_flush_reload_reports_exactly_the_cached_lines():
 def test_flush_reload_on_flushed_page_is_empty():
     cache = CacheModel()
     cache.access(PAGE + 5 * LINE_BYTES)
-    flush_page(cache, PAGE)
+    cache.flush_lines(PAGE, 64)
     assert flush_reload(cache, PAGE, random.Random(2)) == set()
 
 
 def test_sequential_observer_with_one_ip_poisons_itself():
     # a naive observer whose reload loads reach the prefetcher in address
     # order trains a one-line stride and caches lines ahead of itself
-    def run(shuffle, single_ip, tag_base=0x00):
-        cache = CacheModel()
-        table = PrefetchTable()
-        flush_page(cache, PAGE)
-        return flush_reload(cache, PAGE, random.Random(3), table=table,
-                            single_ip=single_ip, observer_tag_base=tag_base,
-                            shuffle=shuffle)
+    def run(shuffle, single_ip):
+        m = Machine()
+        m.cache.flush_lines(PAGE, 64)
+        order = list(range(64))
+        if shuffle:
+            random.Random(3).shuffle(order)
+        cached = set()
+        for i in order:
+            # one fixed IP, or a reserved tag per line
+            ip = single_ip if single_ip is not None else 0x7E0000 | i
+            if m.load(ip, PAGE + i * LINE_BYTES) < m.cache.config.threshold:
+                cached.add(i)
+        return cached
 
     sequential = run(shuffle=False, single_ip=0x7D0011)
     assert len(sequential) >= 50  # almost every line reads as cached
@@ -105,7 +111,7 @@ def test_observers_never_touch_the_table():
     sets = build_page_sets(cache, PAGE, 8)
     baseline = prime(cache, sets)
     probe(cache, sets, baseline)
-    flush_page(cache, PAGE)
+    cache.flush_lines(PAGE, 64)
     flush_reload(cache, PAGE, random.Random(4))
     assert table.state_hash() == h
 
@@ -139,9 +145,13 @@ def test_detect_stride_validation():
 
 
 def test_status_probe_tracks_disturbance():
-    table = PrefetchTable()
-    cache = CacheModel()
+    m = Machine()
+    table = m.table
     g1, g2 = 0x200000, 0x300000
+    # the observer's pages are translated: the second replay of 0xB4
+    # lands on the frame after g2's
+    for frame in (page_frame(g1), page_frame(g2), page_frame(g2) + 1):
+        m.tlb.access(frame)
     for i in range(4):
         table.observe_load(None, 0x4010A0, g1 + i * 448)
         table.observe_load(None, 0x4020B4, g2 + i * 832)
@@ -149,23 +159,21 @@ def test_status_probe_tracks_disturbance():
               StatusProbe(0xB4, 0x4020B4, g2 + 4 * 832, 832)]
 
     # idle victim: both entries still trigger
-    assert prefetcher_status_probe(table, None, cache, probes) == \
-        {0xA0: True, 0xB4: True}
+    assert prefetcher_status_probe(m, probes) == {0xA0: True, 0xB4: True}
 
     # victim executes through tag 0xA0 somewhere far away
     table.observe_load(None, 0x7010A0, 0x900000)
     probes2 = [StatusProbe(0xA0, 0x4010A0, g1 + 6 * 448, 448),
                StatusProbe(0xB4, 0x4020B4, g2 + 5 * 832, 832)]
-    got = prefetcher_status_probe(table, None, cache, probes2)
+    got = prefetcher_status_probe(m, probes2)
     assert got == {0xA0: False, 0xB4: True}
 
 
 def test_status_probe_after_reset_sees_nothing():
-    table = PrefetchTable()
-    cache = CacheModel()
+    m = Machine()
     g1 = 0x200000
     for i in range(4):
-        table.observe_load(None, 0x4010A0, g1 + i * 448)
-    table.reset()
+        m.table.observe_load(None, 0x4010A0, g1 + i * 448)
+    m.table.reset()
     probes = [StatusProbe(0xA0, 0x4010A0, g1 + 4 * 448, 448)]
-    assert prefetcher_status_probe(table, None, cache, probes) == {0xA0: False}
+    assert prefetcher_status_probe(m, probes) == {0xA0: False}

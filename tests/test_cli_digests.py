@@ -90,6 +90,22 @@ CASES = {
         _attack(3, "flush_reload", "--flush-on-switch"),
         {"out.csv":
          "9e71be8d7633c55969e7de044cadc7dc890416c5e80a92c1cca4b475a28261ea"}),
+    # victim lines and page noise feed prime+probe; next-line noise alone
+    # adds no candidate pair, so the stray line and evictions are needed
+    "v1_prime_probe_page_noise": (
+        _attack(1, "prime_probe", "--next-line-noise", "--noise-load", "1.0",
+                "--noise-evict", "0.05"),
+        {"out.csv":
+         "45a60294909b29f885d33fdaee50a0dfd5443cfbc3dfe387afd3d5957f70f146"}),
+    "v1_flush_on_switch": (
+        _attack(1, "flush_reload", "--flush-on-switch"),
+        {"out.csv":
+         "7c4749a89982f9193fe75af3e21a1811dd80d39166cd8e82048e772c0ba57f11"}),
+    "v3_page_noise": (
+        _attack(3, "flush_reload", "--noise-evict", "0.1",
+                "--noise-load", "1.0", "--next-line-noise"),
+        {"out.csv":
+         "ab1704c2dfa1facf06cc93c3357382123312f36198e8d48e78d537919d76c193"}),
 }
 
 

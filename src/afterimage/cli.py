@@ -20,7 +20,6 @@ variant/channel pairings.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -274,10 +273,7 @@ def _cmd_mitigate(args, config) -> int:
     trace = _resolve(args.trace, config, "trace", None, str)
     output = _resolve(args.output, config, "output", "mitigate.csv", str)
     cache_config = _cache_config(config)
-    if math.isinf(period_us):
-        period = None
-    else:
-        period = flush_period_cycles(period_us, clock_ghz)
+    period = flush_period_cycles(period_us, clock_ghz)
     workload = load_trace(trace) if trace else None
     report = mitigation_eval(workload, period, write_ports, cycles_per_load,
                              cache_config)

@@ -9,10 +9,14 @@ diffs the measured verdicts against the documented behaviour, so the
 CLI can self-check.
 
 ``run_attack`` drives the three covert/side-channel variants end to
-end: a shared-address-space victim, a cross-process victim reached
-through a shared page, and a kernel syscall reached through shared
-memory.  ``mitigation_eval`` measures what periodically clearing the
-table costs in prefetch coverage.
+end.  They are one attack in three scenarios: a shared-address-space
+victim, a cross-process victim reached through a shared page, and a
+kernel syscall reached through shared memory.  A scenario builder says
+who trains, where the victim runs, which page is watched and how a
+detected stride decodes to a bit; one round loop, ``_score_rounds``,
+then trains, runs the victim, observes through the chosen channel and
+scores each round for every variant.  ``mitigation_eval`` measures
+what periodically clearing the table costs in prefetch coverage.
 """
 
 from __future__ import annotations
@@ -51,9 +55,24 @@ from .uarch import LINE_BYTES, PAGE_BYTES, line_index, page_frame
 DEFAULT_CLOCK_GHZ = 3.6
 
 
-def flush_period_cycles(period_us: float, ghz: float = DEFAULT_CLOCK_GHZ) -> int:
-    """Convert a flush period in microseconds to clock cycles."""
-    return round(period_us * 1000.0 * ghz)
+def flush_period_cycles(period_us: float,
+                        ghz: float = DEFAULT_CLOCK_GHZ) -> int | None:
+    """Convert a flush period in microseconds to clock cycles.
+
+    A period of +inf disables flushing and returns None.  The clock must
+    be finite and positive, and the period must not be NaN or negative.
+    """
+    if not (math.isfinite(ghz) and ghz > 0):
+        raise ValueError(f"clock must be finite and positive, got {ghz} GHz")
+    if not period_us >= 0:  # also catches NaN
+        raise ValueError(f"flush period must be >= 0 us, got {period_us}")
+    if period_us == math.inf:
+        return None
+    cycles = period_us * 1000.0 * ghz
+    if cycles == math.inf:
+        raise ValueError(f"flush period {period_us} us overflows the "
+                         "cycle count")
+    return round(cycles)
 
 
 # --------------------------------------------------------------------------
@@ -96,11 +115,15 @@ def _round_rng(seed: int, noise_seed: int, index: int) -> random.Random:
 
 def _apply_page_noise(cache: CacheModel, noise: NoiseModel,
                       rng: random.Random, page_paddr: int,
-                      victim_lines: list[int]) -> None:
+                      victim_events) -> None:
     """Disturb the observed page.  Draw counts are fixed per round so
     probability sweeps consume identical random streams."""
     if noise.next_line_noise:
-        for ln in victim_lines:
+        frame = page_frame(page_paddr)
+        victim_lines = {(ev.paddr >> 6) & (PAGE_LINES - 1)
+                        for ev in victim_events if ev.kind == "load"
+                        and page_frame(ev.paddr) == frame}
+        for ln in sorted(victim_lines):
             for neighbour in (ln - 1, ln + 1):
                 if 0 <= neighbour < PAGE_LINES:
                     cache.install_prefetch(page_paddr + neighbour * LINE_BYTES)
@@ -143,7 +166,6 @@ class IndexingResult:
     """Which of the 256 probe IPs reused the trained entry."""
 
     trained_tag: int
-    stride_lines: int
     triggered: list[bool]
 
     def matching_offsets(self) -> list[int]:
@@ -182,7 +204,7 @@ def rev_indexing(trained_tag: int = 0x2C, stride_lines: int = 7,
     replay_base = (0x400000 + 0x2000) ^ 0x200
     triggered = []
     for offset in range(256):
-        bench = Machine(cache=CacheModel(cache_config))
+        bench = Machine(cache_config=cache_config)
         # buffer initialisation installs the translations, not the table
         bench.tlb.access(page_frame(train_page))
         bench.tlb.access(page_frame(replay_page))
@@ -190,7 +212,7 @@ def rev_indexing(trained_tag: int = 0x2C, stride_lines: int = 7,
             bench.load(train_ip, train_page + i * sb)
         bench.load(ip_with_tag(replay_base, offset), replay_page)
         triggered.append(_is_hot(bench.cache, replay_page + sb))
-    return IndexingResult(trained_tag, stride_lines, triggered)
+    return IndexingResult(trained_tag, triggered)
 
 
 # --------------------------------------------------------------------------
@@ -202,11 +224,6 @@ def rev_indexing(trained_tag: int = 0x2C, stride_lines: int = 7,
 class ConfStrideResult:
     """Per-iteration fetch labels after switching the access stride."""
 
-    st1: int
-    st2: int
-    tr1: int
-    tr2: int
-    offset_mode: str
     labels: list[int | None]
     log: list[dict]
     expected: list[int | None]
@@ -250,7 +267,7 @@ def rev_conf_stride(st1: int = 7, st2: int = 5, tr1: int = 4, tr2: int = 3,
     ip = ip_with_tag(0x400000, 0x51)
     rng = random.Random(seed)
 
-    bench = Machine(cache=CacheModel(cache_config))
+    bench = Machine(cache_config=cache_config)
     bench.tlb.access(page_frame(page))
     last = page + (tr1 - 1) * sb1
     for i in range(tr1):
@@ -289,8 +306,7 @@ def rev_conf_stride(st1: int = 7, st2: int = 5, tr1: int = 4, tr2: int = 3,
     else:
         expected = [first, None] + [st2] * (tr2 - 2)
     expected = expected[:tr2]
-    return ConfStrideResult(st1, st2, tr1, tr2, offset_mode,
-                            labels, log, expected)
+    return ConfStrideResult(labels, log, expected)
 
 
 # --------------------------------------------------------------------------
@@ -356,7 +372,7 @@ def _page_trial(pool: str, offset_pages: int, *, two_access: bool = False,
         dom = Domain("bench")
     else:
         raise ValueError(f"unknown pool {pool!r}")
-    bench = Machine(cache=CacheModel(cache_config))
+    bench = Machine(cache_config=cache_config)
     ip = ip_with_tag(0x400000, 0x9D)
     bench.tlb.access(page_frame(dom.translate(vbase)))
     if pool == "locked" and precondition_next:
@@ -420,31 +436,48 @@ class EntriesResult:
                 for i, ok in enumerate(self.alive)]
 
 
+def _survivors(n_streams: int, n_retrain: int = 0, n_new: int = 0,
+               cache_config=None) -> list[bool]:
+    """Train ``n_streams`` streams, re-touch the first ``n_retrain``,
+    train ``n_new`` newcomers, then replay each original stream once.
+
+    A replay that still fetches proves its entry survived.  Each stream
+    is probed in its own fresh run so a dead stream's replay (which
+    allocates and thereby evicts) cannot contaminate the next verdict.
+    """
+    sb = 448
+
+    def walk(bench: Machine, j: int, first: int, n: int) -> None:
+        ip = ip_with_tag(0x400000 + j * 0x1000, j)
+        page = 0x1000000 + j * PAGE_BYTES
+        for i in range(first, first + n):
+            bench.load(ip, page + i * sb)
+
+    alive = []
+    for probed in range(n_streams):
+        bench = Machine(cache_config=cache_config)
+        for j in range(n_streams):
+            walk(bench, j, 0, 4)
+        for j in range(n_retrain):
+            walk(bench, j, 4, 1)
+        for j in range(n_streams, n_streams + n_new):
+            walk(bench, j, 0, 4)
+        step = 5 if probed < n_retrain else 4
+        walk(bench, probed, step, 1)
+        page = 0x1000000 + probed * PAGE_BYTES
+        alive.append(_is_hot(bench.cache, page + (step + 1) * sb))
+    return alive
+
+
 def rev_entries(n_ips: int, cache_config=None) -> EntriesResult:
     """Train ``n_ips`` streams in order, then replay each one once.
 
-    A replay that still fetches proves its entry survived; training
-    more streams than the table holds silently drops the oldest.  Each
-    stream is probed in its own fresh run so a dead stream's replay
-    (which allocates and thereby evicts) cannot contaminate the next
-    verdict.
+    Training more streams than the table holds silently drops the
+    oldest.
     """
     if not 1 <= n_ips <= 48:
         raise ValueError("n_ips must be between 1 and 48")
-    sb = 448
-    alive = []
-    for probed in range(n_ips):
-        bench = Machine(cache=CacheModel(cache_config))
-        for j in range(n_ips):
-            ip = ip_with_tag(0x400000 + j * 0x1000, j)
-            page = 0x1000000 + j * PAGE_BYTES
-            for i in range(4):
-                bench.load(ip, page + i * sb)
-        page = 0x1000000 + probed * PAGE_BYTES
-        probe_addr = page + 4 * sb
-        bench.load(ip_with_tag(0x400000 + probed * 0x1000, probed), probe_addr)
-        alive.append(_is_hot(bench.cache, probe_addr + sb))
-    return EntriesResult(n_ips, alive)
+    return EntriesResult(n_ips, _survivors(n_ips, cache_config=cache_config))
 
 
 # --------------------------------------------------------------------------
@@ -490,34 +523,8 @@ def rev_replacement(n_retrain: int = 8, n_new: int = 8,
     """
     if not 0 <= n_retrain <= 24 or not 0 <= n_new <= 24:
         raise ValueError("n_retrain and n_new must be between 0 and 24")
-    sb = 448
-    alive = []
-    for probed in range(24):
-        bench = Machine(cache=CacheModel(cache_config))
-        pos = {}
-        for j in range(24):
-            ip = ip_with_tag(0x400000 + j * 0x1000, j)
-            page = 0x1000000 + j * PAGE_BYTES
-            for i in range(4):
-                bench.load(ip, page + i * sb)
-            pos[j] = 4
-        for j in range(n_retrain):
-            ip = ip_with_tag(0x400000 + j * 0x1000, j)
-            page = 0x1000000 + j * PAGE_BYTES
-            bench.load(ip, page + pos[j] * sb)
-            pos[j] += 1
-        for j in range(n_new):
-            tag = 24 + j
-            ip = ip_with_tag(0x400000 + tag * 0x1000, tag)
-            page = 0x1000000 + tag * PAGE_BYTES
-            for i in range(4):
-                bench.load(ip, page + i * sb)
-        ip = ip_with_tag(0x400000 + probed * 0x1000, probed)
-        page = 0x1000000 + probed * PAGE_BYTES
-        probe_addr = page + pos[probed] * sb
-        bench.load(ip, probe_addr)
-        alive.append(_is_hot(bench.cache, probe_addr + sb))
-    return ReplacementResult(n_retrain, n_new, alive)
+    return ReplacementResult(n_retrain, n_new,
+                             _survivors(24, n_retrain, n_new, cache_config))
 
 
 # --------------------------------------------------------------------------
@@ -551,12 +558,7 @@ class RoundRecord:
 class AttackOutcome:
     """Everything one attack run produced, ready for CSV."""
 
-    variant: int
-    channel: str
     records: list[RoundRecord]
-    seed: int
-    noise: NoiseModel
-    flush_on_switch: bool
     detail: dict = field(default_factory=dict)
 
     @property
@@ -571,11 +573,6 @@ class AttackOutcome:
             "inferred": "" if r.inferred is None else r.inferred,
             "success": int(r.success),
         } for r in self.records]
-
-
-def _page_load_lines(events, frame: int) -> list[int]:
-    return sorted({(ev.paddr >> 6) & (PAGE_LINES - 1) for ev in events
-                   if ev.kind == "load" and page_frame(ev.paddr) == frame})
 
 
 def _mes_for_line(cache: CacheModel, page_paddr: int,
@@ -604,18 +601,38 @@ def _secret_source(seed: int, flush_on_switch: bool) -> SecretSource:
     return SecretSource(seed=seed ^ 0x5EC2E7)
 
 
-def _infer_two_sided(detected: int | None, stride_if: int,
-                     stride_else: int) -> int | None:
-    if detected == stride_if:
-        return 1
-    if detected == stride_else:
-        return 0
-    return None
+@dataclass
+class _Scenario:
+    """Who trains, where the victim runs and which page is watched.
+
+    ``page_vaddr`` is the observed page in the attacker's space and
+    ``page_paddr`` where it lives.  ``decode`` maps the detected stride
+    (None when nothing was detected) to the inferred bit; a stride it
+    does not list infers nothing.  ``probes`` replay the trained
+    entries for the status probe, in the order of ``decode``'s strides.
+    """
+
+    attacker: Domain
+    training: Program
+    page_vaddr: int
+    page_paddr: int
+    victim: Domain
+    victim_program: Program
+    source: SecretSource
+    decode: dict[int | None, int]
+    probes: list[StatusProbe] | None = None
+    detail: dict = field(default_factory=dict)
 
 
-def _same_space_attack(machine: Machine, channel: str, rounds: int,
-                       noise: NoiseModel, seed: int,
-                       flush_on_switch: bool):
+# Variants 1 and 2 train both arms of the victim's branch: the if arm's
+# tag with one stride, the else arm's tag with another.
+_IF_TAG, _ELSE_TAG = 0x3A, 0xB4
+_STRIDE_IF, _STRIDE_ELSE = 7, 13
+_TWO_SIDED = {_STRIDE_IF: 1, _STRIDE_ELSE: 0}
+
+
+def _same_space(machine: Machine, seed: int,
+                flush_on_switch: bool) -> _Scenario:
     """Variant 1: gadget, victim and observer share one address space.
 
     The gadget trains both candidate tags with distinct strides; the
@@ -623,118 +640,46 @@ def _same_space_attack(machine: Machine, channel: str, rounds: int,
     low byte collides with one of them, firing that entry's stale
     stride into the victim's own array where the observer can see it.
     """
-    stride_if, stride_else = 7, 13
-    if_tag, else_tag = 0x3A, 0xB4
-    gadget_code, victim_code = 0x400000, 0x700000
-    gadget_if, gadget_else = 0x10000, 0x12000
+    gadget_code, arrays, iters = 0x400000, (0x10000, 0x12000), 3
     victim_page = 0x600000
-    iters = 3
     dom = Domain("proc")
     source = _secret_source(seed, flush_on_switch)
-    gadget = build_gadget(if_tag, else_tag, stride_if, stride_else,
-                          iterations=iters, code_base=gadget_code,
-                          array_if=gadget_if, array_else=gadget_else)
-    victim = build_victim(source, if_tag, else_tag, array_base=victim_page,
-                          array_lines=48, code_base=victim_code)
-    flush_prog = Program("flush", [FlushLines(victim_page, PAGE_LINES)])
-    obs_paddr = dom.translate(victim_page)
-    obs_frame = page_frame(obs_paddr)
     # the victim initialised its array earlier; the translation is warm
-    machine.tlb.access(obs_frame)
-
-    mes_list = None
-    if channel == "prime_probe":
-        mes_list = [_mes_for_line(machine.cache, obs_paddr, ln)
-                    for ln in range(PAGE_LINES)]
-    sb_if = _stride_bytes(stride_if)
-    sb_else = _stride_bytes(stride_else)
-    probes = [
-        StatusProbe(if_tag, ip_with_tag(gadget_code, if_tag),
-                    dom.translate(gadget_if) + iters * sb_if, sb_if),
-        StatusProbe(else_tag, ip_with_tag(gadget_code + 0x1000, else_tag),
-                    dom.translate(gadget_else) + iters * sb_else, sb_else),
-    ]
-
-    records = []
-    for i in range(rounds):
-        rng = _round_rng(seed, noise.seed, i)
-        machine.run_program(dom, gadget, rng)
-        if channel == "flush_reload":
-            machine.run_program(dom, flush_prog, rng)
-        baseline = None
-        if channel == "prime_probe":
-            baseline = prime(machine.cache, mes_list)
-        events = machine.run_program(dom, victim, rng)
-        truth = source.history[-1]
-        victim_lines = _page_load_lines(events, obs_frame)
-
-        if channel == "status_probe":
-            dropped = {t for t in (if_tag, else_tag)
-                       if rng.random() < noise.p_evict}
-            alive = prefetcher_status_probe(machine, probes,
-                                            drop_targets=dropped)
-            if not alive[if_tag] and alive[else_tag]:
-                detected, inferred = stride_if, 1
-            elif not alive[else_tag] and alive[if_tag]:
-                detected, inferred = stride_else, 0
-            else:
-                detected, inferred = None, None
-        else:
-            _apply_page_noise(machine.cache, noise, rng, obs_paddr,
-                              victim_lines)
-            if channel == "prime_probe":
-                _apply_probe_noise(machine.cache, noise, rng, mes_list)
-                evicted, _ = probe(machine.cache, mes_list, baseline)
-                observed = {ln for ln, hit in enumerate(evicted) if hit}
-            else:
-                observed = flush_reload(machine.cache, obs_paddr, rng)
-            detection = detect_stride(observed, [stride_if, stride_else])
-            detected = detection.detected
-            inferred = _infer_two_sided(detected, stride_if, stride_else)
-        records.append(RoundRecord(i, truth, detected, inferred,
-                                   inferred == truth))
-    return records, {}
+    machine.tlb.access(page_frame(dom.translate(victim_page)))
+    gadget = build_gadget(_IF_TAG, _ELSE_TAG, _STRIDE_IF, _STRIDE_ELSE,
+                          iterations=iters, code_base=gadget_code,
+                          array_if=arrays[0], array_else=arrays[1])
+    probes = []
+    for k, (tag, stride) in enumerate(((_IF_TAG, _STRIDE_IF),
+                                       (_ELSE_TAG, _STRIDE_ELSE))):
+        sb = _stride_bytes(stride)
+        ip = ip_with_tag(gadget_code + k * 0x1000, tag)
+        replay = dom.translate(arrays[k]) + iters * sb
+        probes.append(StatusProbe(tag, ip, replay, sb))
+    victim = build_victim(source, _IF_TAG, _ELSE_TAG, array_base=victim_page)
+    return _Scenario(dom, gadget, victim_page, dom.translate(victim_page),
+                     dom, victim, source, _TWO_SIDED, probes)
 
 
-def _cross_process_attack(machine: Machine, rounds: int, noise: NoiseModel,
-                          seed: int, flush_on_switch: bool):
+def _cross_process(machine: Machine, seed: int,
+                   flush_on_switch: bool) -> _Scenario:
     """Variant 2: the victim runs in another process; a shared page
-    carries both the victim's table and the observer's reloads."""
-    stride_if, stride_else = 7, 13
-    if_tag, else_tag = 0x3A, 0xB4
+    carries both the victim's array and the observer's reloads."""
     shared_vaddr, shared_paddr = 0x640000, 0x500000
     attacker = Domain("attacker", phys_offset=0x10000000)
-    victim_dom = Domain("victim", phys_offset=0x20000000)
+    victim = Domain("victim", phys_offset=0x20000000)
     attacker.map_shared(shared_vaddr, shared_paddr)
-    victim_dom.map_shared(shared_vaddr, shared_paddr)
+    victim.map_shared(shared_vaddr, shared_paddr)
     source = _secret_source(seed, flush_on_switch)
-    gadget = build_gadget(if_tag, else_tag, stride_if, stride_else)
-    victim = build_victim(source, if_tag, else_tag, array_base=shared_vaddr,
-                          array_lines=48, code_base=0x700000)
-    flush_prog = Program("flush", [FlushLines(shared_vaddr, PAGE_LINES)])
-    obs_frame = page_frame(shared_paddr)
-
-    records = []
-    for i in range(rounds):
-        rng = _round_rng(seed, noise.seed, i)
-        machine.run_program(attacker, gadget, rng)
-        machine.run_program(attacker, flush_prog, rng)
-        events = machine.run_program(victim_dom, victim, rng)
-        truth = source.history[-1]
-        victim_lines = _page_load_lines(events, obs_frame)
-        _apply_page_noise(machine.cache, noise, rng, shared_paddr,
-                          victim_lines)
-        observed = flush_reload(machine.cache, shared_paddr, rng)
-        detection = detect_stride(observed, [stride_if, stride_else])
-        inferred = _infer_two_sided(detection.detected, stride_if,
-                                    stride_else)
-        records.append(RoundRecord(i, truth, detection.detected, inferred,
-                                   inferred == truth))
-    return records, {}
+    gadget = build_gadget(_IF_TAG, _ELSE_TAG, _STRIDE_IF, _STRIDE_ELSE)
+    victim_program = build_victim(source, _IF_TAG, _ELSE_TAG,
+                                  array_base=shared_vaddr)
+    return _Scenario(attacker, gadget, shared_vaddr, shared_paddr,
+                     victim, victim_program, source, _TWO_SIDED)
 
 
-def _user_kernel_attack(machine: Machine, rounds: int, noise: NoiseModel,
-                        seed: int, flush_on_switch: bool):
+def _user_kernel(machine: Machine, seed: int,
+                 flush_on_switch: bool) -> _Scenario:
     """Variant 3: the victim load sits inside a syscall handler.
 
     Kernel code addresses are hidden, so the rig first hunts for a user
@@ -742,6 +687,7 @@ def _user_kernel_attack(machine: Machine, rounds: int, noise: NoiseModel,
     groups of 24 tag-consecutive streams and checks after a forced
     syscall whether the trained stride appeared on the shared page.
     Scored rounds then retrain the matching group before every call.
+    The syscall loads only when the bit is set, so no stride reads 0.
     """
     stride = 11
     kernel_tag = 0x4B
@@ -751,11 +697,10 @@ def _user_kernel_attack(machine: Machine, rounds: int, noise: NoiseModel,
     kernel = Domain("kernel", kind="kernel", phys_offset=0x80000000)
     kernel.map_shared(kernel_vaddr, shared_paddr)
     source = _secret_source(seed, flush_on_switch)
-    syscall = build_kernel_syscall(source, kernel_tag, kernel_vaddr,
-                                   array_lines=48)
+    syscall = build_kernel_syscall(source, kernel_tag, kernel_vaddr)
     # the search phase forces the interesting branch with known inputs
     search_syscall = build_kernel_syscall(SecretSource(bits=[1]), kernel_tag,
-                                          kernel_vaddr, array_lines=48)
+                                          kernel_vaddr)
     groups = ip_matching_groups(n_groups=20, group_size=24,
                                 stride_lines=stride, iterations=3)
     flush_prog = Program("flush", [FlushLines(shared_paddr, PAGE_LINES)])
@@ -780,23 +725,62 @@ def _user_kernel_attack(machine: Machine, rounds: int, noise: NoiseModel,
     # nothing matched (e.g. table flushed on every switch): carry on
     # with an arbitrary group so the scored rounds still run honestly
     group_prog = groups[matched if matched is not None else 0]
+    return _Scenario(user, group_prog, shared_paddr, shared_paddr,
+                     kernel, syscall, source, {stride: 1, None: 0},
+                     detail={"matched_group": matched})
 
+
+_SCENARIOS = {1: _same_space, 2: _cross_process, 3: _user_kernel}
+
+
+def _score_rounds(machine: Machine, sc: _Scenario, channel: str,
+                  rounds: int, noise: NoiseModel,
+                  seed: int) -> list[RoundRecord]:
+    """Train, let the victim run, observe the page and decode, per round.
+
+    Flush+reload empties the page before the victim runs; prime+probe
+    primes one eviction set per page line instead.  Both then see the
+    page noise.  The status probe reads the table, not the page.
+    """
+    cache = machine.cache
+    flush_prog = Program("flush", [FlushLines(sc.page_vaddr, PAGE_LINES)])
+    strides = [s for s in sc.decode if s is not None]
+    if channel == "prime_probe":
+        mes_list = [_mes_for_line(cache, sc.page_paddr, ln)
+                    for ln in range(PAGE_LINES)]
     records = []
     for i in range(rounds):
         rng = _round_rng(seed, noise.seed, i)
-        machine.run_program(user, group_prog, rng)
-        machine.run_program(user, flush_prog, rng)
-        events = machine.run_program(kernel, syscall, rng)
-        truth = source.history[-1]
-        victim_lines = _page_load_lines(events, page_frame(shared_paddr))
-        _apply_page_noise(machine.cache, noise, rng, shared_paddr,
-                          victim_lines)
-        observed = flush_reload(machine.cache, shared_paddr, rng)
-        detection = detect_stride(observed, [stride])
-        inferred = 1 if detection.detected == stride else 0
-        records.append(RoundRecord(i, truth, detection.detected, inferred,
+        machine.run_program(sc.attacker, sc.training, rng)
+        if channel == "flush_reload":
+            machine.run_program(sc.attacker, flush_prog, rng)
+        elif channel == "prime_probe":
+            baseline = prime(cache, mes_list)
+        events = machine.run_program(sc.victim, sc.victim_program, rng)
+        truth = sc.source.history[-1]
+
+        if channel == "status_probe":
+            # the victim's load retrained the entry of the arm it took
+            dropped = {p.tag for p in sc.probes
+                       if rng.random() < noise.p_evict}
+            alive = prefetcher_status_probe(machine, sc.probes,
+                                            drop_targets=dropped)
+            dead = [s for s, p in zip(strides, sc.probes)
+                    if not alive[p.tag]]
+            detected = dead[0] if len(dead) == 1 else None
+        else:
+            _apply_page_noise(cache, noise, rng, sc.page_paddr, events)
+            if channel == "prime_probe":
+                _apply_probe_noise(cache, noise, rng, mes_list)
+                evicted, _ = probe(cache, mes_list, baseline)
+                observed = {ln for ln, hit in enumerate(evicted) if hit}
+            else:
+                observed = flush_reload(cache, sc.page_paddr, rng)
+            detected = detect_stride(observed, strides).detected
+        inferred = sc.decode.get(detected)
+        records.append(RoundRecord(i, truth, detected, inferred,
                                    inferred == truth))
-    return records, {"matched_group": matched}
+    return records
 
 
 def run_attack(variant: int, channel: str, rounds: int = 200,
@@ -823,19 +807,11 @@ def run_attack(variant: int, channel: str, rounds: int = 200,
     if rounds < 1:
         raise ValueError("rounds must be positive")
     noise = noise if noise is not None else NoiseModel()
-    machine = Machine(cache=CacheModel(cache_config),
+    machine = Machine(cache_config=cache_config,
                       flush_on_switch=flush_on_switch)
-    if variant == 1:
-        records, detail = _same_space_attack(machine, channel, rounds, noise,
-                                             seed, flush_on_switch)
-    elif variant == 2:
-        records, detail = _cross_process_attack(machine, rounds, noise, seed,
-                                                flush_on_switch)
-    else:
-        records, detail = _user_kernel_attack(machine, rounds, noise, seed,
-                                              flush_on_switch)
-    return AttackOutcome(variant, channel, records, seed, noise,
-                         flush_on_switch, detail)
+    scenario = _SCENARIOS[variant](machine, seed, flush_on_switch)
+    records = _score_rounds(machine, scenario, channel, rounds, noise, seed)
+    return AttackOutcome(records, scenario.detail)
 
 
 # --------------------------------------------------------------------------
@@ -945,11 +921,11 @@ def mitigation_eval(workload=None, flush_period_cycles: int | None = 36_000,
     """
     if cycles_per_load < 1:
         raise ValueError("cycles_per_load must be >= 1")
-    if flush_period_cycles is not None and math.isinf(flush_period_cycles):
+    if flush_period_cycles == math.inf:
         flush_period_cycles = None
     # building the flushed machine checks the ports and the period
-    unflushed = Machine(cache=CacheModel(cache_config))
-    flushed = Machine(cache=CacheModel(cache_config),
+    unflushed = Machine(cache_config=cache_config)
+    flushed = Machine(cache_config=cache_config,
                       flush_period=flush_period_cycles,
                       write_ports=write_ports)
     if workload is None:

@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
-from .cache import CacheModel
+from .cache import CacheConfig, CacheModel
 from .uarch import (
     LINE_BYTES,
     PAGE_BYTES,
@@ -132,28 +132,28 @@ class Event:
 class Machine:
     """Executes programs against one table/TLB/cache triple.
 
-    ``flush_on_switch`` clears the table whenever a program runs in a
-    different domain than the last one; ``flush_period`` arms the
-    periodic flush clock.  Both charge the reset's cycles to the clock.
+    The cache is built from ``cache_config`` (None for the default
+    geometry).  ``flush_on_switch`` clears the table whenever a program
+    runs in a different domain than the last one; ``flush_period`` arms
+    the periodic flush clock.  Both charge the reset's cycles to the
+    clock.
     """
 
-    def __init__(self, table: PrefetchTable | None = None,
-                 tlb: Tlb | None = None,
-                 cache: CacheModel | None = None,
+    def __init__(self, cache_config: CacheConfig | None = None,
                  flush_on_switch: bool = False,
                  flush_period: int | None = None,
                  write_ports: int = 1):
         if write_ports < 1:
             raise ValueError("write_ports must be >= 1")
         reset_cost = math.ceil(PrefetchTable.SLOTS / write_ports)
-        if flush_period is not None and flush_period <= reset_cost:
+        if flush_period is not None and not flush_period > reset_cost:
             # the clock would owe a reset again as soon as one ended
             raise ValueError(
                 f"flush period {flush_period} does not exceed the "
                 f"{reset_cost}-cycle table reset itself")
-        self.table = table if table is not None else PrefetchTable()
-        self.tlb = tlb if tlb is not None else Tlb()
-        self.cache = cache if cache is not None else CacheModel()
+        self.table = PrefetchTable()
+        self.tlb = Tlb()
+        self.cache = CacheModel(cache_config)
         self.flush_on_switch = flush_on_switch
         self.flush_period = flush_period
         self.write_ports = write_ports

@@ -40,10 +40,6 @@ class StrideDetection:
     ambiguous: bool
     ranked: list[int] = field(default_factory=list)
 
-    def rows(self):
-        return [{"candidate": c, "pairs": self.support.get(c, 0),
-                 "detected": c == self.detected} for c in self.candidates]
-
 
 @dataclass(frozen=True)
 class StatusProbe:

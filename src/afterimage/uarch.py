@@ -153,15 +153,12 @@ class PrefetchTable:
             return [PrefetchRequest(target=int(target), origin_tag=tag)]
         return []
 
-    def plru_touch(self, slot: int) -> None:
-        kernels.plru_touch(self.mru, slot)
-
     def plru_select_victim(self) -> int:
         """Replacement choice among a full table: lowest slot with mru clear."""
         if not all(self.valid):
             raise ValueError("victim selection requires a fully valid table")
         victim = kernels.plru_victim(self.mru)
-        if victim < 0:  # unreachable when bits are maintained via plru_touch
+        if victim < 0:  # unreachable: kernels.plru_touch keeps one bit clear
             raise RuntimeError("all mru bits set; recency bookkeeping corrupted")
         return int(victim)
 

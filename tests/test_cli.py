@@ -314,6 +314,30 @@ def test_mitigate_nonpositive_cycles_per_load_exits_2(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--clock-ghz=inf", "clock must be finite and positive, got inf GHz"),
+    ("--clock-ghz=nan", "clock must be finite and positive, got nan GHz"),
+    ("--clock-ghz=0", "clock must be finite and positive, got 0.0 GHz"),
+    ("--clock-ghz=-3.6", "clock must be finite and positive, got -3.6 GHz"),
+    ("--period-us=-inf", "flush period must be >= 0 us, got -inf"),
+    ("--period-us=nan", "flush period must be >= 0 us, got nan"),
+    ("--period-us=-1", "flush period must be >= 0 us, got -1.0"),
+    ("--period-us=1e306", "flush period 1e+306 us overflows the cycle count"),
+])
+def test_mitigate_bad_clock_or_period_exits_2(tmp_path, capsys, flag,
+                                              message):
+    # only +inf disables flushing: any other value that gives no finite,
+    # non-negative cycle count is an error, never a silent default
+    trace = tmp_path / "t.txt"
+    trace.write_text("".join(f"0x400100,{0x10000 + i * 0x40:#x},0\n"
+                             for i in range(5)))
+    out = tmp_path / "x.csv"
+    assert main(["mitigate", "--trace", str(trace), flag,
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_mitigate_period_equal_to_reset_exits_2(tmp_path):
     # a period of exactly one reset (24 cycles at 1 port) used to owe the
     # next reset as soon as one ended and never let a load through; the

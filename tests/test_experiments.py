@@ -1,15 +1,19 @@
 """Tests for the reverse-engineering benches, attacks and mitigation."""
 
 import math
+import random
 import tracemalloc
 
 import pytest
 
+from afterimage.cache import CacheModel
 from afterimage.experiments import (
     ATTACK_CHANNELS,
     MitigationReport,
     NoiseModel,
     UnsupportedChannelError,
+    _apply_page_noise,
+    flush_period_cycles,
     load_trace,
     mitigation_eval,
     rev_conf_stride,
@@ -20,6 +24,8 @@ from afterimage.experiments import (
     run_attack,
     synthetic_workload,
 )
+from afterimage.programs import Event
+from afterimage.uarch import LINE_BYTES, PAGE_BYTES
 
 
 # --------------------------------------------------------------------------
@@ -239,6 +245,24 @@ def test_adjacent_line_noise_does_not_fool_the_detector():
     assert outcome.success_rate == 1.0
 
 
+def test_next_line_noise_installs_neighbours_of_the_victim_loads():
+    # only loads on the watched page count, and neighbours stay on it
+    page = 0x600000
+    events = [
+        Event(0, "v", "load", paddr=page),
+        Event(0, "v", "load", paddr=page + 10 * LINE_BYTES + 8),
+        Event(0, "v", "prefetch", paddr=page + 30 * LINE_BYTES),
+        Event(0, "v", "load", paddr=page + PAGE_BYTES + 40 * LINE_BYTES),
+        Event(0, "v", "load", paddr=page + 63 * LINE_BYTES),
+    ]
+    cache = CacheModel()
+    _apply_page_noise(cache, NoiseModel(next_line_noise=True),
+                      random.Random(0), page, events)
+    cached = [ln for ln in range(64)
+              if cache.contains(page + ln * LINE_BYTES)]
+    assert cached == [1, 9, 11, 62]
+
+
 def test_noise_reaches_other_channels():
     pp = run_attack(1, "prime_probe", rounds=30,
                     noise=NoiseModel(p_evict=0.3), seed=3)
@@ -297,6 +321,21 @@ def test_mitigation_without_flushing_costs_nothing():
 def test_mitigation_rejects_impossible_period():
     with pytest.raises(ValueError):
         mitigation_eval(flush_period_cycles=10, write_ports=1)
+
+
+def test_only_plus_inf_disables_flushing():
+    assert flush_period_cycles(10) == 36_000
+    assert flush_period_cycles(0.05, 2.0) == 100
+    assert flush_period_cycles(math.inf) is None
+    for period_us, ghz in ((-math.inf, 3.6), (math.nan, 3.6), (-1.0, 3.6),
+                           (1e306, 3.6), (10, math.inf), (10, math.nan),
+                           (10, 0.0), (10, -1.0), (math.inf, math.inf)):
+        with pytest.raises(ValueError):
+            flush_period_cycles(period_us, ghz)
+    loads = synthetic_workload(n_loads=64)
+    for period in (-math.inf, math.nan):
+        with pytest.raises(ValueError):
+            mitigation_eval(loads, flush_period_cycles=period)
 
 
 def test_mitigation_report_rows():

@@ -48,6 +48,7 @@ MITIGATE_COLUMNS = [
     "coverage", "coverage_no_flush", "coverage_delta",
 ]
 ORACLE_COLUMNS = ["seed", "loads", "mismatches"]
+MAX_ORACLE_LOADS = 1_000_000  # a stream this long holds about 200 MB of lists
 
 _CACHE_KEYS = {
     "cache_slices": "slices",
@@ -293,6 +294,8 @@ def _cmd_oracle(args, config) -> int:
     output = _resolve(args.output, config, "output", "oracle.csv", str)
     if sequences < 1 or loads < 1:
         raise UsageError("sequences and loads must be positive")
+    if loads > MAX_ORACLE_LOADS:
+        raise UsageError(f"loads must not exceed {MAX_ORACLE_LOADS}")
     report = run_equivalence_check(n_loads=loads, seeds=range(sequences))
     rows = [{"seed": seed, "loads": loads, "mismatches": mismatches}
             for seed, mismatches in report.per_seed]
@@ -370,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--sequences", type=int, default=None,
                         help="number of seeded load streams")
     oracle.add_argument("--loads", type=int, default=None,
-                        help="loads per stream")
+                        help=f"loads per stream (at most {MAX_ORACLE_LOADS})")
     oracle.add_argument("--output", default=None, metavar="FILE")
 
     return parser

@@ -1,8 +1,7 @@
 """State-machine kernels for the prefetcher table and TLB.
 
 These functions hold the single authoritative implementation of the
-table's update rules.  Table state lives in plain Python lists, which
-the interpreter reads and writes far faster than numpy scalars.
+table's update rules.  Table state lives in plain Python lists.
 
 Table state lists (one element per slot):
     tags    int     low-8-bit IP tag of the owning load instruction
@@ -38,14 +37,6 @@ def plru_touch(mru, slot):
     mru[slot] = True
 
 
-def plru_victim(mru):
-    """Lowest-index slot whose recency bit is clear (touch keeps one clear)."""
-    for i in range(len(mru)):
-        if not mru[i]:
-            return i
-    return -1
-
-
 def tlb_access(lru, capacity, frame):
     """Hit test with install-on-miss, evicting the LRU frame when full."""
     if frame in lru:
@@ -79,7 +70,7 @@ def table_step(tag, paddr, tags, last, stride, conf, valid, mru, owner,
         try:
             slot = valid.index(False)
         except ValueError:
-            slot = plru_victim(mru)
+            slot = mru.index(False)  # lowest clear bit; touch keeps one
             del owner[tags[slot]]
         owner[tag] = slot
         valid[slot] = True
@@ -119,11 +110,11 @@ def table_step(tag, paddr, tags, last, stride, conf, valid, mru, owner,
 
 
 def run_table_batch(in_tags, in_addrs, tags, last, stride, conf, valid, mru,
-                    owner, tlb, tlb_capacity,
-                    out_emit, out_target, out_last, out_stride, out_conf):
-    """Replay a load trace, recording each step's emission and touched-entry state."""
+                    owner, tlb, tlb_capacity):
+    """Replay a load trace; returns lists (emit, target, last, stride, conf)
+    holding each step's emission and touched-entry state."""
     emits, targets, lasts, strides, confs = [], [], [], [], []
-    for tag, paddr in zip(in_tags.tolist(), in_addrs.tolist()):
+    for tag, paddr in zip(in_tags, in_addrs):
         emitted, target, slot = table_step(
             tag, paddr, tags, last, stride, conf, valid, mru, owner,
             tlb, tlb_capacity)
@@ -132,8 +123,4 @@ def run_table_batch(in_tags, in_addrs, tags, last, stride, conf, valid, mru,
         lasts.append(last[slot])
         strides.append(stride[slot])
         confs.append(conf[slot])
-    out_emit[:] = emits
-    out_target[:] = targets
-    out_last[:] = lasts
-    out_stride[:] = strides
-    out_conf[:] = confs
+    return emits, targets, lasts, strides, confs

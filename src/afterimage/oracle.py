@@ -15,11 +15,12 @@ disabled; capacity and TLB behaviour have their own tests.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 
-import numpy as np
-
+from .kernels import run_table_batch
 from .uarch import PrefetchTable
 
 TAG_SPACE = 256
@@ -27,8 +28,7 @@ PAGE_SHIFT = 12
 FIELD_LIMIT = 2047
 
 
-def run_reference_batch(in_tags, in_addrs, r_last, r_stride, r_conf, r_valid,
-                        out_emit, out_target, out_last, out_stride, out_conf):
+def run_reference_batch(in_tags, in_addrs, r_last, r_stride, r_conf, r_valid):
     """Replay loads through the literal update recipe, one record per tag.
 
     For each load: if the tag is unknown, create a record with stride 0
@@ -37,11 +37,11 @@ def run_reference_batch(in_tags, in_addrs, r_last, r_stride, r_conf, r_valid,
     restart learning (distance mismatch) or count up to saturation; with
     confidence < 2 a mismatch restarts learning and a match counts up,
     prefetching when confidence first reaches 2.  Stored strides saturate
-    at the 13-bit field limit.
+    at the 13-bit field limit.  Returns lists (emit, target, last, stride,
+    conf), one element per load.
     """
-    for k in range(len(in_tags)):
-        t = in_tags[k]
-        a = in_addrs[k]
+    out_emit, out_target, out_last, out_stride, out_conf = [], [], [], [], []
+    for t, a in zip(in_tags, in_addrs):
         emitted = False
         target = 0
         if r_valid[t]:
@@ -75,11 +75,12 @@ def run_reference_batch(in_tags, in_addrs, r_last, r_stride, r_conf, r_valid,
             r_last[t] = a
             r_stride[t] = 0
             r_conf[t] = 0
-        out_emit[k] = emitted
-        out_target[k] = target
-        out_last[k] = r_last[t]
-        out_stride[k] = r_stride[t]
-        out_conf[k] = r_conf[t]
+        out_emit.append(emitted)
+        out_target.append(target)
+        out_last.append(r_last[t])
+        out_stride.append(r_stride[t])
+        out_conf.append(r_conf[t])
+    return out_emit, out_target, out_last, out_stride, out_conf
 
 
 class ReferenceModel:
@@ -92,48 +93,37 @@ class ReferenceModel:
         self.valid = [False] * TAG_SPACE
 
     def replay(self, tags, addrs):
-        """Run a numpy load stream; returns (emit, target, last, stride, conf)
-        as numpy arrays, one element per load."""
-        n = len(tags)
-        emit = [False] * n
-        out = tuple([0] * n for _ in range(4))
-        run_reference_batch(tags.tolist(), addrs.tolist(), self.last,
-                            self.stride, self.conf, self.valid, emit, *out)
-        return (np.array(emit, dtype=np.bool_),
-                *(np.array(o, dtype=np.int64) for o in out))
+        """Run a load stream; returns lists (emit, target, last, stride,
+        conf), one element per load."""
+        return run_reference_batch(tags, addrs, self.last, self.stride,
+                                   self.conf, self.valid)
 
 
-def generate_loads(rng: np.random.Generator, n_loads: int,
-                   n_tags: int = 24) -> tuple[np.ndarray, np.ndarray]:
+def generate_loads(rng: random.Random, n_loads: int,
+                   n_tags: int = 24) -> tuple[list[int], list[int]]:
     """Random load stream: strided bursts with mixed stride regimes."""
-    n_bursts = max(1, n_loads // 4)
-    lens = rng.integers(1, 9, size=n_bursts)
-    total = int(lens.sum())
-    while total < n_loads:
-        extra = rng.integers(1, 9, size=n_bursts // 4 + 1)
-        lens = np.concatenate([lens, extra])
-        total += int(extra.sum())
-
-    tag_pool = rng.choice(TAG_SPACE, size=n_tags, replace=False).astype(np.int64)
-    burst_tags = tag_pool[rng.integers(0, n_tags, size=len(lens))]
-    bases = rng.integers(1 << 20, 1 << 40, size=len(lens))
-
-    # stride regimes: line multiples, byte-grain, repeats, out-of-field jumps
-    mode = rng.random(len(lens))
-    strides = np.where(rng.random(len(lens)) < 0.8, 1, -1) * \
-        rng.integers(1, 33, size=len(lens)) * 64
-    byte_grain = rng.integers(-FIELD_LIMIT, FIELD_LIMIT + 1, size=len(lens))
-    jumps = rng.integers(2048, 60000, size=len(lens))
-    strides = np.where(mode < 0.70, strides,
-                       np.where(mode < 0.85, byte_grain,
-                                np.where(mode < 0.95, 0, jumps)))
-
-    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    tags = np.repeat(burst_tags, lens)
-    within = np.arange(len(tags)) - np.repeat(starts, lens)
-    addrs = np.repeat(bases, lens) + within * np.repeat(strides, lens)
-
-    return tags[:n_loads].astype(np.int64), addrs[:n_loads].astype(np.int64)
+    rnd, bits = rng.random, rng.getrandbits
+    tag_pool = rng.sample(range(TAG_SPACE), n_tags)
+    tags, addrs = [], []
+    while len(tags) < n_loads:
+        length = 1 + bits(3)
+        base = (1 << 20) + int(rnd() * ((1 << 40) - (1 << 20)))
+        # stride regimes: line multiples, byte-grain, repeats,
+        # out-of-field jumps
+        mode = rnd()
+        if mode < 0.70:
+            stride = (1 + bits(5)) * (64 if rnd() < 0.8 else -64)
+        elif mode < 0.85:
+            stride = int(rnd() * (2 * FIELD_LIMIT + 1)) - FIELD_LIMIT
+        elif mode < 0.95:
+            stride = 0
+        else:
+            stride = 2048 + int(rnd() * (60000 - 2048))
+        tags += [tag_pool[int(rnd() * n_tags)]] * length
+        addrs += (range(base, base + length * stride, stride) if stride
+                  else [base] * length)
+    del tags[n_loads:], addrs[n_loads:]
+    return tags, addrs
 
 
 @dataclass
@@ -169,37 +159,35 @@ def _final_state_mismatches(table: PrefetchTable, ref: ReferenceModel) -> int:
 
 def check_seed(seed: int, n_loads: int) -> tuple[int, int, str]:
     """Run one stream through both routes; returns (loads, mismatches, note)."""
-    rng = np.random.default_rng(seed)
-    tags, addrs = generate_loads(rng, n_loads)
+    tags, addrs = generate_loads(random.Random(seed), n_loads)
     n = len(tags)
 
     table = PrefetchTable()
-    t_emit = np.zeros(n, dtype=np.bool_)
-    t_out = tuple(np.zeros(n, dtype=np.int64) for _ in range(4))
-    from .kernels import run_table_batch
-    run_table_batch(tags, addrs, table.tags, table.last, table.stride,
-                    table.conf, table.valid, table.mru, table.owner,
-                    None, 0, t_emit, *t_out)
+    t_out = run_table_batch(tags, addrs, table.tags, table.last,
+                            table.stride, table.conf, table.valid, table.mru,
+                            table.owner, None, 0)
 
     ref = ReferenceModel()
-    r_emit, r_target, r_last, r_stride, r_conf = ref.replay(tags, addrs)
+    r_out = ref.replay(tags, addrs)
+    r_emit, r_target = r_out[0], r_out[1]
 
     # page gate applied on this side with independent arithmetic
-    frames = addrs >> PAGE_SHIFT
-    tframes = r_target >> PAGE_SHIFT
-    gated_emit = r_emit & ((tframes == frames) | (tframes == frames + 1))
-    gated_target = np.where(gated_emit, r_target, 0)
+    for k in compress(range(n), r_emit):
+        frame = addrs[k] >> PAGE_SHIFT
+        if r_target[k] >> PAGE_SHIFT not in (frame, frame + 1):
+            r_emit[k], r_target[k] = False, 0
 
-    diff = (t_emit != gated_emit) | (t_out[0] != gated_target) | \
-        (t_out[1] != r_last) | (t_out[2] != r_stride) | (t_out[3] != r_conf)
-    mism = int(diff.sum()) + _final_state_mismatches(table, ref)
+    # walk the steps only when the streams differ
+    diff = [] if t_out == r_out else [
+        k for k, (t, r) in enumerate(zip(zip(*t_out), zip(*r_out))) if t != r]
+    mism = len(diff) + _final_state_mismatches(table, ref)
 
     note = ""
-    if diff.any():
-        k = int(np.argmax(diff))
+    if diff:
+        k = diff[0]
         note = (f"seed {seed} step {k}: tag {tags[k]} addr {addrs[k]:#x} "
-                f"table=({bool(t_emit[k])},{int(t_out[0][k])}) "
-                f"ref=({bool(gated_emit[k])},{int(gated_target[k])})")
+                f"table=({t_out[0][k]},{t_out[1][k]}) "
+                f"ref=({r_emit[k]},{r_target[k]})")
     return n, mism, note
 
 

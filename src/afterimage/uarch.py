@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels
-from .kernels import CONF_MAX, CONF_TRIGGER, STRIDE_LIMIT, TABLE_SLOTS
+from .kernels import STRIDE_LIMIT, TABLE_SLOTS
 
 LINE_BYTES = 64
 PAGE_BYTES = 4096
@@ -131,12 +130,13 @@ class PrefetchTable:
         return sum(self.valid)
 
     def state_hash(self) -> str:
-        """sha256 over the slot fields as int64 and bool arrays."""
+        """sha256 over the slot fields: little-endian int64s, then one
+        byte per bool."""
         h = hashlib.sha256()
-        for values, dtype in ((self.tags, np.int64), (self.last, np.int64),
-                              (self.stride, np.int64), (self.conf, np.int64),
-                              (self.valid, np.bool_), (self.mru, np.bool_)):
-            h.update(np.array(values, dtype=dtype).tobytes())
+        for values in (self.tags, self.last, self.stride, self.conf):
+            h.update(struct.pack(f"<{self.SLOTS}q", *values))
+        h.update(bytes(self.valid))
+        h.update(bytes(self.mru))
         return h.hexdigest()
 
     # -- updates ---------------------------------------------------------
@@ -157,10 +157,7 @@ class PrefetchTable:
         """Replacement choice among a full table: lowest slot with mru clear."""
         if not all(self.valid):
             raise ValueError("victim selection requires a fully valid table")
-        victim = kernels.plru_victim(self.mru)
-        if victim < 0:  # unreachable: kernels.plru_touch keeps one bit clear
-            raise RuntimeError("all mru bits set; recency bookkeeping corrupted")
-        return int(victim)
+        return self.mru.index(False)
 
     def reset(self, write_ports: int = 1) -> int:
         """Invalidate every entry; returns the cycles the wipe occupies."""

@@ -35,12 +35,70 @@ def _check(num: int, ok: bool, detail: str) -> None:
     assert ok, f"acceptance {num:02d}: {detail}"
 
 
+class _CalibrationCache:
+    """Toy sliced LRU cache; a copy of perfbench's calibration loop, which
+    tier-1 does not import."""
+
+    def __init__(self):
+        self.sets = {}
+        self.accesses = 0
+
+    def location(self, addr):
+        line = addr >> 6
+        folded = 0
+        while line:
+            folded ^= line & 3
+            line >>= 2
+        return folded, (addr >> 6) & 63
+
+    def access(self, addr):
+        ways = self.sets.setdefault(self.location(addr), [])
+        line = addr >> 6
+        self.accesses += 1
+        if line in ways:
+            ways.remove(line)
+            ways.append(line)
+            return True
+        if len(ways) >= 8:
+            ways.pop(0)
+        ways.append(line)
+        return False
+
+
+class _Miss:
+    def __init__(self, index, addr):
+        self.index = index
+        self.addr = addr
+
+
+def _calibration_s() -> float:
+    """Fastest of three runs of perfbench's fixed 700-load loop; the
+    benchmark's reference host runs it in 1 ms."""
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        cache, misses, x = _CalibrationCache(), [], 1
+        for i in range(700):
+            x = (x * 1103515245 + 12345) & 0xFFFFFFFF
+            if not cache.access((x & 0xFFFF) << 6):
+                misses.append(_Miss(i, x))
+        sum(miss.index for miss in misses)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def test_01_table_matches_literal_update_recipe():
     warmup()  # first-call costs stay outside the timed window
+    before = _calibration_s()
     report = run_equivalence_check(n_loads=100_000, seeds=range(10))
+    after = _calibration_s()
+    # the host's speed drifts; reference seconds scale the elapsed time to
+    # a host that runs the calibration loop in exactly 1 ms
+    reference_s = report.elapsed * 0.001 * 2 / (before + after)
     ok = report.ok and report.elapsed < 5.0
     _check(1, ok, f"10 seeds x 100000 loads: {report.mismatches} mismatches "
-                  f"in {report.elapsed:.2f}s (budget 5s)")
+                  f"in {report.elapsed:.2f}s (budget 5s; "
+                  f"{reference_s:.2f} reference s)")
 
 
 def test_02_indexing_uses_exactly_the_low_eight_ip_bits():

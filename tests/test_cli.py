@@ -23,6 +23,15 @@ def _split(lines):
     return comments, data
 
 
+def _run_child(*args):
+    """Run the interpreter on this checkout's package, stopped after 60 s."""
+    src = str(Path(afterimage.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=60, env=env)
+
+
 # --------------------------------------------------------------------------
 # attack: CSV contents
 # --------------------------------------------------------------------------
@@ -344,14 +353,9 @@ def test_mitigate_period_equal_to_reset_exits_2(tmp_path):
     # child process lets the timeout stop such a regression
     trace = tmp_path / "t.txt"
     trace.write_text("0x400100,0x10000,0\n0x400100,0x10040,0\n")
-    src = str(Path(afterimage.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "afterimage.cli", "mitigate",
-         "--trace", str(trace), "--period-us", str(24 / 3600),
-         "--output", str(tmp_path / "x.csv")],
-        capture_output=True, text=True, timeout=60, env=env)
+    proc = _run_child("-m", "afterimage.cli", "mitigate",
+                      "--trace", str(trace), "--period-us", str(24 / 3600),
+                      "--output", str(tmp_path / "x.csv"))
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
         "error: flush period 24 does not exceed the 24-cycle table reset "
@@ -363,13 +367,8 @@ def test_mitigate_negative_trace_address_exits_2(tmp_path):
     # the child process lets the timeout stop such a regression
     trace = tmp_path / "neg.txt"
     trace.write_text("0x400100,-0x10,0\n")
-    src = str(Path(afterimage.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "afterimage.cli", "mitigate",
-         "--trace", str(trace), "--output", str(tmp_path / "x.csv")],
-        capture_output=True, text=True, timeout=60, env=env)
+    proc = _run_child("-m", "afterimage.cli", "mitigate", "--trace",
+                      str(trace), "--output", str(tmp_path / "x.csv"))
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "neg.txt:1" in lines[0]
@@ -393,6 +392,25 @@ def test_oracle_per_seed_rows(tmp_path):
 def test_oracle_rejects_nonpositive_counts(tmp_path):
     assert main(["oracle", "--sequences", "0",
                  "--output", str(tmp_path / "x.csv")]) == 2
+
+
+def test_oracle_loads_above_ceiling_exit_2(tmp_path):
+    # without the ceiling the stream's lists grow until memory runs out;
+    # the child process lets the timeout stop such a regression
+    proc = _run_child("-m", "afterimage.cli", "oracle",
+                      "--loads", "1000000000000",
+                      "--output", str(tmp_path / "x.csv"))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: loads must not exceed 1000000"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_import_leaves_numpy_out():
+    proc = _run_child(
+        "-c", "import sys, afterimage.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Reference-model transcription checks and table/reference agreement."""
 
-import numpy as np
+import random
 
+from afterimage import kernels
 from afterimage.kernels import run_table_batch
 from afterimage.oracle import (
     ReferenceModel,
+    check_seed,
     generate_loads,
     run_equivalence_check,
 )
@@ -15,60 +17,56 @@ PAGE = 0x40000000
 
 def replay_both(pairs):
     """Feed (tag, addr) pairs through table and reference; return both views."""
-    tags = np.array([p[0] for p in pairs], dtype=np.int64)
-    addrs = np.array([p[1] for p in pairs], dtype=np.int64)
-    n = len(pairs)
+    tags = [p[0] for p in pairs]
+    addrs = [p[1] for p in pairs]
 
     table = PrefetchTable()
-    t_emit = np.zeros(n, dtype=np.bool_)
-    t_out = tuple(np.zeros(n, dtype=np.int64) for _ in range(4))
-    run_table_batch(tags, addrs, table.tags, table.last, table.stride,
-                    table.conf, table.valid, table.mru, table.owner,
-                    None, 0, t_emit, *t_out)
+    t_emit, *t_out = run_table_batch(
+        tags, addrs, table.tags, table.last, table.stride, table.conf,
+        table.valid, table.mru, table.owner, None, 0)
 
     ref = ReferenceModel()
     r_emit, r_target, r_last, r_stride, r_conf = ref.replay(tags, addrs)
-    frames = addrs >> 12
-    tframes = r_target >> 12
-    gated = r_emit & ((tframes == frames) | (tframes == frames + 1))
-    return (t_emit, t_out), (gated, np.where(gated, r_target, 0),
+    gated = [e and (t >> 12) - (a >> 12) in (0, 1)
+             for e, t, a in zip(r_emit, r_target, addrs)]
+    return (t_emit, t_out), (gated, [t if g else 0
+                                     for g, t in zip(gated, r_target)],
                              r_last, r_stride, r_conf)
 
 
 def test_reference_training_sequence():
     ref = ReferenceModel()
-    tags = np.full(3, 0xA0, dtype=np.int64)
-    addrs = np.array([PAGE, PAGE + 448, PAGE + 896], dtype=np.int64)
+    tags = [0xA0] * 3
+    addrs = [PAGE, PAGE + 448, PAGE + 896]
     emit, target, _last, _stride, conf = ref.replay(tags, addrs)
-    assert list(emit) == [False, False, True]
-    assert int(target[2]) == PAGE + 1344
-    assert list(conf) == [0, 1, 2]
+    assert emit == [False, False, True]
+    assert target[2] == PAGE + 1344
+    assert conf == [0, 1, 2]
 
 
 def test_reference_stale_stride_trigger():
     ref = ReferenceModel()
-    tags = np.full(4, 0x11, dtype=np.int64)
-    addrs = np.array([PAGE, PAGE + 448, PAGE + 896, PAGE + 896 + 320],
-                     dtype=np.int64)
+    tags = [0x11] * 4
+    addrs = [PAGE, PAGE + 448, PAGE + 896, PAGE + 896 + 320]
     emit, target, _last, stride, conf = ref.replay(tags, addrs)
-    assert bool(emit[3]) and int(target[3]) == PAGE + 896 + 320 + 448
-    assert (int(stride[3]), int(conf[3])) == (320, 1)
+    assert emit[3] and target[3] == PAGE + 896 + 320 + 448
+    assert (stride[3], conf[3]) == (320, 1)
 
 
 def test_reference_confidence_saturates():
     ref = ReferenceModel()
-    tags = np.full(8, 0x22, dtype=np.int64)
-    addrs = PAGE + np.arange(8, dtype=np.int64) * 64
+    tags = [0x22] * 8
+    addrs = [PAGE + i * 64 for i in range(8)]
     _emit, _target, _last, _stride, conf = ref.replay(tags, addrs)
-    assert int(conf[-1]) == 3
+    assert conf[-1] == 3
 
 
 def test_reference_stride_field_saturates():
     ref = ReferenceModel()
-    tags = np.full(2, 0x33, dtype=np.int64)
-    addrs = np.array([PAGE, PAGE + 5000], dtype=np.int64)
+    tags = [0x33] * 2
+    addrs = [PAGE, PAGE + 5000]
     _emit, _target, _last, stride, _conf = ref.replay(tags, addrs)
-    assert int(stride[1]) == 2047
+    assert stride[1] == 2047
 
 
 def test_routes_agree_on_backward_cross_suppression():
@@ -77,7 +75,7 @@ def test_routes_agree_on_backward_cross_suppression():
              (0xA0, PAGE)]  # final target would land one frame back
     (t_emit, t_out), (g_emit, g_target, r_last, r_stride, r_conf) = \
         replay_both(pairs)
-    assert not bool(t_emit[3]) and not bool(g_emit[3])
+    assert not t_emit[3] and not g_emit[3]
     assert list(t_emit) == list(g_emit)
     assert list(t_out[0]) == list(g_target)
     assert list(t_out[2]) == list(r_stride)
@@ -100,15 +98,43 @@ def test_routes_agree_on_interleaved_tags():
 
 
 def test_generated_streams_cover_trigger_paths():
-    rng = np.random.default_rng(5)
-    tags, addrs = generate_loads(rng, 20000)
-    assert len(tags) == 20000
-    assert len(set(tags.tolist())) <= 24
+    tags, addrs = generate_loads(random.Random(5), 20000)
+    assert len(tags) == len(addrs) == 20000
+    assert len(set(tags)) <= 24
     ref = ReferenceModel()
     emit, _t, _l, _s, conf = ref.replay(tags, addrs)
     # the stream must actually reach both trigger and saturation states
-    assert emit.sum() > 1000
-    assert (conf == 3).sum() > 100
+    assert sum(emit) > 1000
+    assert conf.count(3) > 100
+    # and every stride regime, each far more often than another regime
+    # could produce it by chance: forward and backward line multiples,
+    # byte grain, repeats, and jumps beyond the 13-bit stride field
+    steps = [b - a for a, b in zip(addrs, addrs[1:])]
+    assert sum(0 < d <= 2048 and d % 64 == 0 for d in steps) > 100
+    assert sum(-2048 <= d < 0 and d % 64 == 0 for d in steps) > 100
+    assert sum(abs(d) <= 2047 and d % 64 != 0 for d in steps) > 100
+    assert steps.count(0) > 100
+    assert sum(2048 < d < 60000 for d in steps) > 100
+
+
+def test_check_seed_reports_corrupted_targets(monkeypatch):
+    # a kernel that emits wrong targets must be caught by the list compare,
+    # once per emitting step, with the first such step named in the note
+    tags, addrs = generate_loads(random.Random(3), 2000)
+    table = PrefetchTable()
+    emit = run_table_batch(tags, addrs, table.tags, table.last, table.stride,
+                           table.conf, table.valid, table.mru, table.owner,
+                           None, 0)[0]
+    real = kernels.table_step
+
+    def off_by_a_line(*args):
+        emitted, target, slot = real(*args)
+        return emitted, target + 64 if emitted else target, slot
+
+    monkeypatch.setattr(kernels, "table_step", off_by_a_line)
+    n, mismatches, note = check_seed(3, 2000)
+    assert (n, mismatches) == (2000, sum(emit)) and mismatches > 0
+    assert note.startswith(f"seed 3 step {emit.index(True)}: ")
 
 
 def test_equivalence_smoke():

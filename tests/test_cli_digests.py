@@ -32,6 +32,19 @@ def _trace() -> str:
     return "\n".join(lines) + "\n"
 
 
+# a non-default cache: twice the slices, half the sets and half the ways
+_GEOMETRY = ("cache_slices=8\n"
+             "cache_sets_per_slice=1024\n"
+             "cache_associativity=8\n")
+
+
+def _write_inputs() -> None:
+    """Write the files the cases name by relative path: the load trace
+    and the cache geometry config."""
+    Path("trace.txt").write_text(_trace())
+    Path("geometry.cfg").write_text(_GEOMETRY)
+
+
 def _attack(variant, channel, *extra):
     return ["attack", "--variant", str(variant), "--channel", channel,
             "--rounds", "20", "--seed", "3", *extra, "--output", "out.csv"]
@@ -97,6 +110,12 @@ CASES = {
                 "--noise-evict", "0.05"),
         {"out.csv":
          "45a60294909b29f885d33fdaee50a0dfd5443cfbc3dfe387afd3d5957f70f146"}),
+    # eviction sets of 8 ways over 8 slices, with members kicked out
+    "v1_prime_probe_geometry": (
+        _attack(1, "prime_probe", "--config", "geometry.cfg",
+                "--noise-evict", "0.05"),
+        {"out.csv":
+         "b531a4a84af123b53c5751f4cd714a598a4cc1a60bc1c12f12b1e3229fd5e6ae"}),
     "v1_flush_on_switch": (
         _attack(1, "flush_reload", "--flush-on-switch"),
         {"out.csv":
@@ -113,7 +132,7 @@ CASES = {
 def test_cli_output_matches_pinned_digest(name, tmp_path, monkeypatch):
     # relative paths: the mitigate header echoes the trace path as given
     monkeypatch.chdir(tmp_path)
-    Path("trace.txt").write_text(_trace())
+    _write_inputs()
     argv, digests = CASES[name]
     assert main(argv) == 0
     got = {f: hashlib.sha256(Path(f).read_bytes()).hexdigest()

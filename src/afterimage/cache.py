@@ -6,6 +6,14 @@ set is its low bits.  Timing is whole-line and two-valued: a configured
 hit latency and miss latency, with a decision threshold strictly between
 them.  Prefetch installs bypass latency accounting but are tagged so a
 later demand hit can be attributed to them.
+
+A line's placement is its ``(slice, set)`` key.  ``access`` places an
+address and hands it to ``access_line``, which holds the one LRU,
+install and prefetch-attribution rule.  Callers that touch the same
+lines over and over, such as prime+probe on a fixed eviction set,
+place them once and call ``walk_set(key, lines)``: it demand-accesses
+the lines in order and, when the set already holds exactly those lines
+and none awaits its first demand hit, reorders the set in one step.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .uarch import LINE_BYTES, PrefetchRequest, line_index
+from .uarch import LINE_BYTES, LINE_SHIFT, PrefetchRequest
 
 
 class EvictionSetError(ValueError):
@@ -47,6 +55,12 @@ class MinimalEvictionSet:
     set_index: int
     slice_index: int
     members: list[int] = field(default_factory=list)
+    lines: list[int] = field(default_factory=list)  # members' line indices
+
+    @property
+    def key(self) -> tuple[int, int]:
+        """The members' shared placement, as ``CacheModel.location``."""
+        return self.slice_index, self.set_index
 
 
 class CacheModel:
@@ -81,27 +95,22 @@ class CacheModel:
             s <<= 1
         return h & self._slice_mask
 
-    def slice_of(self, paddr: int) -> int:
-        return self._slice(line_index(paddr))
-
-    def set_of(self, paddr: int) -> int:
-        return line_index(paddr) & self._set_mask
-
     def location(self, paddr: int) -> tuple[int, int]:
-        li = line_index(paddr)
+        li = paddr >> LINE_SHIFT
         return self._slice(li), li & self._set_mask
 
     # -- operations ------------------------------------------------------
 
     def contains(self, paddr: int) -> bool:
-        li = line_index(paddr)
-        return li in self.sets.get(self.location(paddr), ())
+        return paddr >> LINE_SHIFT in self.sets.get(self.location(paddr), ())
 
     def access(self, paddr: int) -> int:
         """Demand access; returns latency and installs the line on a miss."""
-        li = line_index(paddr)
-        loc = self.location(paddr)
-        ways = self.sets.setdefault(loc, [])
+        return self.access_line(self.location(paddr), paddr >> LINE_SHIFT)
+
+    def access_line(self, key: tuple[int, int], li: int) -> int:
+        """Demand access to line ``li`` placed at ``key``."""
+        ways = self.sets.setdefault(key, [])
         self.demand_accesses += 1
         if li in ways:
             ways.remove(li)
@@ -114,10 +123,25 @@ class CacheModel:
         self._install(ways, li)
         return self.config.miss_latency
 
+    def walk_set(self, key: tuple[int, int], lines: list[int]) -> int:
+        """Demand-access ``lines``, all placed at ``key``, in order;
+        returns the summed latency."""
+        ways = self.sets.get(key)
+        if (ways is not None and len(ways) == len(lines)
+                and set(ways) == set(lines)
+                and self._prefetched.isdisjoint(lines)):
+            # every access hits and moves its line to the end, so the
+            # walk leaves the set in walk order
+            ways[:] = lines
+            self.demand_accesses += len(lines)
+            return len(lines) * self.config.hit_latency
+        access_line = self.access_line
+        return sum(access_line(key, li) for li in lines)
+
     def install_prefetch(self, request: PrefetchRequest | int) -> None:
         """Place a prefetched line without latency accounting."""
         paddr = request.target if isinstance(request, PrefetchRequest) else request
-        li = line_index(paddr)
+        li = paddr >> LINE_SHIFT
         ways = self.sets.setdefault(self.location(paddr), [])
         if li in ways:
             return
@@ -132,7 +156,7 @@ class CacheModel:
         ways.append(li)
 
     def flush_line(self, paddr: int) -> None:
-        li = line_index(paddr)
+        li = paddr >> LINE_SHIFT
         ways = self.sets.get(self.location(paddr))
         if ways and li in ways:
             ways.remove(li)
@@ -147,18 +171,16 @@ def build_eviction_set(cache: CacheModel, set_index: int, slice_index: int,
                        candidate_pool: Iterable[int]) -> MinimalEvictionSet:
     """Collect associativity-many distinct lines mapping to the target set."""
     want = cache.config.associativity
-    members: list[int] = []
-    seen: set[int] = set()
+    lines: list[int] = []
     for addr in candidate_pool:
-        if cache.location(addr) != (slice_index, set_index):
+        li = addr >> LINE_SHIFT
+        if (li & cache._set_mask != set_index
+                or cache._slice(li) != slice_index or li in lines):
             continue
-        li = line_index(addr)
-        if li in seen:
-            continue
-        seen.add(li)
-        members.append(li * LINE_BYTES)
-        if len(members) == want:
-            return MinimalEvictionSet(set_index, slice_index, members)
+        lines.append(li)
+        if len(lines) == want:
+            return MinimalEvictionSet(set_index, slice_index,
+                                      [li * LINE_BYTES for li in lines], lines)
     raise EvictionSetError(
-        f"pool exhausted with {len(members)}/{want} members for "
+        f"pool exhausted with {len(lines)}/{want} members for "
         f"set {set_index} slice {slice_index}")

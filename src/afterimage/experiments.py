@@ -578,8 +578,7 @@ class AttackOutcome:
 def _mes_for_line(cache: CacheModel, page_paddr: int,
                   line: int) -> MinimalEvictionSet:
     addr = page_paddr + line * LINE_BYTES
-    set_index = cache.set_of(addr)
-    slice_index = cache.slice_of(addr)
+    slice_index, set_index = cache.location(addr)
     own = line_index(addr)
     sets = cache.config.sets_per_slice
 

@@ -53,11 +53,8 @@ class StatusProbe:
 def prime(cache: CacheModel, mes_list: list[MinimalEvictionSet]) -> TimingVector:
     """Fill every eviction set, then measure the steady hit baseline."""
     for mes in mes_list:
-        for addr in mes.members:
-            cache.access(addr)
-    times = []
-    for mes in mes_list:
-        times.append(sum(cache.access(addr) for addr in mes.members))
+        cache.walk_set(mes.key, mes.lines)
+    times = [cache.walk_set(mes.key, mes.lines) for mes in mes_list]
     return TimingVector("prime", [m.set_index for m in mes_list], times)
 
 
@@ -72,9 +69,7 @@ def probe(cache: CacheModel, mes_list: list[MinimalEvictionSet],
     """
     if threshold is None:
         threshold = cache.config.threshold
-    times = []
-    for mes in mes_list:
-        times.append(sum(cache.access(addr) for addr in reversed(mes.members)))
+    times = [cache.walk_set(mes.key, mes.lines[::-1]) for mes in mes_list]
     tv = TimingVector("probe", [m.set_index for m in mes_list], times)
     evicted = [abs(t - b) > threshold for t, b in zip(times, baseline.times)]
     return evicted, tv

@@ -114,12 +114,12 @@ class PrefetchTable:
 
     def entry(self, slot: int) -> PrefetcherEntry:
         return PrefetcherEntry(
-            ip_tag=int(self.tags[slot]),
-            last_addr=int(self.last[slot]),
-            stride=int(self.stride[slot]),
-            confidence=int(self.conf[slot]),
-            valid=bool(self.valid[slot]),
-            mru_bit=bool(self.mru[slot]),
+            ip_tag=self.tags[slot],
+            last_addr=self.last[slot],
+            stride=self.stride[slot],
+            confidence=self.conf[slot],
+            valid=self.valid[slot],
+            mru_bit=self.mru[slot],
         )
 
     def entry_for(self, tag: int) -> PrefetcherEntry | None:
@@ -150,7 +150,7 @@ class PrefetchTable:
             tag, paddr, self.tags, self.last, self.stride, self.conf,
             self.valid, self.mru, self.owner, lru, capacity)
         if emitted:
-            return [PrefetchRequest(target=int(target), origin_tag=tag)]
+            return [PrefetchRequest(target=target, origin_tag=tag)]
         return []
 
     def plru_select_victim(self) -> int:

@@ -1,7 +1,9 @@
 """Cache model: placement, LRU behaviour, flush and eviction sets."""
 
+import copy
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from afterimage.cache import (
@@ -92,16 +94,16 @@ def test_duplicate_prefetch_install_is_noop():
 
 def test_single_slice_hash_is_constant():
     c = CacheModel(CacheConfig(slices=1))
-    assert all(c.slice_of(a) == 0 for a in range(0, 1 << 20, 4096))
+    assert all(c.location(a)[0] == 0 for a in range(0, 1 << 20, 4096))
 
 
 def test_slice_hash_spreads_and_is_deterministic():
     c = CacheModel()
-    seen = {c.slice_of(a) for a in range(0, 1 << 22, LINE_BYTES * 7)}
+    seen = {c.location(a)[0] for a in range(0, 1 << 22, LINE_BYTES * 7)}
     assert seen == {0, 1, 2, 3}
     c2 = CacheModel()
     for a in range(0, 1 << 20, 4096):
-        assert c.slice_of(a) == c2.slice_of(a)
+        assert c.location(a) == c2.location(a)
 
 
 def chunk_fold(li, bits):
@@ -119,13 +121,12 @@ def test_slice_fold_matches_chunk_loop(slices, paddr):
     c = CacheModel(CacheConfig(slices=slices))
     bits = slices.bit_length() - 1
     want = chunk_fold(paddr >> 6, bits) if bits else 0
-    assert c.slice_of(paddr) == want
-    assert c.location(paddr) == (want, c.set_of(paddr))
+    assert c.location(paddr) == (want, (paddr >> 6) % c.config.sets_per_slice)
 
 
 def test_custom_slice_hash_is_honoured():
     c = CacheModel(slice_hash=lambda li: 2)
-    assert c.slice_of(0x12345) == 2
+    assert c.location(0x12345)[0] == 2
 
 
 def test_build_eviction_set():
@@ -137,6 +138,18 @@ def test_build_eviction_set():
     assert len({a >> 6 for a in mes.members}) == c.config.associativity
     for a in mes.members:
         assert c.location(a) == (sl, st)
+    assert mes.lines == [a >> 6 for a in mes.members]
+    assert mes.key == (sl, st)
+
+
+def test_eviction_set_honours_custom_slice_hash():
+    # slice = bits 11-12 of the line index, so set 5's lines take the
+    # slices 0, 1, 2, 3 in turn; the default fold would spread them
+    c = CacheModel(slice_hash=lambda li: li >> 11)
+    mes = build_eviction_set(c, 5, 2, range(0, 1 << 26, LINE_BYTES))
+    assert mes.lines == [5 + 2048 * k for k in range(2, 64, 4)]
+    assert mes.key == (2, 5)
+    assert all(c.location(a) == (2, 5) for a in mes.members)
 
 
 def test_eviction_set_pool_exhaustion():
@@ -156,3 +169,53 @@ def test_eviction_set_displaces_a_victim_line():
     # probing the set again must show at least one displaced member
     latencies = [c.access(a) for a in mes.members]
     assert latencies.count(200) >= 1
+
+
+# a tiny cache: 4 ways, and enough lines per set to displace them
+_TINY = CacheConfig(slices=2, sets_per_slice=4, associativity=4)
+
+
+def _walk_pools():
+    """Eight lines sharing one (slice, set) and four placed elsewhere."""
+    c = CacheModel(_TINY)
+    key = c.location(0)
+    same = [li for li in range(64) if c.location(li * LINE_BYTES) == key]
+    other = [li for li in range(64) if c.location(li * LINE_BYTES) != key]
+    return key, same[:8], other[:4]
+
+
+_KEY, _SAME, _OTHER = _walk_pools()
+_MEMBERS = _SAME[:4]
+
+
+def _counters(c):
+    return (c.sets, c._prefetched, c.demand_accesses, c.demand_misses,
+            c.prefetch_installs, c.useful_prefetch_hits)
+
+
+@given(prior=st.lists(st.tuples(
+           st.sampled_from(["access", "prefetch", "flush", "prime"]),
+           st.sampled_from(_SAME + _OTHER)), max_size=24),
+       order=st.sampled_from(["forward", "reversed", "partial"]),
+       partial=st.lists(st.sampled_from(_MEMBERS), unique=True))
+# the set holds exactly the walked lines, one of them not yet demanded
+@example(prior=[("prime", 0), ("flush", _MEMBERS[1]),
+                ("prefetch", _MEMBERS[1])], order="forward", partial=[])
+def test_walk_set_matches_per_line_access(prior, order, partial):
+    c = CacheModel(_TINY)
+    for op, li in prior:
+        if op == "access":
+            c.access(li * LINE_BYTES)
+        elif op == "prefetch":
+            c.install_prefetch(li * LINE_BYTES)
+        elif op == "flush":
+            c.flush_line(li * LINE_BYTES)
+        else:  # fill the set with exactly the walked lines
+            for m in _MEMBERS:
+                c.access(m * LINE_BYTES)
+    walk = {"forward": _MEMBERS, "reversed": _MEMBERS[::-1],
+            "partial": partial}[order]
+    ref = copy.deepcopy(c)
+    want = sum(ref.access(li * LINE_BYTES) for li in walk)
+    assert c.walk_set(_KEY, list(walk)) == want
+    assert _counters(c) == _counters(ref)

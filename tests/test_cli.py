@@ -204,6 +204,26 @@ def test_malformed_config_line_exits_2(tmp_path, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("cache_associativity=0", "associativity must be a power of two"),
+    ("cache_associativity=3", "associativity must be a power of two"),
+    ("cache_associativity=-4", "associativity must be a power of two"),
+    ("cache_slices=x", "config key cache_slices: cannot parse 'x'"),
+    ("cache_threshold=200",
+     "threshold must lie strictly between hit and miss latency"),
+])
+def test_bad_cache_config_exits_2(tmp_path, line, message):
+    cfg = tmp_path / "cache.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "x.csv"
+    proc = _run_child("-m", "afterimage.cli", "attack", "--variant", "1",
+                      "--channel", "prime_probe", "--rounds", "2",
+                      "--config", str(cfg), "--output", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_1(tmp_path):
     assert main(["attack", "--variant", "1", "--channel", "flush_reload",
                  "--config", str(tmp_path / "absent.cfg")]) == 1

@@ -45,6 +45,24 @@ def test_probe_without_victim_sees_nothing():
     assert tv.times == baseline.times
 
 
+@pytest.mark.parametrize("n", [1, 5, 16])
+def test_prime_and_probe_counters_and_lru_order(n):
+    cache = CacheModel()
+    sets = build_page_sets(cache, PAGE, n)
+    baseline = prime(cache, sets)
+    # the fill walk misses once per member, the timed walk only hits
+    assert cache.demand_accesses == 2 * 16 * n
+    assert cache.demand_misses == 16 * n
+    for mes in sets:
+        assert cache.sets[mes.key] == [a // LINE_BYTES for a in mes.members]
+    probe(cache, sets, baseline)
+    assert cache.demand_accesses == 3 * 16 * n
+    assert cache.demand_misses == 16 * n
+    for mes in sets:
+        assert cache.sets[mes.key] == [a // LINE_BYTES
+                                       for a in reversed(mes.members)]
+
+
 def test_probe_flags_victim_touched_sets():
     cache = CacheModel()
     sets = build_page_sets(cache, PAGE, 16)

@@ -224,6 +224,21 @@ def test_bad_cache_config_exits_2(tmp_path, line, message):
     assert not out.exists()
 
 
+def test_exhausted_eviction_set_pool_exits_2(tmp_path):
+    # 2048 ways need more same-slice lines than the 4095-candidate pool
+    # holds; the search must fail with one line, not a traceback
+    cfg = tmp_path / "cache.cfg"
+    cfg.write_text("cache_associativity=2048\n")
+    out = tmp_path / "x.csv"
+    proc = _run_child("-m", "afterimage.cli", "attack", "--variant", "1",
+                      "--channel", "prime_probe", "--rounds", "2",
+                      "--config", str(cfg), "--output", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: pool exhausted with 1023/2048 members for set 0 slice 3"]
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_1(tmp_path):
     assert main(["attack", "--variant", "1", "--channel", "flush_reload",
                  "--config", str(tmp_path / "absent.cfg")]) == 1

@@ -2,7 +2,10 @@
 
 Lines are tracked by their 64-byte line index.  The slice is an XOR-fold
 of the line index (a stand-in for the undocumented physical hash), the
-set is its low bits.  Timing is whole-line and two-valued: a configured
+set is its low bits.  The fold is XOR-linear: the slice of ``a ^ b`` is
+the slice of ``a`` XOR the slice of ``b``.  Eviction-set search relies
+on this, so lines that differ only above the set bits by the same
+offset share a slice pattern.  Timing is whole-line and two-valued: a configured
 hit latency and miss latency, with a decision threshold strictly between
 them.  Prefetch installs bypass latency accounting but are tagged so a
 later demand hit can be attributed to them.
@@ -12,14 +15,15 @@ address and hands it to ``access_line``, which holds the one LRU,
 install and prefetch-attribution rule.  Callers that touch the same
 lines over and over, such as prime+probe on a fixed eviction set,
 place them once and call ``walk_set(key, lines)``: it demand-accesses
-the lines in order and, when the set already holds exactly those lines
-and none awaits its first demand hit, reorders the set in one step.
+the lines in order.  When the set is empty it fills it in one step, and
+when the set already holds exactly those lines and none awaits its
+first demand hit, it reorders the set in one step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .uarch import LINE_BYTES, LINE_SHIFT, PrefetchRequest
 
@@ -64,10 +68,8 @@ class MinimalEvictionSet:
 
 
 class CacheModel:
-    def __init__(self, config: CacheConfig | None = None,
-                 slice_hash: Callable[[int], int] | None = None):
+    def __init__(self, config: CacheConfig | None = None):
         self.config = config or CacheConfig()
-        self._slice_hash = slice_hash
         self._slice_bits = self.config.slices.bit_length() - 1
         self._slice_mask = self.config.slices - 1
         self._set_mask = self.config.sets_per_slice - 1
@@ -82,8 +84,6 @@ class CacheModel:
     # -- placement -------------------------------------------------------
 
     def _slice(self, li: int) -> int:
-        if self._slice_hash is not None:
-            return self._slice_hash(li) & self._slice_mask
         # XOR of all slice-bit-wide chunks of li: fold halves of
         # doubling width until one chunk holds them all
         s = self._slice_bits
@@ -127,14 +127,22 @@ class CacheModel:
         """Demand-access ``lines``, all placed at ``key``, in order;
         returns the summed latency."""
         ways = self.sets.get(key)
-        if (ways is not None and len(ways) == len(lines)
-                and set(ways) == set(lines)
+        n = len(lines)
+        if not ways:
+            if 0 < n <= self.config.associativity and len(set(lines)) == n:
+                # every access misses into a free way, so the walk
+                # leaves the set in walk order and evicts nothing
+                self.sets[key] = list(lines)
+                self.demand_accesses += n
+                self.demand_misses += n
+                return n * self.config.miss_latency
+        elif (len(ways) == n and (ways == lines or set(ways) == set(lines))
                 and self._prefetched.isdisjoint(lines)):
             # every access hits and moves its line to the end, so the
             # walk leaves the set in walk order
             ways[:] = lines
-            self.demand_accesses += len(lines)
-            return len(lines) * self.config.hit_latency
+            self.demand_accesses += n
+            return n * self.config.hit_latency
         access_line = self.access_line
         return sum(access_line(key, li) for li in lines)
 

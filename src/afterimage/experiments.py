@@ -49,7 +49,7 @@ from .sidechannel import (
     prime,
     probe,
 )
-from .uarch import LINE_BYTES, PAGE_BYTES, line_index, page_frame
+from .uarch import LINE_BYTES, LINE_SHIFT, PAGE_BYTES, page_frame
 
 #: Clock used to convert flush periods given in microseconds.
 DEFAULT_CLOCK_GHZ = 3.6
@@ -575,20 +575,40 @@ class AttackOutcome:
         } for r in self.records]
 
 
-def _mes_for_line(cache: CacheModel, page_paddr: int,
-                  line: int) -> MinimalEvictionSet:
-    addr = page_paddr + line * LINE_BYTES
-    slice_index, set_index = cache.location(addr)
-    own = line_index(addr)
+def _page_eviction_sets(cache: CacheModel,
+                        page_paddr: int) -> list[MinimalEvictionSet]:
+    """One eviction set per line of the page, each drawn from the pool
+    ``set_index + k * sets_per_slice`` for ``k`` in 1..4095 (not the
+    line itself).
+
+    Pool line ``k`` shares the set bits of the page line ``own``, and
+    the slice fold is XOR-linear, so it lands in ``own``'s slice
+    exactly when ``k << set_bits`` and ``own``'s high part shifted
+    the same way fold alike.  That depends on the high part alone, so
+    one search per distinct high part finds the ``k`` of every line
+    that shares it.
+    """
+    set_mask = cache._set_mask
+    set_bits = set_mask.bit_length()
     sets = cache.config.sets_per_slice
-
-    def pool():
-        for k in range(1, 4096):
-            candidate = set_index + k * sets
-            if candidate != own:
-                yield candidate * LINE_BYTES
-
-    return build_eviction_set(cache, set_index, slice_index, pool())
+    offsets: dict[int, list[int]] = {}  # high part -> the k found for it
+    out = []
+    first = page_paddr >> LINE_SHIFT
+    for own in range(first, first + PAGE_LINES):
+        set_index, high = own & set_mask, own >> set_bits
+        slice_index = cache._slice(own)
+        ks = offsets.get(high)
+        if ks is None:
+            pool = ((set_index + k * sets) * LINE_BYTES
+                    for k in range(1, 4096) if k != high)
+            mes = build_eviction_set(cache, set_index, slice_index, pool)
+            offsets[high] = [li >> set_bits for li in mes.lines]
+        else:
+            lines = [set_index | k << set_bits for k in ks]
+            mes = MinimalEvictionSet(set_index, slice_index,
+                                     [li * LINE_BYTES for li in lines], lines)
+        out.append(mes)
+    return out
 
 
 def _secret_source(seed: int, flush_on_switch: bool) -> SecretSource:
@@ -745,8 +765,7 @@ def _score_rounds(machine: Machine, sc: _Scenario, channel: str,
     flush_prog = Program("flush", [FlushLines(sc.page_vaddr, PAGE_LINES)])
     strides = [s for s in sc.decode if s is not None]
     if channel == "prime_probe":
-        mes_list = [_mes_for_line(cache, sc.page_paddr, ln)
-                    for ln in range(PAGE_LINES)]
+        mes_list = _page_eviction_sets(cache, sc.page_paddr)
     records = []
     for i in range(rounds):
         rng = _round_rng(seed, noise.seed, i)
@@ -878,10 +897,15 @@ def load_trace(path: str | Path) -> list[tuple[int, int, int]]:
 
     Blank lines and lines starting with ``#`` are skipped.  Malformed
     lines, and negative IPs or addresses, raise ValueError naming the
-    file and line number.
+    file and line number; a file that is not UTF-8 text raises
+    ValueError naming the file.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     records = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

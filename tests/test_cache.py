@@ -124,9 +124,13 @@ def test_slice_fold_matches_chunk_loop(slices, paddr):
     assert c.location(paddr) == (want, (paddr >> 6) % c.config.sets_per_slice)
 
 
-def test_custom_slice_hash_is_honoured():
-    c = CacheModel(slice_hash=lambda li: 2)
-    assert c.location(0x12345)[0] == 2
+@given(slices=st.integers(0, 12).map(lambda e: 1 << e),
+       a=st.integers(0, 1 << 64), b=st.integers(0, 1 << 64))
+def test_slice_fold_is_xor_linear(slices, a, b):
+    # eviction-set search derives one line's set from another's by this
+    c = CacheModel(CacheConfig(slices=slices))
+    assert (c.location(a ^ b)[0]
+            == c.location(a)[0] ^ c.location(b)[0])
 
 
 def test_build_eviction_set():
@@ -140,16 +144,6 @@ def test_build_eviction_set():
         assert c.location(a) == (sl, st)
     assert mes.lines == [a >> 6 for a in mes.members]
     assert mes.key == (sl, st)
-
-
-def test_eviction_set_honours_custom_slice_hash():
-    # slice = bits 11-12 of the line index, so set 5's lines take the
-    # slices 0, 1, 2, 3 in turn; the default fold would spread them
-    c = CacheModel(slice_hash=lambda li: li >> 11)
-    mes = build_eviction_set(c, 5, 2, range(0, 1 << 26, LINE_BYTES))
-    assert mes.lines == [5 + 2048 * k for k in range(2, 64, 4)]
-    assert mes.key == (2, 5)
-    assert all(c.location(a) == (2, 5) for a in mes.members)
 
 
 def test_eviction_set_pool_exhaustion():
@@ -196,12 +190,19 @@ def _counters(c):
 @given(prior=st.lists(st.tuples(
            st.sampled_from(["access", "prefetch", "flush", "prime"]),
            st.sampled_from(_SAME + _OTHER)), max_size=24),
-       order=st.sampled_from(["forward", "reversed", "partial"]),
-       partial=st.lists(st.sampled_from(_MEMBERS), unique=True))
+       order=st.sampled_from(["forward", "reversed", "partial", "any"]),
+       partial=st.lists(st.sampled_from(_MEMBERS), unique=True),
+       any_lines=st.lists(st.sampled_from(_SAME), max_size=10))
 # the set holds exactly the walked lines, one of them not yet demanded
 @example(prior=[("prime", 0), ("flush", _MEMBERS[1]),
-                ("prefetch", _MEMBERS[1])], order="forward", partial=[])
-def test_walk_set_matches_per_line_access(prior, order, partial):
+                ("prefetch", _MEMBERS[1])], order="forward", partial=[],
+         any_lines=[])
+# walks onto an empty set: none, more lines than ways, a repeated line
+@example(prior=[], order="partial", partial=[], any_lines=[])
+@example(prior=[], order="any", partial=[], any_lines=_SAME[:5])
+@example(prior=[], order="any", partial=[],
+         any_lines=[_SAME[0], _SAME[1], _SAME[0]])
+def test_walk_set_matches_per_line_access(prior, order, partial, any_lines):
     c = CacheModel(_TINY)
     for op, li in prior:
         if op == "access":
@@ -214,7 +215,7 @@ def test_walk_set_matches_per_line_access(prior, order, partial):
             for m in _MEMBERS:
                 c.access(m * LINE_BYTES)
     walk = {"forward": _MEMBERS, "reversed": _MEMBERS[::-1],
-            "partial": partial}[order]
+            "partial": partial, "any": any_lines}[order]
     ref = copy.deepcopy(c)
     want = sum(ref.access(li * LINE_BYTES) for li in walk)
     assert c.walk_set(_KEY, list(walk)) == want

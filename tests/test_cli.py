@@ -410,6 +410,53 @@ def test_mitigate_negative_trace_address_exits_2(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+_BAD_TRACES = {
+    "non_hex_field": (b"0x400100,0xzz,0\n",
+                      "{path}:1: malformed field in '0x400100,0xzz,0'"),
+    "four_fields": (b"0x400100,0x10000,0,7\n",
+                    "{path}:1: expected ip_hex,vaddr_hex,domain_id, "
+                    "got '0x400100,0x10000,0,7'"),
+    "two_fields": (b"# loads\n0x400100,0x10000\n",
+                   "{path}:2: expected ip_hex,vaddr_hex,domain_id, "
+                   "got '0x400100,0x10000'"),
+    "negative_address": (b"0x400100,-0x40,0\n",
+                         "{path}:1: negative ip or address in "
+                         "'0x400100,-0x40,0'"),
+    "not_utf8": (b"0x400100,0x10000,0\n\xff\xfe\n",
+                 "{path}: not UTF-8 text: 'utf-8' codec can't decode byte "
+                 "0xff in position 19: invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TRACES))
+def test_mitigate_bad_trace_exits_2(tmp_path, case):
+    content, message = _BAD_TRACES[case]
+    trace = tmp_path / "trace.txt"
+    trace.write_bytes(content)
+    out = tmp_path / "x.csv"
+    proc = _run_child("-m", "afterimage.cli", "mitigate", "--trace",
+                      str(trace), "--output", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: " + message.format(path=trace)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["directory", "missing"])
+def test_mitigate_unreadable_trace_exits_1(tmp_path, case):
+    trace = tmp_path / "trace"
+    if case == "directory":
+        trace.mkdir()
+    out = tmp_path / "x.csv"
+    proc = _run_child("-m", "afterimage.cli", "mitigate", "--trace",
+                      str(trace), "--output", str(out))
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(trace) in lines[0]
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # oracle
 # --------------------------------------------------------------------------

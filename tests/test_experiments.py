@@ -6,13 +6,19 @@ import tracemalloc
 
 import pytest
 
-from afterimage.cache import CacheModel
+from afterimage.cache import (
+    CacheConfig,
+    CacheModel,
+    EvictionSetError,
+    build_eviction_set,
+)
 from afterimage.experiments import (
     ATTACK_CHANNELS,
     MitigationReport,
     NoiseModel,
     UnsupportedChannelError,
     _apply_page_noise,
+    _page_eviction_sets,
     flush_period_cycles,
     load_trace,
     mitigation_eval,
@@ -25,7 +31,8 @@ from afterimage.experiments import (
     synthetic_workload,
 )
 from afterimage.programs import Event
-from afterimage.uarch import LINE_BYTES, PAGE_BYTES
+from afterimage.sidechannel import PAGE_LINES
+from afterimage.uarch import LINE_BYTES, PAGE_BYTES, line_index
 
 
 # --------------------------------------------------------------------------
@@ -199,6 +206,60 @@ def test_attack_memory_stays_bounded_in_rounds():
 
     per_round = (peak(1000) - peak(200)) / 800
     assert per_round < 512, f"{per_round:.0f} B per round"
+
+
+def _mes_for_line(cache, page_paddr, line):
+    """Reference: search one page line's eviction set on its own."""
+    addr = page_paddr + line * LINE_BYTES
+    slice_index, set_index = cache.location(addr)
+    own = line_index(addr)
+    sets = cache.config.sets_per_slice
+
+    def pool():
+        for k in range(1, 4096):
+            candidate = set_index + k * sets
+            if candidate != own:
+                yield candidate * LINE_BYTES
+
+    return build_eviction_set(cache, set_index, slice_index, pool())
+
+
+def _search_outcome(search):
+    try:
+        return [(m.set_index, m.slice_index, m.members, m.lines)
+                for m in search()]
+    except EvictionSetError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("slices", [1, 4, 64])
+@pytest.mark.parametrize("sets_per_slice", [1, 16, 2048])
+@pytest.mark.parametrize("associativity", [1, 16, 64])
+def test_page_eviction_sets_match_per_line_search(slices, sets_per_slice,
+                                                  associativity):
+    # 64 ways in 64 slices outrun the pool for some high parts only, so
+    # the search must fail at the same line with the same message; at
+    # 16 sets page 1024 fails only from line 16, its second high part
+    cache = CacheModel(CacheConfig(slices=slices,
+                                   sets_per_slice=sets_per_slice,
+                                   associativity=associativity))
+    rng = random.Random(slices * sets_per_slice * associativity)
+    pages = [0, PAGE_BYTES, 1024 * PAGE_BYTES] + [
+        rng.randrange(1 << 28) * PAGE_BYTES for _ in range(2)]
+    for page in pages:
+        want = _search_outcome(lambda: [_mes_for_line(cache, page, ln)
+                                        for ln in range(PAGE_LINES)])
+        assert _search_outcome(
+            lambda: _page_eviction_sets(cache, page)) == want, page
+
+
+def test_page_eviction_sets_report_exhausted_pool_as_per_line_search():
+    cache = CacheModel(CacheConfig(associativity=2048))
+    with pytest.raises(EvictionSetError) as ref:
+        _mes_for_line(cache, 0, 0)
+    with pytest.raises(EvictionSetError) as got:
+        _page_eviction_sets(cache, 0)
+    assert str(got.value) == str(ref.value)
 
 
 def test_kernel_attack_finds_matching_group_via_channel():

@@ -4,11 +4,11 @@ Lines are tracked by their 64-byte line index.  The slice is an XOR-fold
 of the line index (a stand-in for the undocumented physical hash), the
 set is its low bits.  The fold is XOR-linear: the slice of ``a ^ b`` is
 the slice of ``a`` XOR the slice of ``b``.  Eviction-set search relies
-on this, so lines that differ only above the set bits by the same
-offset share a slice pattern.  Timing is whole-line and two-valued: a configured
-hit latency and miss latency, with a decision threshold strictly between
-them.  Prefetch installs bypass latency accounting but are tagged so a
-later demand hit can be attributed to them.
+on this to find the sets of a whole page from one search.  Timing is
+whole-line and two-valued: a configured hit latency and miss latency,
+with a decision threshold strictly between them.  Prefetch installs
+bypass latency accounting but are tagged so a later demand hit can be
+attributed to them.
 
 A line's placement is its ``(slice, set)`` key.  ``access`` places an
 address and hands it to ``access_line``, which holds the one LRU,

@@ -590,7 +590,6 @@ def _page_eviction_sets(cache: CacheModel,
     """
     set_mask = cache._set_mask
     set_bits = set_mask.bit_length()
-    sets = cache.config.sets_per_slice
     offsets: dict[int, list[int]] = {}  # high part -> the k found for it
     out = []
     first = page_paddr >> LINE_SHIFT
@@ -599,7 +598,7 @@ def _page_eviction_sets(cache: CacheModel,
         slice_index = cache._slice(own)
         ks = offsets.get(high)
         if ks is None:
-            pool = ((set_index + k * sets) * LINE_BYTES
+            pool = ((set_index | k << set_bits) * LINE_BYTES
                     for k in range(1, 4096) if k != high)
             mes = build_eviction_set(cache, set_index, slice_index, pool)
             offsets[high] = [li >> set_bits for li in mes.lines]

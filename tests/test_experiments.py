@@ -238,7 +238,7 @@ def _search_outcome(search):
 def test_page_eviction_sets_match_per_line_search(slices, sets_per_slice,
                                                   associativity):
     # 64 ways in 64 slices outrun the pool for some high parts only, so
-    # the search must fail at the same line with the same message; at
+    # the search must fail at the same line with the same message; with
     # 16 sets page 1024 fails only from line 16, its second high part
     cache = CacheModel(CacheConfig(slices=slices,
                                    sets_per_slice=sets_per_slice,
@@ -251,15 +251,6 @@ def test_page_eviction_sets_match_per_line_search(slices, sets_per_slice,
                                         for ln in range(PAGE_LINES)])
         assert _search_outcome(
             lambda: _page_eviction_sets(cache, page)) == want, page
-
-
-def test_page_eviction_sets_report_exhausted_pool_as_per_line_search():
-    cache = CacheModel(CacheConfig(associativity=2048))
-    with pytest.raises(EvictionSetError) as ref:
-        _mes_for_line(cache, 0, 0)
-    with pytest.raises(EvictionSetError) as got:
-        _page_eviction_sets(cache, 0)
-    assert str(got.value) == str(ref.value)
 
 
 def test_kernel_attack_finds_matching_group_via_channel():

@@ -280,6 +280,24 @@ def test_reveng_single_experiment(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["reveng_replacement.csv"]
 
 
+def test_reveng_mismatch_exits_1(tmp_path, monkeypatch, capsys):
+    # every stream survives, so the table looks larger than 24 entries
+    monkeypatch.setattr("afterimage.experiments._survivors",
+                        lambda n_streams, *args, **kwargs: [True] * n_streams)
+    rc = main(["reveng", "--which", "entries", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    _, data = _split(_lines(tmp_path / "reveng_entries.csv"))
+    assert data[0] == "n_ips,position,alive"
+    assert len(data) == 1 + 24 + 26 + 30
+    assert all(row.endswith(",1") for row in data[1:])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert errors
+    assert all(line.startswith("verification mismatch: entries: ")
+               for line in errors)
+
+
 # --------------------------------------------------------------------------
 # mitigate
 # --------------------------------------------------------------------------

@@ -209,6 +209,8 @@ def test_cross_process_shared_page_carries_the_stride():
     prefetches = [e for e in ev if e.kind == "prefetch"]
     assert len(prefetches) == 1
     assert prefetches[0].paddr == load.paddr + 8 * 64
+    assert prefetches[0].detail == "tag 0xa0"
+    assert prefetches[0].ip == load.ip
     assert m.cache.contains(load.paddr)
     assert m.cache.contains(load.paddr + 8 * 64)
     assert (load.paddr >> 12) == (shared_phys >> 12)

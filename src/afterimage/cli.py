@@ -71,8 +71,12 @@ class UsageError(ValueError):
 
 def read_config(path: str | Path) -> dict[str, str]:
     """Parse a ``key=value`` config file; ``#`` comments and blanks skip."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     config = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -239,6 +239,20 @@ def test_exhausted_eviction_set_pool_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_non_utf8_config_exits_2(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"rounds=4\n\xff\xfe\n")
+    out = tmp_path / "x.csv"
+    proc = _run_child("-m", "afterimage.cli", "attack", "--variant", "1",
+                      "--channel", "flush_reload", "--config", str(cfg),
+                      "--output", str(out))
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {cfg}: not UTF-8 text")
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_1(tmp_path):
     assert main(["attack", "--variant", "1", "--channel", "flush_reload",
                  "--config", str(tmp_path / "absent.cfg")]) == 1

@@ -15,7 +15,6 @@ from .experiments import (
 from .uarch import (
     LINE_BYTES,
     PAGE_BYTES,
-    PrefetchRequest,
     PrefetchTable,
     PrefetcherEntry,
     Tlb,
@@ -30,7 +29,6 @@ __all__ = [
     "LINE_BYTES",
     "PAGE_BYTES",
     "NoiseModel",
-    "PrefetchRequest",
     "PrefetchTable",
     "PrefetcherEntry",
     "Tlb",

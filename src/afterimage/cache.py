@@ -6,9 +6,10 @@ set is its low bits.  The fold is XOR-linear: the slice of ``a ^ b`` is
 the slice of ``a`` XOR the slice of ``b``.  Eviction-set search relies
 on this to find the sets of a whole page from one search.  Timing is
 whole-line and two-valued: a configured hit latency and miss latency,
-with a decision threshold strictly between them.  Prefetch installs
-bypass latency accounting but are tagged so a later demand hit can be
-attributed to them.
+with a decision threshold strictly between them.  ``install_prefetch``
+takes the byte address the prefetch table returned; the install
+bypasses latency accounting but is tagged so a later demand hit can be
+attributed to it.
 
 A line's placement is its ``(slice, set)`` key.  ``access`` places an
 address and hands it to ``access_line``, which holds the one LRU,
@@ -17,15 +18,16 @@ lines over and over, such as prime+probe on a fixed eviction set,
 place them once and call ``walk_set(key, lines)``: it demand-accesses
 the lines in order.  When the set is empty it fills it in one step, and
 when the set already holds exactly those lines and none awaits its
-first demand hit, it reorders the set in one step.
+first demand hit, it reorders the set in one step.  An eviction set
+holds its members as line indices, ready for ``walk_set``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
-from .uarch import LINE_BYTES, LINE_SHIFT, PrefetchRequest
+from .uarch import LINE_BYTES, LINE_SHIFT
 
 
 class EvictionSetError(ValueError):
@@ -55,11 +57,10 @@ class CacheConfig:
 
 @dataclass
 class MinimalEvictionSet:
-    """Exactly associativity-many lines mapping to one (set, slice)."""
+    """Associativity-many line indices mapping to one (set, slice)."""
     set_index: int
     slice_index: int
-    members: list[int] = field(default_factory=list)
-    lines: list[int] = field(default_factory=list)  # members' line indices
+    lines: list[int]
 
     @property
     def key(self) -> tuple[int, int]:
@@ -146,9 +147,8 @@ class CacheModel:
         access_line = self.access_line
         return sum(access_line(key, li) for li in lines)
 
-    def install_prefetch(self, request: PrefetchRequest | int) -> None:
+    def install_prefetch(self, paddr: int) -> None:
         """Place a prefetched line without latency accounting."""
-        paddr = request.target if isinstance(request, PrefetchRequest) else request
         li = paddr >> LINE_SHIFT
         ways = self.sets.setdefault(self.location(paddr), [])
         if li in ways:
@@ -187,8 +187,7 @@ def build_eviction_set(cache: CacheModel, set_index: int, slice_index: int,
             continue
         lines.append(li)
         if len(lines) == want:
-            return MinimalEvictionSet(set_index, slice_index,
-                                      [li * LINE_BYTES for li in lines], lines)
+            return MinimalEvictionSet(set_index, slice_index, lines)
     raise EvictionSetError(
         f"pool exhausted with {len(lines)}/{want} members for "
         f"set {set_index} slice {slice_index}")

@@ -143,7 +143,7 @@ def _apply_probe_noise(cache: CacheModel, noise: NoiseModel,
     out of an eviction set, which the probe then reads as a hit."""
     for mes in mes_list:
         if rng.random() < noise.p_evict:
-            cache.flush_line(mes.members[0])
+            cache.flush_line(mes.lines[0] << LINE_SHIFT)
 
 
 # --------------------------------------------------------------------------
@@ -358,9 +358,10 @@ class PageResult:
         return out
 
 
-def _page_trial(pool: str, offset_pages: int, *, two_access: bool = False,
-                precondition_next: bool = True,
+def _page_trial(pool: str, offset_pages: int, *, cold: bool = False,
                 cache_config=None) -> list[bool]:
+    """Train a stream, then time its prefetch ``offset_pages`` ahead; a
+    ``cold`` trial skips the next frame's pre-walk and times two accesses."""
     sb = _stride_bytes(7)
     vbase = 0x300000
     if pool == "reclaimed":
@@ -375,7 +376,7 @@ def _page_trial(pool: str, offset_pages: int, *, two_access: bool = False,
     bench = Machine(cache_config=cache_config)
     ip = ip_with_tag(0x400000, 0x9D)
     bench.tlb.access(page_frame(dom.translate(vbase)))
-    if pool == "locked" and precondition_next:
+    if pool == "locked" and not cold:
         # the hardware walks the adjacent page's translation as a
         # stream nears the boundary, so the very next frame starts warm
         bench.tlb.access(page_frame(dom.translate(vbase + PAGE_BYTES)))
@@ -384,7 +385,7 @@ def _page_trial(pool: str, offset_pages: int, *, two_access: bool = False,
     # probe mid-page so the timed line overlaps nothing from training
     test_vaddr = vbase + offset_pages * PAGE_BYTES + 2048
     flags = []
-    for attempt in range(2 if two_access else 1):
+    for attempt in range(2 if cold else 1):
         test_paddr = dom.translate(test_vaddr)
         if attempt:
             bench.flush(test_paddr + sb)
@@ -400,36 +401,35 @@ def rev_page(cache_config=None) -> PageResult:
         for off in (1, 2, 3, 4):
             verdicts[(pool, off)] = _page_trial(
                 pool, off, cache_config=cache_config)[0]
-    cold = tuple(_page_trial("locked", 1, two_access=True,
-                             precondition_next=False,
+    cold = tuple(_page_trial("locked", 1, cold=True,
                              cache_config=cache_config))
     return PageResult(verdicts, cold)
 
 
 # --------------------------------------------------------------------------
-# table capacity
+# table capacity and replacement order
 # --------------------------------------------------------------------------
 
 
 @dataclass
-class EntriesResult:
-    """Replay verdicts after training ``n_ips`` distinct-tag streams."""
+class SurvivalResult:
+    """Which trained streams still fetched on replay, by position.
 
-    n_ips: int
+    ``expected_dead`` lists the positions the documented table drops,
+    or is None where there is no closed form.
+    """
+
     alive: list[bool]
+    expected_dead: list[int] | None
 
     def dead_positions(self) -> list[int]:
         return [i + 1 for i, ok in enumerate(self.alive) if not ok]
 
     def verify(self) -> list[str]:
-        problems = []
-        overflow = max(0, self.n_ips - 24)
-        for i, ok in enumerate(self.alive):
-            want = i >= overflow
-            if ok != want:
-                problems.append(
-                    f"stream {i + 1}/{self.n_ips}: alive={ok}, expected {want}")
-        return problems
+        got = self.dead_positions()
+        if self.expected_dead is None or got == self.expected_dead:
+            return []
+        return [f"dead positions {got}, expected {self.expected_dead}"]
 
     def rows(self) -> list[dict]:
         return [{"position": i + 1, "alive": int(ok)}
@@ -469,7 +469,7 @@ def _survivors(n_streams: int, n_retrain: int = 0, n_new: int = 0,
     return alive
 
 
-def rev_entries(n_ips: int, cache_config=None) -> EntriesResult:
+def rev_entries(n_ips: int, cache_config=None) -> SurvivalResult:
     """Train ``n_ips`` streams in order, then replay each one once.
 
     Training more streams than the table holds silently drops the
@@ -477,42 +477,12 @@ def rev_entries(n_ips: int, cache_config=None) -> EntriesResult:
     """
     if not 1 <= n_ips <= 48:
         raise ValueError("n_ips must be between 1 and 48")
-    return EntriesResult(n_ips, _survivors(n_ips, cache_config=cache_config))
-
-
-# --------------------------------------------------------------------------
-# replacement order
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class ReplacementResult:
-    """Which of 24 resident streams newcomers pushed out."""
-
-    n_retrain: int
-    n_new: int
-    alive: list[bool]
-
-    def evicted_positions(self) -> list[int]:
-        return [i + 1 for i, ok in enumerate(self.alive) if not ok]
-
-    def verify(self) -> list[str]:
-        if self.n_retrain + self.n_new > 23:
-            return []  # recency bits wrap; no closed-form expectation
-        want = list(range(self.n_retrain + 1,
-                          self.n_retrain + self.n_new + 1))
-        got = self.evicted_positions()
-        if got != want:
-            return [f"evicted positions {got}, expected {want}"]
-        return []
-
-    def rows(self) -> list[dict]:
-        return [{"position": i + 1, "alive": int(ok)}
-                for i, ok in enumerate(self.alive)]
+    return SurvivalResult(_survivors(n_ips, cache_config=cache_config),
+                          list(range(1, n_ips - 23)))
 
 
 def rev_replacement(n_retrain: int = 8, n_new: int = 8,
-                    cache_config=None) -> ReplacementResult:
+                    cache_config=None) -> SurvivalResult:
     """Fill the table, refresh a prefix, then push in new streams.
 
     Trains 24 streams (filling the table), re-touches the first
@@ -523,8 +493,11 @@ def rev_replacement(n_retrain: int = 8, n_new: int = 8,
     """
     if not 0 <= n_retrain <= 24 or not 0 <= n_new <= 24:
         raise ValueError("n_retrain and n_new must be between 0 and 24")
-    return ReplacementResult(n_retrain, n_new,
-                             _survivors(24, n_retrain, n_new, cache_config))
+    # past 23 touches the recency bits wrap: no closed-form expectation
+    expected = (list(range(n_retrain + 1, n_retrain + n_new + 1))
+                if n_retrain + n_new <= 23 else None)
+    return SurvivalResult(_survivors(24, n_retrain, n_new, cache_config),
+                          expected)
 
 
 # --------------------------------------------------------------------------
@@ -603,9 +576,8 @@ def _page_eviction_sets(cache: CacheModel,
             mes = build_eviction_set(cache, set_index, slice_index, pool)
             offsets[high] = [li >> set_bits for li in mes.lines]
         else:
-            lines = [set_index | k << set_bits for k in ks]
             mes = MinimalEvictionSet(set_index, slice_index,
-                                     [li * LINE_BYTES for li in lines], lines)
+                                     [set_index | k << set_bits for k in ks])
         out.append(mes)
     return out
 
@@ -789,7 +761,7 @@ def _score_rounds(machine: Machine, sc: _Scenario, channel: str,
             _apply_page_noise(cache, noise, rng, sc.page_paddr, events)
             if channel == "prime_probe":
                 _apply_probe_noise(cache, noise, rng, mes_list)
-                evicted, _ = probe(cache, mes_list, baseline)
+                evicted = probe(cache, mes_list, baseline)
                 observed = {ln for ln, hit in enumerate(evicted) if hit}
             else:
                 observed = flush_reload(cache, sc.page_paddr, rng)

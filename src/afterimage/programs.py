@@ -28,6 +28,7 @@ from .uarch import (
     PAGE_BYTES,
     PrefetchTable,
     Tlb,
+    ip_tag,
     page_frame,
 )
 
@@ -170,22 +171,22 @@ class Machine:
     def load(self, ip: int, paddr: int) -> int:
         """Run one demand load and return its latency.
 
-        This is the one load path: the periodic flush clock, then the
-        table, then the cache access, then the prefetch installs.  The
-        caller decides what the latency costs on the clock.
+        This is the one load path: the periodic flush clock, the table,
+        the cache access, then the prefetch install if the table asked
+        for one.  The caller decides what the latency costs on the clock.
         """
         while self._next_flush is not None and self.clock >= self._next_flush:
             self._reset_table("periodic")
             self._next_flush += self.flush_period
-        requests = self.table.observe_load(self.tlb, ip, paddr)
+        target = self.table.observe_load(self.tlb, ip, paddr)
         latency = self.cache.access(paddr)
-        for req in requests:
-            self.cache.install_prefetch(req)
+        if target is not None:
+            self.cache.install_prefetch(target)
+            self.prefetch_requests += 1
             if self._events is not None:
                 self._events.append(Event(
                     self.clock + latency, self.current_domain, "prefetch",
-                    ip, 0, req.target, detail=f"tag {req.origin_tag:#x}"))
-        self.prefetch_requests += len(requests)
+                    ip, 0, target, detail=f"tag {ip_tag(ip):#x}"))
         return latency
 
     def flush(self, paddr: int) -> None:
@@ -242,7 +243,7 @@ class Machine:
         latency = self.load(step.ip, paddr)
         self.clock += latency
         # list the load after any periodic reset it waited for and before
-        # the prefetches it triggered
+        # the prefetch it triggered, if any
         events = self._events
         events.insert(len(events) - (self.prefetch_requests - issued),
                       Event(self.clock, domain.name, "load", step.ip,

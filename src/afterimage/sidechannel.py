@@ -1,10 +1,11 @@
 """Cache observation channels and stride inference.
 
 Prime+Probe works on per-line eviction sets: prime fills each set and
-records a hit baseline, probe re-walks it and flags sets whose time moved
-by more than the latency threshold in either direction.  Flush+Reload
-walks the 64 lines of a shared page in Fisher-Yates-shuffled order and
-keeps them resident afterwards.
+returns its hit baseline time, one per set; probe re-walks the sets and
+returns one flag per set, set when its time moved by more than the
+cache's latency threshold in either direction.  Flush+Reload walks the
+64 lines of a shared page in Fisher-Yates-shuffled order, returns the
+indices of the lines that hit and keeps all of them resident afterwards.
 
 Both observers talk to the cache only, modelling a pointer-chasing,
 serialised measurement loop that the prefetcher cannot learn from; they
@@ -15,7 +16,7 @@ trained loads through the machine's load path on purpose.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cache import CacheModel, MinimalEvictionSet
 from .programs import Machine
@@ -25,20 +26,11 @@ PAGE_LINES = 64
 
 
 @dataclass
-class TimingVector:
-    """Per-target access times for one measurement phase."""
-    phase: str
-    targets: list[int]
-    times: list[int]
-
-
-@dataclass
 class StrideDetection:
-    candidates: list[int]
     support: dict[int, int]
     detected: int | None
     ambiguous: bool
-    ranked: list[int] = field(default_factory=list)
+    ranked: list[int]
 
 
 @dataclass(frozen=True)
@@ -50,39 +42,33 @@ class StatusProbe:
     stride: int
 
 
-def prime(cache: CacheModel, mes_list: list[MinimalEvictionSet]) -> TimingVector:
-    """Fill every eviction set, then measure the steady hit baseline."""
+def prime(cache: CacheModel, mes_list: list[MinimalEvictionSet]) -> list[int]:
+    """Fill every eviction set, then return its steady hit baseline time."""
     for mes in mes_list:
         cache.walk_set(mes.key, mes.lines)
-    times = [cache.walk_set(mes.key, mes.lines) for mes in mes_list]
-    return TimingVector("prime", [m.set_index for m in mes_list], times)
+    return [cache.walk_set(mes.key, mes.lines) for mes in mes_list]
 
 
 def probe(cache: CacheModel, mes_list: list[MinimalEvictionSet],
-          baseline: TimingVector,
-          threshold: int | None = None) -> tuple[list[bool], TimingVector]:
-    """Re-walk the sets; a set is evicted iff |time - baseline| > threshold.
+          baseline: list[int]) -> list[bool]:
+    """Re-walk the sets; a set is evicted iff |time - baseline| exceeds
+    the cache's threshold.
 
     The walk reverses the prime order: under true LRU a same-order probe
     would evict its own next element after a single victim insertion and
     read the whole set as missing.
     """
-    if threshold is None:
-        threshold = cache.config.threshold
-    times = [cache.walk_set(mes.key, mes.lines[::-1]) for mes in mes_list]
-    tv = TimingVector("probe", [m.set_index for m in mes_list], times)
-    evicted = [abs(t - b) > threshold for t, b in zip(times, baseline.times)]
-    return evicted, tv
+    threshold = cache.config.threshold
+    return [abs(cache.walk_set(mes.key, mes.lines[::-1]) - b) > threshold
+            for mes, b in zip(mes_list, baseline)]
 
 
-def flush_reload(cache: CacheModel, page_base: int, rng: random.Random,
-                 threshold: int | None = None,
-                 n_lines: int = PAGE_LINES) -> set[int]:
+def flush_reload(cache: CacheModel, page_base: int,
+                 rng: random.Random) -> set[int]:
     """Measure which page lines are cached, in shuffled order; leaves
     all of them resident."""
-    if threshold is None:
-        threshold = cache.config.threshold
-    order = list(range(n_lines))
+    threshold = cache.config.threshold
+    order = list(range(PAGE_LINES))
     rng.shuffle(order)
     cached = set()
     for i in order:
@@ -111,16 +97,14 @@ def detect_stride(observed, candidates: list[int]) -> StrideDetection:
                 support[b - a] += 1
     ranked = sorted((c for c in candidates if support[c]),
                     key=lambda c: (-support[c], c))
-    if not ranked:
-        return StrideDetection(list(candidates), support, None, False, [])
-    if len(ranked) > 1 and support[ranked[0]] == support[ranked[1]]:
-        return StrideDetection(list(candidates), support, None, True, ranked)
-    return StrideDetection(list(candidates), support, ranked[0],
-                           len(ranked) > 1, ranked)
+    ambiguous = len(ranked) > 1
+    if ambiguous and support[ranked[0]] == support[ranked[1]]:
+        return StrideDetection(support, None, True, ranked)
+    return StrideDetection(support, ranked[0] if ranked else None,
+                           ambiguous, ranked)
 
 
 def prefetcher_status_probe(machine: Machine, probes: list[StatusProbe],
-                            threshold: int | None = None,
                             drop_targets: frozenset | set = frozenset(),
                             ) -> dict[int, bool]:
     """Check which trained entries still trigger.
@@ -135,8 +119,7 @@ def prefetcher_status_probe(machine: Machine, probes: list[StatusProbe],
     and timing, modelling an unrelated eviction inside the probe window.
     """
     cache = machine.cache
-    if threshold is None:
-        threshold = cache.config.threshold
+    threshold = cache.config.threshold
     verdict = {}
     for p in probes:
         target = p.replay_addr + p.stride

@@ -24,7 +24,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from . import kernels
-from .kernels import STRIDE_LIMIT, TABLE_SLOTS
+from .kernels import TABLE_SLOTS
 
 LINE_BYTES = 64
 PAGE_BYTES = 4096
@@ -41,20 +41,10 @@ def line_index(addr: Address) -> int:
 def page_frame(addr: Address) -> int:
     return addr >> PAGE_SHIFT
 
-def page_offset(addr: Address) -> int:
-    return addr & (PAGE_BYTES - 1)
-
 
 def ip_tag(full_ip: Address) -> int:
     """Table index of a load instruction: low 8 bits of its IP."""
     return full_ip & 0xFF
-
-
-@dataclass(frozen=True)
-class PrefetchRequest:
-    """A prefetch the table asked the cache hierarchy to perform."""
-    target: Address
-    origin_tag: int
 
 
 @dataclass(frozen=True)
@@ -142,22 +132,13 @@ class PrefetchTable:
     # -- updates ---------------------------------------------------------
 
     def observe_load(self, tlb: Tlb | None, full_ip: Address,
-                     paddr: Address) -> list[PrefetchRequest]:
-        """Feed one demand load; returns the prefetches it triggered (0 or 1)."""
+                     paddr: Address) -> Address | None:
+        """Feed one demand load; returns its prefetch target or None."""
         lru, capacity = (None, 0) if tlb is None else (tlb.lru, tlb.capacity)
-        tag = ip_tag(full_ip)
         emitted, target, _slot = kernels.table_step(
-            tag, paddr, self.tags, self.last, self.stride, self.conf,
-            self.valid, self.mru, self.owner, lru, capacity)
-        if emitted:
-            return [PrefetchRequest(target=target, origin_tag=tag)]
-        return []
-
-    def plru_select_victim(self) -> int:
-        """Replacement choice among a full table: lowest slot with mru clear."""
-        if not all(self.valid):
-            raise ValueError("victim selection requires a fully valid table")
-        return self.mru.index(False)
+            ip_tag(full_ip), paddr, self.tags, self.last, self.stride,
+            self.conf, self.valid, self.mru, self.owner, lru, capacity)
+        return target if emitted else None
 
     def reset(self, write_ports: int = 1) -> int:
         """Invalidate every entry; returns the cycles the wipe occupies."""

@@ -140,7 +140,7 @@ def test_05_table_holds_twenty_four_streams():
 
 def test_06_replacement_walks_not_recently_used_slots():
     result = rev_replacement(n_retrain=8, n_new=8)
-    positions = result.evicted_positions()
+    positions = result.dead_positions()
     ok = positions == list(range(9, 17)) and not result.verify()
     _check(6, ok, f"new streams displaced positions {positions}")
 
@@ -191,8 +191,9 @@ def test_10_observers_alone_leave_the_prefetcher_untouched():
     page = 0x340000
     tlb.access(page_frame(page))
     for i in range(4):  # give the table a live, confident entry
-        for req in table.observe_load(tlb, 0x40002C, page + i * 7 * 64):
-            cache.install_prefetch(req)
+        target = table.observe_load(tlb, 0x40002C, page + i * 7 * 64)
+        if target is not None:
+            cache.install_prefetch(target)
     before = table.state_hash()
 
     mes_list = []

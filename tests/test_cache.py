@@ -138,11 +138,11 @@ def test_build_eviction_set():
     sl, st = c.location(0x80000)
     pool = range(0, 1 << 26, LINE_BYTES)
     mes = build_eviction_set(c, st, sl, pool)
-    assert len(mes.members) == c.config.associativity
-    assert len({a >> 6 for a in mes.members}) == c.config.associativity
-    for a in mes.members:
+    members = [li * LINE_BYTES for li in mes.lines]
+    assert len(members) == c.config.associativity
+    assert len({a >> 6 for a in members}) == c.config.associativity
+    for a in members:
         assert c.location(a) == (sl, st)
-    assert mes.lines == [a >> 6 for a in mes.members]
     assert mes.key == (sl, st)
 
 
@@ -157,11 +157,12 @@ def test_eviction_set_displaces_a_victim_line():
     victim = 0x80000
     sl, st = c.location(victim)
     mes = build_eviction_set(c, st, sl, range(1 << 22, 1 << 26, LINE_BYTES))
-    for a in mes.members:  # prime
+    members = [li * LINE_BYTES for li in mes.lines]
+    for a in members:  # prime
         c.access(a)
     c.access(victim)
     # probing the set again must show at least one displaced member
-    latencies = [c.access(a) for a in mes.members]
+    latencies = [c.access(a) for a in members]
     assert latencies.count(200) >= 1
 
 

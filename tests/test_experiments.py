@@ -16,6 +16,7 @@ from afterimage.experiments import (
     ATTACK_CHANNELS,
     MitigationReport,
     NoiseModel,
+    SurvivalResult,
     UnsupportedChannelError,
     _apply_page_noise,
     _page_eviction_sets,
@@ -139,16 +140,24 @@ def test_entries_verify_clean():
 
 def test_replacement_victims_follow_refreshed_prefix():
     result = rev_replacement(n_retrain=8, n_new=8)
-    assert result.evicted_positions() == [9, 10, 11, 12, 13, 14, 15, 16]
+    assert result.dead_positions() == [9, 10, 11, 12, 13, 14, 15, 16]
     assert result.verify() == []
 
 
 def test_replacement_without_refresh_evicts_from_front():
-    assert rev_replacement(0, 8).evicted_positions() == list(range(1, 9))
+    assert rev_replacement(0, 8).dead_positions() == list(range(1, 9))
 
 
 def test_replacement_no_newcomers_no_victims():
-    assert rev_replacement(8, 0).evicted_positions() == []
+    assert rev_replacement(8, 0).dead_positions() == []
+
+
+def test_survival_verify_reports_one_line():
+    # 26 streams that all survived: the two oldest should have died
+    assert SurvivalResult([True] * 26, [1, 2]).verify() == [
+        "dead positions [], expected [1, 2]"]
+    # no closed form: nothing to check against
+    assert SurvivalResult([False] * 24, None).verify() == []
 
 
 # --------------------------------------------------------------------------
@@ -226,8 +235,7 @@ def _mes_for_line(cache, page_paddr, line):
 
 def _search_outcome(search):
     try:
-        return [(m.set_index, m.slice_index, m.members, m.lines)
-                for m in search()]
+        return [(m.set_index, m.slice_index, m.lines) for m in search()]
     except EvictionSetError as exc:
         return str(exc)
 

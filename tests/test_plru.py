@@ -1,7 +1,5 @@
 """Bit-PLRU replacement behaviour of the stride table."""
 
-import pytest
-
 from afterimage.uarch import PrefetchTable
 
 PAGE = 0x900000
@@ -31,15 +29,10 @@ def test_victim_after_full_touch_cycle_is_slot_zero():
     t = PrefetchTable()
     fill_table(t)
     # hand-run: bits reset at the 24th touch, leaving only slot 23 set,
-    # so the lowest clear slot is 0
-    assert t.plru_select_victim() == 0
-
-
-def test_victim_selection_needs_full_table():
-    t = PrefetchTable()
-    t.observe_load(None, 0x400000, PAGE)
-    with pytest.raises(ValueError):
-        t.plru_select_victim()
+    # so the lowest clear slot is 0 and the 25th tag lands there
+    t.observe_load(None, 0x400000 | 24, PAGE + 24 * 0x1000)
+    assert t.lookup(24) == 0
+    assert t.lookup(0) is None
 
 
 def test_retouched_slots_survive_a_burst_of_inserts():

@@ -31,18 +31,17 @@ def build_page_sets(cache, page_base, n_lines=16):
 def test_prime_baseline_is_all_hits():
     cache = CacheModel()
     sets = build_page_sets(cache, PAGE, 4)
-    tv = prime(cache, sets)
-    assert tv.times == [16 * 40] * 4
-    assert tv.phase == "prime"
+    assert prime(cache, sets) == [16 * 40] * 4
 
 
 def test_probe_without_victim_sees_nothing():
     cache = CacheModel()
     sets = build_page_sets(cache, PAGE, 6)
     baseline = prime(cache, sets)
-    evicted, tv = probe(cache, sets, baseline)
-    assert evicted == [False] * 6
-    assert tv.times == baseline.times
+    misses = cache.demand_misses
+    assert probe(cache, sets, baseline) == [False] * 6
+    # every probe access hits, so each set's time equals its baseline
+    assert cache.demand_misses == misses
 
 
 @pytest.mark.parametrize("n", [1, 5, 16])
@@ -54,13 +53,12 @@ def test_prime_and_probe_counters_and_lru_order(n):
     assert cache.demand_accesses == 2 * 16 * n
     assert cache.demand_misses == 16 * n
     for mes in sets:
-        assert cache.sets[mes.key] == [a // LINE_BYTES for a in mes.members]
+        assert cache.sets[mes.key] == mes.lines
     probe(cache, sets, baseline)
     assert cache.demand_accesses == 3 * 16 * n
     assert cache.demand_misses == 16 * n
     for mes in sets:
-        assert cache.sets[mes.key] == [a // LINE_BYTES
-                                       for a in reversed(mes.members)]
+        assert cache.sets[mes.key] == mes.lines[::-1]
 
 
 def test_probe_flags_victim_touched_sets():
@@ -69,10 +67,12 @@ def test_probe_flags_victim_touched_sets():
     baseline = prime(cache, sets)
     cache.access(PAGE + 3 * LINE_BYTES)  # victim line
     cache.access(PAGE + 10 * LINE_BYTES)  # prefetch target, say
-    evicted, tv = probe(cache, sets, baseline)
+    misses = cache.demand_misses
+    evicted = probe(cache, sets, baseline)
     assert [i for i, e in enumerate(evicted) if e] == [3, 10]
-    # one displaced member turns one hit into a miss: |delta| = 160 > 120
-    assert tv.times[3] - baseline.times[3] == 160
+    # one displaced member turns one hit into a miss in each touched set:
+    # |delta| = 160 > 120
+    assert cache.demand_misses - misses == 2
 
 
 def test_flush_reload_reports_exactly_the_cached_lines():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afterimage.kernels import STRIDE_LIMIT
 from afterimage.uarch import (
     PAGE_BYTES,
-    STRIDE_LIMIT,
     PrefetchTable,
     Tlb,
     ip_tag,
@@ -19,11 +19,13 @@ PAGE = 0x600000  # frame-aligned scratch page
 
 
 def train(table, ip, base, stride, n, tlb=None):
-    """Issue n loads at base, base+stride, ... collecting every request."""
-    reqs = []
+    """Issue n loads at base, base+stride, ... collecting every target."""
+    targets = []
     for i in range(n):
-        reqs.extend(table.observe_load(tlb, ip, base + i * stride))
-    return reqs
+        target = table.observe_load(tlb, ip, base + i * stride)
+        if target is not None:
+            targets.append(target)
+    return targets
 
 
 def test_tag_is_low_byte_of_ip():
@@ -44,8 +46,7 @@ def test_ips_sharing_low_byte_share_an_entry():
     assert slot is not None
     assert t.entry(slot).stride == 448
     # and continuing the pattern through it triggers immediately
-    reqs = t.observe_load(None, 0x7FF0A0, PAGE + 2 * 448)
-    assert [r.target for r in reqs] == [PAGE + 3 * 448]
+    assert t.observe_load(None, 0x7FF0A0, PAGE + 2 * 448) == PAGE + 3 * 448
 
 
 def test_lookup_with_different_low_byte_misses():
@@ -56,18 +57,17 @@ def test_lookup_with_different_low_byte_misses():
 
 def test_first_load_creates_cold_entry():
     t = PrefetchTable()
-    assert t.observe_load(None, 0x4010A0, PAGE + 512) == []
+    assert t.observe_load(None, 0x4010A0, PAGE + 512) is None
     e = t.entry_for(0xA0)
     assert (e.last_addr, e.stride, e.confidence) == (PAGE + 512, 0, 0)
 
 
 def test_third_matching_load_triggers():
     t = PrefetchTable()
-    assert t.observe_load(None, 0x4010A0, PAGE) == []
-    assert t.observe_load(None, 0x4010A0, PAGE + 448) == []
+    assert t.observe_load(None, 0x4010A0, PAGE) is None
+    assert t.observe_load(None, 0x4010A0, PAGE + 448) is None
     assert t.entry_for(0xA0).confidence == 1
-    reqs = t.observe_load(None, 0x4010A0, PAGE + 2 * 448)
-    assert [r.target for r in reqs] == [PAGE + 3 * 448]
+    assert t.observe_load(None, 0x4010A0, PAGE + 2 * 448) == PAGE + 3 * 448
     assert t.entry_for(0xA0).confidence == 2
 
 
@@ -75,9 +75,9 @@ def test_trigger_uses_stale_stride_before_retraining():
     t = PrefetchTable()
     train(t, 0x4010A0, PAGE, 448, 3)  # confidence now 2, stride 448
     cur = PAGE + 2 * 448 + 320  # breaks the pattern
-    reqs = t.observe_load(None, 0x4010A0, cur)
+    target = t.observe_load(None, 0x4010A0, cur)
     # the old stride still fires once, then the entry falls back to learning
-    assert [r.target for r in reqs] == [cur + 448]
+    assert target == cur + 448
     e = t.entry_for(0xA0)
     assert (e.stride, e.confidence) == (320, 1)
 
@@ -85,8 +85,8 @@ def test_trigger_uses_stale_stride_before_retraining():
 def test_confidence_saturates_at_three():
     t = PrefetchTable()
     for i in range(10):
-        reqs = t.observe_load(None, 0x4010A0, PAGE + i * 448)
-        assert len(reqs) == (1 if i >= 2 else 0)
+        target = t.observe_load(None, 0x4010A0, PAGE + i * 448)
+        assert (target is not None) == (i >= 2)
     assert t.entry_for(0xA0).confidence == 3
 
 
@@ -95,9 +95,9 @@ def test_stride_switch_relearns_in_two_loads():
     train(t, 0x4010A0, PAGE, 448, 4)  # saturated on 448
     last = PAGE + 3 * 448
     r1 = t.observe_load(None, 0x4010A0, last + 320)
-    assert [r.target for r in r1] == [last + 320 + 448]  # stale stride fires
+    assert r1 == last + 320 + 448  # stale stride fires
     r2 = t.observe_load(None, 0x4010A0, last + 2 * 320)
-    assert [r.target for r in r2] == [last + 2 * 320 + 320]  # new stride locked in
+    assert r2 == last + 2 * 320 + 320  # new stride locked in
     assert t.entry_for(0xA0).confidence == 2
 
 
@@ -119,16 +119,14 @@ def test_oversized_distances_saturate_the_stride_field():
 
 def test_negative_stride_triggers_within_frame():
     t = PrefetchTable()
-    reqs = train(t, 0x4010A0, PAGE + 3 * 448, -448, 3)
-    assert [r.target for r in reqs] == [PAGE]
+    assert train(t, 0x4010A0, PAGE + 3 * 448, -448, 3) == [PAGE]
 
 
 def test_backward_page_cross_target_is_dropped():
     t = PrefetchTable()
     train(t, 0x4010A0, PAGE + 3 * 448, -448, 3)  # descending, confidence 2
     # next load sits at the frame base; its target would land one frame back
-    reqs = t.observe_load(None, 0x4010A0, PAGE)
-    assert reqs == []
+    assert t.observe_load(None, 0x4010A0, PAGE) is None
     e = t.entry_for(0xA0)
     assert (e.stride, e.confidence) == (-448, 3)  # update still happened
 
@@ -136,9 +134,9 @@ def test_backward_page_cross_target_is_dropped():
 def test_forward_target_may_enter_next_frame():
     t = PrefetchTable()
     base = PAGE + 2800
-    reqs = train(t, 0x4010A0, base, 448, 3)
+    targets = train(t, 0x4010A0, base, 448, 3)
     target = base + 3 * 448  # 2800 + 1344 = 4144, one frame up
-    assert [r.target for r in reqs] == [target]
+    assert targets == [target]
     assert page_frame(target) == page_frame(PAGE) + 1
 
 
@@ -150,12 +148,11 @@ def test_new_frame_with_cold_tlb_needs_two_accesses():
     nxt = PAGE + PAGE_BYTES + 128
     assert page_frame(nxt) not in tlb
     # first touch of the frame only performs the walk
-    assert t.observe_load(tlb, 0x4010A0, nxt) == []
+    assert t.observe_load(tlb, 0x4010A0, nxt) is None
     assert t.entry_for(0xA0) == before
     assert page_frame(nxt) in tlb
     # the repeat runs the normal update and fires
-    reqs = t.observe_load(tlb, 0x4010A0, nxt)
-    assert [r.target for r in reqs] == [nxt + 448]
+    assert t.observe_load(tlb, 0x4010A0, nxt) == nxt + 448
 
 
 def test_same_frame_loads_ignore_tlb_misses():
@@ -164,14 +161,13 @@ def test_same_frame_loads_ignore_tlb_misses():
     train(t, 0x4010A0, PAGE, 448, 3, tlb=tlb)
     tlb.clear()
     # translation misses but the load stays on the entry's frame
-    reqs = t.observe_load(tlb, 0x4010A0, PAGE + 3 * 448)
-    assert [r.target for r in reqs] == [PAGE + 4 * 448]
+    assert t.observe_load(tlb, 0x4010A0, PAGE + 3 * 448) == PAGE + 4 * 448
 
 
 def test_cold_tlb_still_creates_fresh_entries():
     t = PrefetchTable()
     tlb = Tlb()
-    assert t.observe_load(tlb, 0x4010A0, PAGE) == []
+    assert t.observe_load(tlb, 0x4010A0, PAGE) is None
     assert t.entry_for(0xA0) is not None
 
 
@@ -277,15 +273,16 @@ def test_random_hammer_invariants():
         tag = rng.randrange(256)
         addr = (1 << 21) + rng.randrange(1 << 24)
         if t.lookup(tag) is None and t.occupancy() == t.SLOTS:
-            predicted = t.plru_select_victim()
+            # Bit-PLRU: the lowest slot whose recency bit is clear
+            predicted = t.mru.index(False)
         else:
             predicted = None
-        reqs = t.observe_load(None, 0x400000 | tag, addr)
+        target = t.observe_load(None, 0x400000 | tag, addr)
         if predicted is not None:
-            # the create path must agree with the exposed victim rule
+            # the create path must evict the slot the rule names
             assert t.tags[predicted] == tag
-        for r in reqs:
-            assert page_frame(r.target) - page_frame(addr) in (0, 1)
+        if target is not None:
+            assert page_frame(target) - page_frame(addr) in (0, 1)
         assert t.occupancy() <= t.SLOTS
         assert all(0 <= c <= 3 for c in t.conf)
         assert all(abs(s) <= STRIDE_LIMIT for s in t.stride)
@@ -311,7 +308,8 @@ def test_state_hash_pinned_across_eviction_and_tlb_gate():
             elif (page_frame(addr) not in tlb
                   and page_frame(addr) != page_frame(e.last_addr)):
                 gated += 1
-            triggers += len(table.observe_load(tlb, 0x400000 | tag, addr))
+            target = table.observe_load(tlb, 0x400000 | tag, addr)
+            triggers += target is not None
     assert evictions and gated and triggers
     assert table.state_hash() == \
         "0ab101e93ccfcfd8efe9e7740ad8f8ef7be23e5c5a1cf799abc62cfd34268ab9"

@@ -97,11 +97,11 @@ def detect_stride(observed, candidates: list[int]) -> StrideDetection:
                 support[b - a] += 1
     ranked = sorted((c for c in candidates if support[c]),
                     key=lambda c: (-support[c], c))
-    ambiguous = len(ranked) > 1
-    if ambiguous and support[ranked[0]] == support[ranked[1]]:
+    if not ranked:
+        return StrideDetection(support, None, False, [])
+    if len(ranked) > 1 and support[ranked[0]] == support[ranked[1]]:
         return StrideDetection(support, None, True, ranked)
-    return StrideDetection(support, ranked[0] if ranked else None,
-                           ambiguous, ranked)
+    return StrideDetection(support, ranked[0], len(ranked) > 1, ranked)
 
 
 def prefetcher_status_probe(machine: Machine, probes: list[StatusProbe],

@@ -270,20 +270,35 @@ def test_random_hammer_invariants():
     rng = random.Random(1234)
     t = PrefetchTable()
     for step in range(20000):
+        if step and step % 2000 == 0:
+            t.reset()
         tag = rng.randrange(256)
         addr = (1 << 21) + rng.randrange(1 << 24)
-        if t.lookup(tag) is None and t.occupancy() == t.SLOTS:
+        filled = t.occupancy()
+        if t.lookup(tag) is not None:
+            predicted = None
+        elif filled == t.SLOTS:
             # Bit-PLRU: the lowest slot whose recency bit is clear
             predicted = t.mru.index(False)
         else:
-            predicted = None
+            # slots fill in order from 0, so the occupied ones are a prefix
+            predicted = filled
         target = t.observe_load(None, 0x400000 | tag, addr)
         if predicted is not None:
-            # the create path must evict the slot the rule names
+            # the create path must allocate the slot the rule names
             assert t.tags[predicted] == tag
+            assert t.lookup(tag) == predicted
         if target is not None:
             assert page_frame(target) - page_frame(addr) in (0, 1)
-        assert t.occupancy() <= t.SLOTS
+        filled = t.occupancy()
+        assert filled <= t.SLOTS
+        # check the fill boundary and the loaded slot every step, and all
+        # slots every 100 steps; 24 entries a step makes the test 4x slower
+        slots = range(t.SLOTS) if step % 100 == 0 else \
+            {max(filled - 1, 0), min(filled, t.SLOTS - 1), t.lookup(tag)}
+        for s in slots:
+            assert t.entry(s).valid == (s < filled)
+        assert t.lookup(tag) == t.owner.get(tag)
         assert all(0 <= c <= 3 for c in t.conf)
         assert all(abs(s) <= STRIDE_LIMIT for s in t.stride)
     assert t.occupancy() == t.SLOTS

@@ -28,7 +28,6 @@ from .cache import CacheConfig
 from .experiments import (
     DEFAULT_CLOCK_GHZ,
     NoiseModel,
-    UnsupportedChannelError,
     flush_period_cycles,
     load_trace,
     mitigation_eval,
@@ -400,9 +399,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = read_config(args.config) if args.config else {}
         return _HANDLERS[args.command](args, config)
-    except (UsageError, UnsupportedChannelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

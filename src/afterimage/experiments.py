@@ -120,7 +120,7 @@ def _apply_page_noise(cache: CacheModel, noise: NoiseModel,
     probability sweeps consume identical random streams."""
     if noise.next_line_noise:
         frame = page_frame(page_paddr)
-        victim_lines = {(ev.paddr >> 6) & (PAGE_LINES - 1)
+        victim_lines = {(ev.paddr >> LINE_SHIFT) & (PAGE_LINES - 1)
                         for ev in victim_events if ev.kind == "load"
                         and page_frame(ev.paddr) == frame}
         for ln in sorted(victim_lines):
@@ -185,7 +185,7 @@ class IndexingResult:
                 for off, hit in enumerate(self.triggered)]
 
 
-def rev_indexing(trained_tag: int = 0x2C, stride_lines: int = 7,
+def rev_indexing(trained_tag: int = 0x2C,
                  cache_config=None) -> IndexingResult:
     """Train one entry, then replay from 256 differently-tagged IPs.
 
@@ -196,7 +196,7 @@ def rev_indexing(trained_tag: int = 0x2C, stride_lines: int = 7,
     """
     if not 0 <= trained_tag <= 0xFF:
         raise ValueError("trained_tag must fit in one byte")
-    sb = _stride_bytes(stride_lines)
+    sb = _stride_bytes(7)
     train_page = 0x100000
     replay_page = 0x180000
     train_ip = ip_with_tag(0x400000, trained_tag)
@@ -331,10 +331,16 @@ class PageResult:
     verdicts: dict[tuple[str, int], bool]
     cold_next_page: tuple[bool, bool]
 
+    @staticmethod
+    def _warm(pool: str, off: int) -> bool:
+        """The documented rule: a trial's translation is warm, and so
+        its prefetch fetches, on a reclaimed frame or the next page."""
+        return pool == "reclaimed" or off == 1
+
     def verify(self) -> list[str]:
         problems = []
         for (pool, off), got in sorted(self.verdicts.items()):
-            want = pool == "reclaimed" or off == 1
+            want = self._warm(pool, off)
             if got != want:
                 problems.append(
                     f"{pool} pool, {off} page(s) ahead: "
@@ -348,9 +354,8 @@ class PageResult:
     def rows(self) -> list[dict]:
         out = []
         for (pool, off), got in sorted(self.verdicts.items()):
-            warm = pool == "reclaimed" or off == 1
             out.append({"pool": pool, "offset_pages": off,
-                        "tlb": "warm" if warm else "cold",
+                        "tlb": "warm" if self._warm(pool, off) else "cold",
                         "access": 1, "triggered": int(got)})
         for i, got in enumerate(self.cold_next_page):
             out.append({"pool": "locked", "offset_pages": 1, "tlb": "cold",
@@ -524,7 +529,10 @@ class RoundRecord:
     truth: int
     detected: int | None
     inferred: int | None
-    success: bool
+
+    @property
+    def success(self) -> bool:
+        return self.inferred == self.truth
 
 
 @dataclass
@@ -684,7 +692,7 @@ def _user_kernel(machine: Machine, seed: int,
     shared_paddr = 0x7A0000
     kernel_vaddr = 0xFFFF80000000
     user = Domain("user")
-    kernel = Domain("kernel", kind="kernel", phys_offset=0x80000000)
+    kernel = Domain("kernel", phys_offset=0x80000000)
     kernel.map_shared(kernel_vaddr, shared_paddr)
     source = _secret_source(seed, flush_on_switch)
     syscall = build_kernel_syscall(source, kernel_tag, kernel_vaddr)
@@ -767,8 +775,7 @@ def _score_rounds(machine: Machine, sc: _Scenario, channel: str,
                 observed = flush_reload(cache, sc.page_paddr, rng)
             detected = detect_stride(observed, strides).detected
         inferred = sc.decode.get(detected)
-        records.append(RoundRecord(i, truth, detected, inferred,
-                                   inferred == truth))
+        records.append(RoundRecord(i, truth, detected, inferred))
     return records
 
 
@@ -845,12 +852,10 @@ class MitigationReport:
 
 
 def synthetic_workload(n_loads: int = 144_000, n_ips: int = 8,
-                       stride_lines: int = 7,
-                       code_base: int = 0x900000,
-                       data_base: int = 0x20000000,
                        spacing: int = 1 << 24) -> list[tuple[int, int]]:
     """Interleave ``n_ips`` fixed-stride streams, one load per turn."""
-    sb = _stride_bytes(stride_lines)
+    sb = _stride_bytes(7)
+    code_base, data_base = 0x900000, 0x20000000
     ips = [ip_with_tag(code_base + k * 0x1000, 0x10 + k)
            for k in range(n_ips)]
     if n_loads // n_ips * sb >= spacing:

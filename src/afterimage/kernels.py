@@ -8,11 +8,12 @@ Table state lists (one element per slot):
     last    int     physical byte address of the owner's previous load
     stride  int     signed byte stride, saturated to +/-STRIDE_LIMIT
     conf    int     2-bit confidence counter
-    valid   bool    slot occupied
     mru     bool    Bit-PLRU recency bit
 
-Beside them, ``owner`` is a dict from the tag of every valid slot to
-that slot, so a load finds its entry with one hash probe.
+Beside them, ``owner`` is a dict from the tag of every occupied slot to
+that slot, so a load finds its entry with one hash probe.  Slots fill
+from 0 and only a reset empties them, so slot ``s`` is occupied exactly
+when ``s < len(owner)``.
 
 TLB state: an ``OrderedDict`` whose keys are the cached physical page
 frames, least recently used first, and a capacity.  A hit moves its
@@ -48,8 +49,8 @@ def tlb_access(lru, capacity, frame):
     return False
 
 
-def table_step(tag, paddr, tags, last, stride, conf, valid, mru, owner,
-               tlb, tlb_capacity):
+def table_step(tag, paddr, tags, last, stride, conf, mru, owner, tlb,
+               tlb_capacity):
     """Feed one demand load to the table.
 
     Returns (emitted, target, slot).  A load whose page translation
@@ -67,13 +68,11 @@ def table_step(tag, paddr, tags, last, stride, conf, valid, mru, owner,
         tlb_hit = tlb_access(tlb, tlb_capacity, paddr >> PAGE_SHIFT)
 
     if slot < 0:
-        try:
-            slot = valid.index(False)
-        except ValueError:
+        slot = len(owner)
+        if slot == len(tags):
             slot = mru.index(False)  # lowest clear bit; touch keeps one
             del owner[tags[slot]]
         owner[tag] = slot
-        valid[slot] = True
         tags[slot] = tag
         last[slot] = paddr
         stride[slot] = 0
@@ -109,15 +108,15 @@ def table_step(tag, paddr, tags, last, stride, conf, valid, mru, owner,
     return False, 0, slot
 
 
-def run_table_batch(in_tags, in_addrs, tags, last, stride, conf, valid, mru,
-                    owner, tlb, tlb_capacity):
+def run_table_batch(in_tags, in_addrs, tags, last, stride, conf, mru, owner,
+                    tlb, tlb_capacity):
     """Replay a load trace; returns lists (emit, target, last, stride, conf)
     holding each step's emission and touched-entry state."""
     emits, targets, lasts, strides, confs = [], [], [], [], []
     for tag, paddr in zip(in_tags, in_addrs):
         emitted, target, slot = table_step(
-            tag, paddr, tags, last, stride, conf, valid, mru, owner,
-            tlb, tlb_capacity)
+            tag, paddr, tags, last, stride, conf, mru, owner, tlb,
+            tlb_capacity)
         emits.append(emitted)
         targets.append(target)
         lasts.append(last[slot])

@@ -164,8 +164,8 @@ def check_seed(seed: int, n_loads: int) -> tuple[int, int, str]:
 
     table = PrefetchTable()
     t_out = run_table_batch(tags, addrs, table.tags, table.last,
-                            table.stride, table.conf, table.valid, table.mru,
-                            table.owner, None, 0)
+                            table.stride, table.conf, table.mru, table.owner,
+                            None, 0)
 
     ref = ReferenceModel()
     r_out = ref.replay(tags, addrs)

@@ -16,13 +16,13 @@ is armed: ``flush_on_switch`` wipes the table at every switch, and a
 
 from __future__ import annotations
 
-import math
 import random
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
 from .cache import CacheConfig, CacheModel
+from .kernels import STRIDE_LIMIT
 from .uarch import (
     LINE_BYTES,
     PAGE_BYTES,
@@ -93,14 +93,11 @@ class SecretSource:
 class Domain:
     """Protection context with its own virtual-to-physical mapping."""
 
-    def __init__(self, name: str, kind: str = "user", phys_offset: int = 0,
+    def __init__(self, name: str, phys_offset: int = 0,
                  frame_map: dict[int, int] | None = None):
-        if kind not in ("user", "kernel"):
-            raise ValueError("kind must be 'user' or 'kernel'")
         if phys_offset % PAGE_BYTES:
             raise ValueError("phys_offset must be page aligned")
         self.name = name
-        self.kind = kind
         self.phys_offset = phys_offset
         self.frame_map = dict(frame_map or {})
 
@@ -144,9 +141,7 @@ class Machine:
                  flush_on_switch: bool = False,
                  flush_period: int | None = None,
                  write_ports: int = 1):
-        if write_ports < 1:
-            raise ValueError("write_ports must be >= 1")
-        reset_cost = math.ceil(PrefetchTable.SLOTS / write_ports)
+        reset_cost = PrefetchTable.reset_cost(write_ports)
         if flush_period is not None and not flush_period > reset_cost:
             # the clock would owe a reset again as soon as one ended
             raise ValueError(
@@ -262,7 +257,7 @@ class Machine:
 
 def _stride_bytes(stride_lines: int) -> int:
     sb = stride_lines * LINE_BYTES
-    if abs(sb) > 2047:
+    if abs(sb) > STRIDE_LIMIT:
         raise ValueError(f"stride {stride_lines} lines exceeds the 13-bit field")
     return sb
 
@@ -295,11 +290,11 @@ def line_picker(array_base: int, array_lines: int):
 
 
 def build_victim(source: SecretSource, if_tag: int, else_tag: int,
-                 array_base: int, array_lines: int = 48,
-                 code_base: int = 0x700000) -> Program:
+                 array_base: int, array_lines: int = 48) -> Program:
     """Secret-dependent branch; each arm loads one arbitrary array line."""
     if array_lines < 1 or array_lines > PAGE_BYTES // LINE_BYTES:
         raise ValueError("array must fit one page")
+    code_base = 0x700000
     branch = Branch(
         source,
         taken=(Load(ip_with_tag(code_base, if_tag),
@@ -310,9 +305,10 @@ def build_victim(source: SecretSource, if_tag: int, else_tag: int,
     return Program("victim", [branch])
 
 
-def build_kernel_syscall(source: SecretSource, tag: int, shared_vaddr: int,
-                         array_lines: int = 48) -> Program:
+def build_kernel_syscall(source: SecretSource, tag: int,
+                         shared_vaddr: int) -> Program:
     """Syscall body: when the secret bit is set, one load into shared memory."""
+    array_lines = 48
     branch = Branch(
         source,
         taken=(Load(ip_with_tag(KERNEL_CODE_BASE, tag),
@@ -323,9 +319,8 @@ def build_kernel_syscall(source: SecretSource, tag: int, shared_vaddr: int,
 
 
 def ip_matching_groups(n_groups: int = 20, group_size: int = 24,
-                       stride_lines: int = 11, iterations: int = 3,
-                       code_base: int = 0x400000,
-                       data_base: int = 0x40000000) -> list[Program]:
+                       stride_lines: int = 11,
+                       iterations: int = 3) -> list[Program]:
     """Training programs whose tags jointly cover the whole 8-bit space.
 
     Group g holds group_size loads with distinct low-byte tags, each
@@ -340,6 +335,7 @@ def ip_matching_groups(n_groups: int = 20, group_size: int = 24,
     if n_groups * group_size < 256:
         raise ValueError("groups cannot cover all 256 tags")
     sb = _stride_bytes(stride_lines)
+    code_base, data_base = 0x400000, 0x40000000
     groups = []
     for g in range(n_groups):
         steps: list[Step] = []

@@ -89,18 +89,14 @@ class PrefetchTable:
         self.last = [0] * self.SLOTS
         self.stride = [0] * self.SLOTS
         self.conf = [0] * self.SLOTS
-        self.valid = [False] * self.SLOTS
         self.mru = [False] * self.SLOTS
-        self.owner = {}  # tag -> slot of every valid entry
+        self.owner = {}  # tag -> slot of every occupied entry
 
     # -- queries ---------------------------------------------------------
 
     def lookup(self, tag: int) -> int | None:
         """Slot index owning the tag, or None.  Pure query, no state change."""
-        for i in range(self.SLOTS):
-            if self.valid[i] and self.tags[i] == tag:
-                return i
-        return None
+        return self.owner.get(tag)
 
     def entry(self, slot: int) -> PrefetcherEntry:
         return PrefetcherEntry(
@@ -108,7 +104,7 @@ class PrefetchTable:
             last_addr=self.last[slot],
             stride=self.stride[slot],
             confidence=self.conf[slot],
-            valid=self.valid[slot],
+            valid=slot < len(self.owner),
             mru_bit=self.mru[slot],
         )
 
@@ -117,15 +113,16 @@ class PrefetchTable:
         return None if slot is None else self.entry(slot)
 
     def occupancy(self) -> int:
-        return sum(self.valid)
+        """Occupied slots; they are always slots 0 .. occupancy() - 1."""
+        return len(self.owner)
 
     def state_hash(self) -> str:
         """sha256 over the slot fields: little-endian int64s, then one
-        byte per bool."""
+        byte per valid flag and one per recency bit."""
         h = hashlib.sha256()
         for values in (self.tags, self.last, self.stride, self.conf):
             h.update(struct.pack(f"<{self.SLOTS}q", *values))
-        h.update(bytes(self.valid))
+        h.update(bytes(s < len(self.owner) for s in range(self.SLOTS)))
         h.update(bytes(self.mru))
         return h.hexdigest()
 
@@ -137,18 +134,23 @@ class PrefetchTable:
         lru, capacity = (None, 0) if tlb is None else (tlb.lru, tlb.capacity)
         emitted, target, _slot = kernels.table_step(
             ip_tag(full_ip), paddr, self.tags, self.last, self.stride,
-            self.conf, self.valid, self.mru, self.owner, lru, capacity)
+            self.conf, self.mru, self.owner, lru, capacity)
         return target if emitted else None
+
+    @classmethod
+    def reset_cost(cls, write_ports: int) -> int:
+        """Cycles a reset occupies: each cycle wipes one slot per port."""
+        if write_ports < 1:
+            raise ValueError("write_ports must be >= 1")
+        return math.ceil(cls.SLOTS / write_ports)
 
     def reset(self, write_ports: int = 1) -> int:
         """Invalidate every entry; returns the cycles the wipe occupies."""
-        if write_ports < 1:
-            raise ValueError("write_ports must be >= 1")
+        cycles = self.reset_cost(write_ports)
         self.tags[:] = [0] * self.SLOTS
         self.last[:] = [0] * self.SLOTS
         self.stride[:] = [0] * self.SLOTS
         self.conf[:] = [0] * self.SLOTS
-        self.valid[:] = [False] * self.SLOTS
         self.mru[:] = [False] * self.SLOTS
         self.owner.clear()
-        return math.ceil(self.SLOTS / write_ports)
+        return cycles

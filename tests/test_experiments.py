@@ -358,15 +358,23 @@ def test_mitigated_kernel_search_comes_up_empty():
     assert outcome.detail["matched_group"] is None
 
 
-def test_mitigation_reset_cost_identity():
+@pytest.fixture(scope="module")
+def default_mitigation():
+    # the default run replays 144,000 loads three times; the tests that
+    # take it only read its report
+    return mitigation_eval()
+
+
+def test_mitigation_reset_cost_identity(default_mitigation):
     for ports in (1, 2, 4):
-        report = mitigation_eval(write_ports=ports)
+        report = (default_mitigation if ports == 1
+                  else mitigation_eval(write_ports=ports))
         assert report.reset_cycles == report.flushes * math.ceil(24 / ports)
         assert report.flushes > 0
 
 
-def test_mitigation_coverage_delta_is_small():
-    report = mitigation_eval()
+def test_mitigation_coverage_delta_is_small(default_mitigation):
+    report = default_mitigation
     assert report.coverage_no_flush > 0.7
     assert 0.0 <= report.coverage_delta <= 0.02
 
@@ -398,8 +406,8 @@ def test_only_plus_inf_disables_flushing():
             mitigation_eval(loads, flush_period_cycles=period)
 
 
-def test_mitigation_report_rows():
-    report = mitigation_eval()
+def test_mitigation_report_rows(default_mitigation):
+    report = default_mitigation
     (row,) = report.rows()
     assert row["flushes"] == report.flushes
     assert row["coverage_delta"] == f"{report.coverage_delta:.6f}"

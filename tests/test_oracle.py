@@ -23,7 +23,7 @@ def replay_both(pairs):
     table = PrefetchTable()
     t_emit, *t_out = run_table_batch(
         tags, addrs, table.tags, table.last, table.stride, table.conf,
-        table.valid, table.mru, table.owner, None, 0)
+        table.mru, table.owner, None, 0)
 
     ref = ReferenceModel()
     r_emit, r_target, r_last, r_stride, r_conf = ref.replay(tags, addrs)
@@ -123,8 +123,7 @@ def test_check_seed_reports_corrupted_targets(monkeypatch):
     tags, addrs = generate_loads(random.Random(3), 2000)
     table = PrefetchTable()
     emit = run_table_batch(tags, addrs, table.tags, table.last, table.stride,
-                           table.conf, table.valid, table.mru, table.owner,
-                           None, 0)[0]
+                           table.conf, table.mru, table.owner, None, 0)[0]
     real = kernels.table_step
 
     def off_by_a_line(*args):

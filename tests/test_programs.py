@@ -45,8 +45,6 @@ def test_domain_translation_and_sharing():
     assert d.translate(0x22000) == 0x100022000  # past the shared window
     with pytest.raises(ValueError):
         Domain("x", phys_offset=123)
-    with pytest.raises(ValueError):
-        Domain("x", kind="enclave")
 
 
 def test_gadget_builder_validation():
@@ -95,7 +93,7 @@ def test_kernel_syscall_loads_only_when_bit_set():
     src = SecretSource(bits=[0, 1])
     prog = build_kernel_syscall(src, 0xC3, shared_vaddr=0x30000)
     m = Machine()
-    k = Domain("kern", kind="kernel")
+    k = Domain("kern")
     assert [e.kind for e in m.run_program(k, prog) if e.kind == "load"] == []
     ev = m.run_program(k, prog)
     assert len([e for e in ev if e.kind == "load"]) == 1

@@ -305,6 +305,17 @@ def test_adjacent_line_noise_does_not_fool_the_detector():
     assert outcome.success_rate == 1.0
 
 
+def test_next_line_noise_changes_prime_probe_rounds():
+    # with a stray line and evictions beside it, the victim's neighbours
+    # add candidate pairs; the option must move some rounds
+    def rows(next_line):
+        noise = NoiseModel(0.05, 1.0, next_line_noise=next_line, seed=4)
+        return run_attack(1, "prime_probe", rounds=20, noise=noise,
+                          seed=4).rows()
+
+    assert rows(True) != rows(False)
+
+
 def test_next_line_noise_installs_neighbours_of_the_victim_loads():
     # only loads on the watched page count, and neighbours stay on it
     page = 0x600000

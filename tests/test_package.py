@@ -1,5 +1,6 @@
-"""Package hygiene: every public name resolves, and no module imports a
-name it never uses.  A dependency-free stand-in for a linter."""
+"""Package hygiene: every public name resolves, no module imports a name
+it never uses, and no private definition or attribute goes unread.  A
+dependency-free stand-in for a linter."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,46 @@ def test_no_module_imports_an_unused_name():
     unused = [problem for path in sorted(SRC.glob("*.py"))
               for problem in _unused_imports(path)]
     assert unused == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_private_definition_is_referenced():
+    # a private function, class or method that no line names is dead
+    defined, referenced = {}, set()
+    for fname, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and _private(node.name):
+                defined[node.name] = f"{fname}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    dead = [f"{where}: {name}" for name, where in sorted(defined.items())
+            if name not in referenced]
+    assert dead == []
+
+
+def test_every_private_attribute_assigned_is_read():
+    # an attribute that is stored but never loaded keeps state nothing uses
+    stored, loaded = {}, set()
+    for fname, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _private(node.attr):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.attr, f"{fname}:{node.lineno}")
+                else:
+                    loaded.add(node.attr)
+    unread = [f"{where}: {name}" for name, where in sorted(stored.items())
+              if name not in loaded]
+    assert unread == []

@@ -318,9 +318,11 @@ def _cmd_oracle(args, config) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE",
-                        help="key=value defaults; explicit flags win")
+    # the oracle's streams are always seeds 0..sequences-1: no --seed
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", metavar="FILE",
+                            help="key=value defaults; explicit flags win")
+    common = argparse.ArgumentParser(add_help=False, parents=[configured])
     common.add_argument("--seed", type=int, default=None,
                         help="run seed (default: AFTERIMAGE_SEED or 0)")
 
@@ -371,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     mitigate.add_argument("--output", default=None, metavar="FILE")
 
     oracle = sub.add_parser(
-        "oracle", parents=[common],
+        "oracle", parents=[configured],
         help="fuzz the table against the reference transcription")
     oracle.add_argument("--sequences", type=int, default=None,
                         help="number of seeded load streams")

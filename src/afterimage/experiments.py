@@ -31,8 +31,8 @@ from .programs import (
     Domain,
     FlushLines,
     Machine,
-    Program,
     SecretSource,
+    Step,
     _stride_bytes,
     build_gadget,
     build_kernel_syscall,
@@ -115,14 +115,15 @@ def _round_rng(seed: int, noise_seed: int, index: int) -> random.Random:
 
 def _apply_page_noise(cache: CacheModel, noise: NoiseModel,
                       rng: random.Random, page_paddr: int,
-                      victim_events) -> None:
-    """Disturb the observed page.  Draw counts are fixed per round so
-    probability sweeps consume identical random streams."""
+                      victim_loads: list[int]) -> None:
+    """Disturb the observed page.  ``victim_loads`` are the physical
+    addresses the victim loaded this round.  Draw counts are fixed per
+    round so probability sweeps consume identical random streams."""
     if noise.next_line_noise:
         frame = page_frame(page_paddr)
-        victim_lines = {(ev.paddr >> LINE_SHIFT) & (PAGE_LINES - 1)
-                        for ev in victim_events if ev.kind == "load"
-                        and page_frame(ev.paddr) == frame}
+        victim_lines = {(paddr >> LINE_SHIFT) & (PAGE_LINES - 1)
+                        for paddr in victim_loads
+                        if page_frame(paddr) == frame}
         for ln in sorted(victim_lines):
             for neighbour in (ln - 1, ln + 1):
                 if 0 <= neighbour < PAGE_LINES:
@@ -611,11 +612,11 @@ class _Scenario:
     """
 
     attacker: Domain
-    training: Program
+    training: list[Step]
     page_vaddr: int
     page_paddr: int
     victim: Domain
-    victim_program: Program
+    victim_program: list[Step]
     source: SecretSource
     decode: dict[int | None, int]
     probes: list[StatusProbe] | None = None
@@ -701,7 +702,7 @@ def _user_kernel(machine: Machine, seed: int,
                                           kernel_vaddr)
     groups = ip_matching_groups(n_groups=20, group_size=24,
                                 stride_lines=stride, iterations=3)
-    flush_prog = Program("flush", [FlushLines(shared_paddr, PAGE_LINES)])
+    flush_prog = [FlushLines(shared_paddr, PAGE_LINES)]
 
     # Each group gets a few tries: a failed probe's own load allocates
     # an entry right where the next training pass recycles slots, so
@@ -741,7 +742,7 @@ def _score_rounds(machine: Machine, sc: _Scenario, channel: str,
     page noise.  The status probe reads the table, not the page.
     """
     cache = machine.cache
-    flush_prog = Program("flush", [FlushLines(sc.page_vaddr, PAGE_LINES)])
+    flush_prog = [FlushLines(sc.page_vaddr, PAGE_LINES)]
     strides = [s for s in sc.decode if s is not None]
     if channel == "prime_probe":
         mes_list = _page_eviction_sets(cache, sc.page_paddr)
@@ -753,7 +754,7 @@ def _score_rounds(machine: Machine, sc: _Scenario, channel: str,
             machine.run_program(sc.attacker, flush_prog, rng)
         elif channel == "prime_probe":
             baseline = prime(cache, mes_list)
-        events = machine.run_program(sc.victim, sc.victim_program, rng)
+        victim_loads = machine.run_program(sc.victim, sc.victim_program, rng)
         truth = sc.source.history[-1]
 
         if channel == "status_probe":
@@ -766,7 +767,8 @@ def _score_rounds(machine: Machine, sc: _Scenario, channel: str,
                     if not alive[p.tag]]
             detected = dead[0] if len(dead) == 1 else None
         else:
-            _apply_page_noise(cache, noise, rng, sc.page_paddr, events)
+            _apply_page_noise(cache, noise, rng, sc.page_paddr,
+                              victim_loads)
             if channel == "prime_probe":
                 _apply_probe_noise(cache, noise, rng, mes_list)
                 evicted = probe(cache, mes_list, baseline)

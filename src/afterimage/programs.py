@@ -1,10 +1,12 @@
 """Straight-line victim/attacker programs and their execution.
 
-Programs are flat lists of steps (loads, flushes and secret-dependent
+A program is a flat list of steps (loads, flushes and secret-dependent
 branches) run by a Machine that owns the prefetcher table, the TLB and
-the cache and keeps a cycle clock fed by load latencies.  Every demand
-load in the simulator, whether a program step, a bench load, a status
-probe or a replayed trace, goes through ``Machine.load``.  Domains give
+the cache and keeps a cycle clock fed by load latencies.  The Machine
+keeps no log: a run returns the physical addresses of the demand loads
+it made, and everything else is read from the state it leaves.  Every
+demand load in the simulator, whether a program step, a bench load, a
+status probe or a replayed trace, goes through ``Machine.load``.  Domains give
 each simulated protection context its own page mapping; translation is
 identity-plus-offset with explicit per-frame overrides so that shared
 memory can alias one physical page from several domains.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 from .cache import CacheConfig, CacheModel
@@ -28,7 +30,6 @@ from .uarch import (
     PAGE_BYTES,
     PrefetchTable,
     Tlb,
-    ip_tag,
     page_frame,
 )
 
@@ -61,12 +62,6 @@ class Branch:
 
 
 Step = Union[Load, FlushLines, Branch]
-
-
-@dataclass
-class Program:
-    name: str
-    steps: list = field(default_factory=list)
 
 
 class SecretSource:
@@ -115,20 +110,8 @@ class Domain:
         return vaddr + self.phys_offset
 
 
-@dataclass
-class Event:
-    time: int
-    domain: str
-    kind: str  # load / prefetch / flush / branch / switch / table_reset
-    ip: int = 0
-    vaddr: int = 0
-    paddr: int = 0
-    latency: int = 0
-    detail: str = ""
-
-
 class Machine:
-    """Executes programs against one table/TLB/cache triple.
+    """Runs step lists against one table/TLB/cache triple.
 
     The cache is built from ``cache_config`` (None for the default
     geometry).  ``flush_on_switch`` clears the table whenever a program
@@ -159,7 +142,6 @@ class Machine:
         self.reset_cycles = 0
         self.prefetch_requests = 0
         self._next_flush = flush_period
-        self._events: list[Event] | None = None  # set while run_program runs
 
     # -- the load path ---------------------------------------------------
 
@@ -171,17 +153,13 @@ class Machine:
         for one.  The caller decides what the latency costs on the clock.
         """
         while self._next_flush is not None and self.clock >= self._next_flush:
-            self._reset_table("periodic")
+            self._reset_table()
             self._next_flush += self.flush_period
         target = self.table.observe_load(self.tlb, ip, paddr)
         latency = self.cache.access(paddr)
         if target is not None:
             self.cache.install_prefetch(target)
             self.prefetch_requests += 1
-            if self._events is not None:
-                self._events.append(Event(
-                    self.clock + latency, self.current_domain, "prefetch",
-                    ip, 0, target, detail=f"tag {ip_tag(ip):#x}"))
         return latency
 
     def flush(self, paddr: int) -> None:
@@ -190,66 +168,44 @@ class Machine:
         self.tlb.access(page_frame(paddr))
         self.cache.flush_line(paddr)
 
-    def _reset_table(self, reason: str) -> None:
+    def _reset_table(self) -> None:
         cycles = self.table.reset(self.write_ports)
         self.clock += cycles
         self.flush_count += 1
         self.reset_cycles += cycles
-        if self._events is not None:
-            self._events.append(Event(self.clock, self.current_domain,
-                                      "table_reset", detail=reason))
 
     # -- execution -------------------------------------------------------
 
-    def run_program(self, domain: Domain, program: Program,
-                    rng: random.Random | None = None) -> list[Event]:
-        """Run a program in a domain; returns the events of this call,
-        the switch into the domain and any table reset included."""
+    def run_program(self, domain: Domain, steps: list[Step],
+                    rng: random.Random | None = None) -> list[int]:
+        """Run a step list in a domain and return the physical addresses
+        of its demand loads, in order.  Entering a new domain flushes
+        the table first when ``flush_on_switch`` is set."""
         rng = rng or random.Random(0)
-        self._events = events = []
-        if self.current_domain is not None and domain.name != self.current_domain:
-            events.append(Event(self.clock, domain.name, "switch",
-                                detail=f"from {self.current_domain}"))
-            if self.flush_on_switch:
-                self._reset_table("switch")
+        if (self.flush_on_switch and self.current_domain is not None
+                and domain.name != self.current_domain):
+            self._reset_table()
         self.current_domain = domain.name
-        self._run_steps(domain, program.steps, rng)
-        self._events = None
-        return events
+        loads: list[int] = []
+        self._run_steps(domain, steps, rng, loads)
+        return loads
 
-    def _run_steps(self, domain: Domain, steps, rng: random.Random) -> None:
+    def _run_steps(self, domain: Domain, steps, rng: random.Random,
+                   loads: list[int]) -> None:
         for step in steps:
             if isinstance(step, Load):
-                self._do_load(domain, step, rng)
+                vaddr = step.vaddr(rng) if callable(step.vaddr) else step.vaddr
+                paddr = domain.translate(vaddr)
+                self.clock += self.load(step.ip, paddr)
+                loads.append(paddr)
             elif isinstance(step, FlushLines):
-                self._do_flush(domain, step)
+                for i in range(step.n_lines):
+                    self.flush(domain.translate(step.vaddr + i * LINE_BYTES))
             elif isinstance(step, Branch):
-                bit = step.source.next_bit()
-                self._events.append(Event(self.clock, domain.name, "branch",
-                                          detail=str(bit)))
-                self._run_steps(domain, step.taken if bit else step.not_taken, rng)
+                arm = step.taken if step.source.next_bit() else step.not_taken
+                self._run_steps(domain, arm, rng, loads)
             else:
                 raise TypeError(f"unknown step {step!r}")
-
-    def _do_load(self, domain: Domain, step: Load, rng: random.Random) -> None:
-        vaddr = step.vaddr(rng) if callable(step.vaddr) else step.vaddr
-        paddr = domain.translate(vaddr)
-        issued = self.prefetch_requests
-        latency = self.load(step.ip, paddr)
-        self.clock += latency
-        # list the load after any periodic reset it waited for and before
-        # the prefetch it triggered, if any
-        events = self._events
-        events.insert(len(events) - (self.prefetch_requests - issued),
-                      Event(self.clock, domain.name, "load", step.ip,
-                            vaddr, paddr, latency))
-
-    def _do_flush(self, domain: Domain, step: FlushLines) -> None:
-        for i in range(step.n_lines):
-            self.flush(domain.translate(step.vaddr + i * LINE_BYTES))
-        self._events.append(Event(self.clock, domain.name, "flush",
-                                  0, step.vaddr, domain.translate(step.vaddr),
-                                  detail=f"{step.n_lines} lines"))
 
 
 # -- program builders ----------------------------------------------------
@@ -264,7 +220,7 @@ def _stride_bytes(stride_lines: int) -> int:
 
 def build_gadget(if_tag: int, else_tag: int, stride_if: int, stride_else: int,
                  iterations: int = 3, code_base: int = 0x400000,
-                 array_if: int = 0x10000, array_else: int = 0x12000) -> Program:
+                 array_if: int = 0x10000, array_else: int = 0x12000) -> list[Step]:
     """Training gadget: two load IPs walking distinct strides (in lines)."""
     if if_tag == else_tag:
         raise ValueError("if/else tags must differ")
@@ -279,7 +235,7 @@ def build_gadget(if_tag: int, else_tag: int, stride_if: int, stride_else: int,
     for i in range(iterations):
         steps.append(Load(ip_if, array_if + i * sb_if))
         steps.append(Load(ip_else, array_else + i * sb_else))
-    return Program("gadget", steps)
+    return steps
 
 
 def line_picker(array_base: int, array_lines: int):
@@ -290,7 +246,7 @@ def line_picker(array_base: int, array_lines: int):
 
 
 def build_victim(source: SecretSource, if_tag: int, else_tag: int,
-                 array_base: int, array_lines: int = 48) -> Program:
+                 array_base: int, array_lines: int = 48) -> list[Step]:
     """Secret-dependent branch; each arm loads one arbitrary array line."""
     if array_lines < 1 or array_lines > PAGE_BYTES // LINE_BYTES:
         raise ValueError("array must fit one page")
@@ -302,11 +258,11 @@ def build_victim(source: SecretSource, if_tag: int, else_tag: int,
         not_taken=(Load(ip_with_tag(code_base + 0x1000, else_tag),
                         line_picker(array_base, array_lines)),),
     )
-    return Program("victim", [branch])
+    return [branch]
 
 
 def build_kernel_syscall(source: SecretSource, tag: int,
-                         shared_vaddr: int) -> Program:
+                         shared_vaddr: int) -> list[Step]:
     """Syscall body: when the secret bit is set, one load into shared memory."""
     array_lines = 48
     branch = Branch(
@@ -315,12 +271,12 @@ def build_kernel_syscall(source: SecretSource, tag: int,
                     line_picker(shared_vaddr, array_lines)),),
         not_taken=(),
     )
-    return Program("syscall", [branch])
+    return [branch]
 
 
 def ip_matching_groups(n_groups: int = 20, group_size: int = 24,
                        stride_lines: int = 11,
-                       iterations: int = 3) -> list[Program]:
+                       iterations: int = 3) -> list[list[Step]]:
     """Training programs whose tags jointly cover the whole 8-bit space.
 
     Group g holds group_size loads with distinct low-byte tags, each
@@ -345,6 +301,6 @@ def ip_matching_groups(n_groups: int = 20, group_size: int = 24,
             for i in range(iterations):
                 steps.append(Load(ip_with_tag(code_base + g * 0x10000, tag),
                                   page + i * sb))
-        groups.append(Program(f"group{g}", steps))
+        groups.append(steps)
     return groups
 

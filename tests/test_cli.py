@@ -508,6 +508,15 @@ def test_oracle_rejects_nonpositive_counts(tmp_path):
                  "--output", str(tmp_path / "x.csv")]) == 2
 
 
+def test_oracle_rejects_seed(tmp_path, capsys):
+    # the streams are always seeds 0..sequences-1; a seed would do nothing
+    out = tmp_path / "x.csv"
+    assert main(["oracle", "--seed", "3", "--sequences", "1",
+                 "--loads", "10", "--output", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_loads_above_ceiling_exit_2(tmp_path):
     # without the ceiling the stream's lists grow until memory runs out;
     # the child process lets the timeout stop such a regression

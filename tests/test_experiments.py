@@ -31,7 +31,6 @@ from afterimage.experiments import (
     run_attack,
     synthetic_workload,
 )
-from afterimage.programs import Event
 from afterimage.sidechannel import PAGE_LINES
 from afterimage.uarch import LINE_BYTES, PAGE_BYTES, line_index
 
@@ -204,7 +203,7 @@ def test_attack_is_seed_reproducible():
 
 def test_attack_memory_stays_bounded_in_rounds():
     # per round an attack keeps only its RoundRecord and the secret bit;
-    # the events of a round must not outlive it
+    # nothing else a round makes may outlive it
     def peak(rounds):
         tracemalloc.start()
         try:
@@ -319,16 +318,15 @@ def test_next_line_noise_changes_prime_probe_rounds():
 def test_next_line_noise_installs_neighbours_of_the_victim_loads():
     # only loads on the watched page count, and neighbours stay on it
     page = 0x600000
-    events = [
-        Event(0, "v", "load", paddr=page),
-        Event(0, "v", "load", paddr=page + 10 * LINE_BYTES + 8),
-        Event(0, "v", "prefetch", paddr=page + 30 * LINE_BYTES),
-        Event(0, "v", "load", paddr=page + PAGE_BYTES + 40 * LINE_BYTES),
-        Event(0, "v", "load", paddr=page + 63 * LINE_BYTES),
+    victim_loads = [
+        page,
+        page + 10 * LINE_BYTES + 8,
+        page + PAGE_BYTES + 40 * LINE_BYTES,
+        page + 63 * LINE_BYTES,
     ]
     cache = CacheModel()
     _apply_page_noise(cache, NoiseModel(next_line_noise=True),
-                      random.Random(0), page, events)
+                      random.Random(0), page, victim_loads)
     cached = [ln for ln in range(64)
               if cache.contains(page + ln * LINE_BYTES)]
     assert cached == [1, 9, 11, 62]

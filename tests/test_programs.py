@@ -10,14 +10,13 @@ from afterimage.programs import (
     FlushLines,
     Load,
     Machine,
-    Program,
     SecretSource,
     build_gadget,
     build_kernel_syscall,
     build_victim,
     ip_matching_groups,
 )
-from afterimage.uarch import ip_tag
+from afterimage.uarch import PrefetchTable, ip_tag, page_frame
 
 
 def test_secret_source_seeded_reproducibility():
@@ -78,12 +77,11 @@ def test_victim_branch_follows_secret():
     prog = build_victim(src, 0xA0, 0xB4, array_base=0x30000)
     m = Machine()
     d = Domain("v")
-    ev1 = m.run_program(d, prog)
-    loads = [e for e in ev1 if e.kind == "load"]
-    assert len(loads) == 1 and ip_tag(loads[0].ip) == 0xA0
-    ev2 = m.run_program(d, prog)
-    loads = [e for e in ev2 if e.kind == "load"]
-    assert len(loads) == 1 and ip_tag(loads[0].ip) == 0xB4
+    assert len(m.run_program(d, prog)) == 1
+    assert m.table.entry_for(0xA0) is not None
+    assert m.table.entry_for(0xB4) is None
+    assert len(m.run_program(d, prog)) == 1
+    assert m.table.entry_for(0xB4) is not None
     assert src.history == [1, 0]
     with pytest.raises(ValueError):
         build_victim(src, 0xA0, 0xB4, 0x30000, array_lines=100)
@@ -93,22 +91,23 @@ def test_kernel_syscall_loads_only_when_bit_set():
     src = SecretSource(bits=[0, 1])
     prog = build_kernel_syscall(src, 0xC3, shared_vaddr=0x30000)
     m = Machine()
-    k = Domain("kern")
-    assert [e.kind for e in m.run_program(k, prog) if e.kind == "load"] == []
-    ev = m.run_program(k, prog)
-    assert len([e for e in ev if e.kind == "load"]) == 1
+    k = Domain("kern", phys_offset=0x80000000)
+    k.map_shared(0x30000, 0x500000)
+    assert m.run_program(k, prog) == []
+    loads = m.run_program(k, prog)
+    assert len(loads) == 1 and page_frame(loads[0]) == page_frame(0x500000)
 
 
 def test_ip_matching_groups_cover_tag_space():
     groups = ip_matching_groups(20, 24)
     assert len(groups) == 20
-    covered = {ip_tag(s.ip) for g in groups for s in g.steps}
+    covered = {ip_tag(s.ip) for g in groups for s in g}
     assert covered == set(range(256))
     # each group's loads carry its own distinct tags, one page frame each
     g0 = groups[0]
-    tags = {ip_tag(s.ip) for s in g0.steps}
+    tags = {ip_tag(s.ip) for s in g0}
     assert tags == set(range(24))
-    frames = {s.vaddr >> 12 for s in g0.steps}
+    frames = {s.vaddr >> 12 for s in g0}
     assert len(frames) == 24
     with pytest.raises(ValueError):
         ip_matching_groups(10, 24)
@@ -118,7 +117,7 @@ def test_group_training_triggers_matching_tag():
     groups = ip_matching_groups(20, 24, stride_lines=11)
     m = Machine()
     m.run_program(Domain("u"), groups[3])
-    tags = {ip_tag(s.ip) for s in groups[3].steps}
+    tags = {ip_tag(s.ip) for s in groups[3]}
     assert tags == {(3 * 24 + j) % 256 for j in range(24)}
     for tag in tags:
         e = m.table.entry_for(tag)
@@ -129,10 +128,11 @@ def test_state_persists_across_switches_by_default():
     a, b = Domain("a", phys_offset=0), Domain("b", phys_offset=0x100000000)
     m = Machine()
     m.run_program(a, build_gadget(0xA0, 0xB4, 7, 13))
-    h = m.table.state_hash()
-    events = m.run_program(b, Program("idle", []))
+    h, clock = m.table.state_hash(), m.clock
+    assert m.run_program(b, []) == []
     assert m.table.state_hash() == h
-    assert [e.kind for e in events] == ["switch"]
+    assert m.flush_count == 0 and m.reset_cycles == 0
+    assert m.clock == clock
 
 
 def test_flush_on_switch_wipes_the_table():
@@ -140,29 +140,34 @@ def test_flush_on_switch_wipes_the_table():
     m = Machine(flush_on_switch=True)
     m.run_program(a, build_gadget(0xA0, 0xB4, 7, 13))
     assert m.table.occupancy() == 2
-    events = m.run_program(b, Program("idle", []))
-    assert [e.kind for e in events] == ["switch", "table_reset"]
-    assert m.table.occupancy() == 0
+    clock = m.clock
+    assert m.run_program(b, []) == []
+    assert m.table.state_hash() == PrefetchTable().state_hash()
     assert m.flush_count == 1 and m.reset_cycles == 24
+    assert m.clock == clock + 24
+    # staying in the domain owes no further flush
+    m.run_program(b, [])
+    assert m.flush_count == 1
 
 
 def test_periodic_flush_accounting():
     m = Machine(flush_period=1000)
-    prog = Program("walk", [Load(0x400000, 0x10000 + i * 64) for i in range(60)])
-    events = m.run_program(Domain("a"), prog)
+    boundary = 1000
+    for i in range(60):
+        # a reset comes before a load exactly when the clock has reached
+        # the next period boundary, and its cycles go on the clock
+        clock, flushes = m.clock, m.flush_count
+        latency = m.load(0x400000, 0x10000 + i * 64)
+        due = clock >= boundary
+        assert m.flush_count == flushes + due
+        assert m.clock == clock + 24 * due
+        if due:
+            boundary += 1000
+        m.clock += latency
     # the walk crosses several period boundaries (most loads are prefetched
     # hits at 40 cycles, so the clock grows slower than the miss rate implies)
     assert m.flush_count >= 2
     assert m.reset_cycles == 24 * m.flush_count
-    resets = [e.time for e in events if e.kind == "table_reset"]
-    assert len(resets) == m.flush_count
-    assert all(t >= 1000 * (i + 1) for i, t in enumerate(resets))
-    # every prefetch is listed right after the load that triggered it
-    prefetches = [i for i, e in enumerate(events) if e.kind == "prefetch"]
-    assert prefetches
-    for i in prefetches:
-        assert events[i - 1].kind == "load"
-        assert events[i - 1].time == events[i].time
 
 
 def test_flush_period_must_exceed_the_reset():
@@ -183,8 +188,9 @@ def test_flush_period_must_exceed_the_reset():
 
 def test_clock_tracks_latencies():
     m = Machine()
-    m.run_program(Domain("a"), Program("p", [Load(0x400000, 0x1000),
-                                             Load(0x400100, 0x1000)]))
+    loads = m.run_program(Domain("a"), [Load(0x400000, 0x1000),
+                                        Load(0x400100, 0x1000)])
+    assert loads == [0x1000, 0x1000]
     assert m.clock == 200 + 40
 
 
@@ -199,16 +205,14 @@ def test_cross_process_shared_page_carries_the_stride():
     src = SecretSource(bits=[1])
     m = Machine()
     m.run_program(attacker, build_gadget(0xA0, 0xB4, 8, 13))
-    m.run_program(attacker, Program("flush", [FlushLines(0x20000, 64)]))
-    ev = m.run_program(victim, build_victim(src, 0xA0, 0xB4, 0x30000),
-                       rng=random.Random(7))
+    assert m.run_program(attacker, [FlushLines(0x20000, 64)]) == []
+    requests, installs = m.prefetch_requests, m.cache.prefetch_installs
+    [load] = m.run_program(victim, build_victim(src, 0xA0, 0xB4, 0x30000),
+                           rng=random.Random(7))
 
-    load = next(e for e in ev if e.kind == "load")
-    prefetches = [e for e in ev if e.kind == "prefetch"]
-    assert len(prefetches) == 1
-    assert prefetches[0].paddr == load.paddr + 8 * 64
-    assert prefetches[0].detail == "tag 0xa0"
-    assert prefetches[0].ip == load.ip
-    assert m.cache.contains(load.paddr)
-    assert m.cache.contains(load.paddr + 8 * 64)
-    assert (load.paddr >> 12) == (shared_phys >> 12)
+    # the victim's one load fired the stride trained in the other process
+    assert m.prefetch_requests == requests + 1
+    assert m.cache.prefetch_installs == installs + 1
+    assert m.cache.contains(load)
+    assert m.cache.contains(load + 8 * 64)
+    assert page_frame(load) == page_frame(shared_phys)

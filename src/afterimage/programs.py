@@ -6,10 +6,10 @@ the cache and keeps a cycle clock fed by load latencies.  The Machine
 keeps no log: a run returns the physical addresses of the demand loads
 it made, and everything else is read from the state it leaves.  Every
 demand load in the simulator, whether a program step, a bench load, a
-status probe or a replayed trace, goes through ``Machine.load``.  Domains give
-each simulated protection context its own page mapping; translation is
-identity-plus-offset with explicit per-frame overrides so that shared
-memory can alias one physical page from several domains.
+status probe or a replayed trace, goes through ``Machine.load``.
+Domains give each simulated protection context its own page mapping;
+translation is identity-plus-offset with explicit per-frame overrides
+so that shared memory can alias one physical page from several domains.
 
 Prefetcher and cache state persist across domain switches unless a flush
 is armed: ``flush_on_switch`` wipes the table at every switch, and a

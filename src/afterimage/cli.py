@@ -7,14 +7,16 @@ prices the periodic table flush on a strided workload, and ``oracle``
 fuzzes the table against the literal update-recipe transcription.
 
 Every option can also come from a ``--config`` file of ``key=value``
-lines; explicit flags win over the file, and the ``AFTERIMAGE_SEED``
-environment variable seeds runs that specify nothing else.  Output
-files echo the full effective configuration as ``# key=value`` header
-comments and are byte-identical for identical inputs.
+lines, parsed as flags placed before the explicit ones, which win.  A
+key must name an option of the subcommand or a ``cache_*`` geometry
+field (not for oracle).  ``AFTERIMAGE_SEED`` seeds runs that specify
+nothing else.  Output files echo the full effective configuration as
+``# key=value`` header comments and are byte-identical for identical
+inputs.
 
 Exit codes: 0 on success, 1 when results fail verification or a file
-cannot be read or written, 2 for usage errors including unsupported
-variant/channel pairings.
+cannot be read or written, 2 for usage errors, each reported as one
+``error:`` line, including unsupported variant/channel pairings.
 """
 
 from __future__ import annotations
@@ -59,8 +61,11 @@ _CACHE_KEYS = {
 }
 
 
-class UsageError(ValueError):
-    """A problem with the requested parameters, not with the results."""
+class _Parser(argparse.ArgumentParser):
+    """Report usage errors as ValueError: main prints one line, exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 # --------------------------------------------------------------------------
@@ -80,45 +85,48 @@ def read_config(path: str | Path) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, "
+            raise ValueError(f"{path}:{lineno}: expected key=value, "
                              f"got {line!r}")
         key, _, value = line.partition("=")
         config[key.strip().replace("-", "_")] = value.strip()
     return config
 
 
-def _to_bool(text: str) -> bool:
+def _to_bool(key: str, text: str) -> bool:
     lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"expected a boolean, got {text!r}")
+    raise ValueError(f"config key {key}: expected a boolean, got {text!r}")
 
 
-def _resolve(flag_value, config: dict, key: str, default, convert):
-    """Flag beats config file beats default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        try:
-            return convert(config[key])
-        except UsageError:
-            raise
-        except ValueError:
-            raise UsageError(
-                f"config key {key}: cannot parse {config[key]!r}") from None
-    return default
+def _config_flags(config: dict, parsed: dict) -> list[str]:
+    """Spell the config file's entries, except the ``cache_*`` keys, as
+    flags: a switch (an option whose value is a bool) as its bare flag
+    when true and as nothing when false, any other key as
+    ``--key=value``, so that the parser checks it like a flag."""
+    flags = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(parsed.get(key), bool):
+            flags += [flag] if _to_bool(key, value) else []
+        elif key not in _CACHE_KEYS:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """The --seed flag or config entry, else AFTERIMAGE_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get("AFTERIMAGE_SEED", "")
     if not raw:
         return 0
     try:
         return int(raw)
     except ValueError:
-        raise UsageError(
+        raise ValueError(
             f"AFTERIMAGE_SEED must be an integer, got {raw!r}") from None
 
 
@@ -129,9 +137,8 @@ def _cache_config(config: dict) -> CacheConfig | None:
             try:
                 overrides[fieldname] = int(config[key])
             except ValueError:
-                raise UsageError(
-                    f"config key {key}: cannot parse "
-                    f"{config[key]!r}") from None
+                raise ValueError(f"config key {key}: cannot parse "
+                                 f"{config[key]!r}") from None
     return CacheConfig(**overrides) if overrides else None
 
 
@@ -139,6 +146,12 @@ def _cache_echo(cache_config: CacheConfig | None) -> dict:
     effective = cache_config if cache_config is not None else CacheConfig()
     return {key: getattr(effective, fieldname)
             for key, fieldname in _CACHE_KEYS.items()}
+
+
+def _echo(args, *drop: str) -> dict:
+    """The header echo: every parsed option but config, output and drop."""
+    return {key: value for key, value in vars(args).items()
+            if key not in ("config", "output", *drop)}
 
 
 # --------------------------------------------------------------------------
@@ -209,21 +222,15 @@ _REVENG = {
 }
 
 
-def _cmd_reveng(args, config) -> int:
-    which = _resolve(args.which, config, "which", "all", str)
-    if which != "all" and which not in _REVENG:
-        raise UsageError(f"unknown experiment {which!r}; choose from "
-                         f"{', '.join(_REVENG)} or all")
-    out_dir = Path(_resolve(args.out_dir, config, "out_dir", ".", str))
-    seed = _resolve(args.seed, config, "seed", _default_seed(), int)
-    cache_config = _cache_config(config)
+def _cmd_reveng(args, cache_config) -> int:
+    args.seed = _seed(args)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    names = list(_REVENG) if which == "all" else [which]
+    names = list(_REVENG) if args.which == "all" else [args.which]
     problems = []
     for name in names:
-        columns, rows, found = _REVENG[name](seed, cache_config)
-        echo = {"command": "reveng", "experiment": name, "seed": seed,
+        columns, rows, found = _REVENG[name](args.seed, cache_config)
+        echo = {**_echo(args, "which", "out_dir"), "experiment": name,
                 **_cache_echo(cache_config)}
         emit_csv(out_dir / f"reveng_{name}.csv", columns, rows, echo)
         problems.extend(f"{name}: {p}" for p in found)
@@ -234,76 +241,46 @@ def _cmd_reveng(args, config) -> int:
     return 0
 
 
-def _cmd_attack(args, config) -> int:
-    variant = _resolve(args.variant, config, "variant", None, int)
-    channel = _resolve(args.channel, config, "channel", None, str)
-    if variant is None or channel is None:
-        raise UsageError("attack needs --variant and --channel")
-    rounds = _resolve(args.rounds, config, "rounds", 200, int)
-    seed = _resolve(args.seed, config, "seed", _default_seed(), int)
-    p_evict = _resolve(args.noise_evict, config, "noise_evict", 0.0, float)
-    p_extra = _resolve(args.noise_load, config, "noise_load", 0.0, float)
-    next_line = _resolve(args.next_line_noise, config, "next_line_noise",
-                         False, _to_bool)
-    flush_on_switch = _resolve(args.flush_on_switch, config,
-                               "flush_on_switch", False, _to_bool)
-    output = _resolve(args.output, config, "output",
-                      f"attack_v{variant}_{channel}.csv", str)
-    cache_config = _cache_config(config)
-    noise = NoiseModel(p_evict=p_evict, p_extra_load=p_extra,
-                       next_line_noise=next_line, seed=seed)
-    outcome = run_attack(variant, channel, rounds, noise, seed,
-                         flush_on_switch, cache_config)
-    echo = {
-        "command": "attack", "variant": variant, "channel": channel,
-        "rounds": rounds, "seed": seed, "noise_evict": p_evict,
-        "noise_load": p_extra, "next_line_noise": next_line,
-        "flush_on_switch": flush_on_switch, **_cache_echo(cache_config),
-    }
-    for key, value in outcome.detail.items():
-        echo[key] = value
+def _cmd_attack(args, cache_config) -> int:
+    if args.variant is None or args.channel is None:
+        raise ValueError("attack needs --variant and --channel")
+    args.seed = _seed(args)
+    noise = NoiseModel(p_evict=args.noise_evict, p_extra_load=args.noise_load,
+                       next_line_noise=args.next_line_noise, seed=args.seed)
+    outcome = run_attack(args.variant, args.channel, args.rounds, noise,
+                         args.seed, args.flush_on_switch, cache_config)
+    output = (args.output if args.output is not None
+              else f"attack_v{args.variant}_{args.channel}.csv")
+    echo = {**_echo(args), **_cache_echo(cache_config), **outcome.detail}
     emit_csv(output, ATTACK_COLUMNS, outcome.rows(), echo,
              success_rate=outcome.success_rate)
     return 0
 
 
-def _cmd_mitigate(args, config) -> int:
-    period_us = _resolve(args.period_us, config, "period_us", 10.0, float)
-    clock_ghz = _resolve(args.clock_ghz, config, "clock_ghz",
-                         DEFAULT_CLOCK_GHZ, float)
-    write_ports = _resolve(args.write_ports, config, "write_ports", 1, int)
-    cycles_per_load = _resolve(args.cycles_per_load, config,
-                               "cycles_per_load", 10, int)
-    trace = _resolve(args.trace, config, "trace", None, str)
-    output = _resolve(args.output, config, "output", "mitigate.csv", str)
-    cache_config = _cache_config(config)
-    period = flush_period_cycles(period_us, clock_ghz)
-    workload = load_trace(trace) if trace else None
-    report = mitigation_eval(workload, period, write_ports, cycles_per_load,
-                             cache_config)
-    echo = {
-        "command": "mitigate", "period_us": period_us,
-        "clock_ghz": clock_ghz, "write_ports": write_ports,
-        "cycles_per_load": cycles_per_load,
-        "trace": trace if trace else "", **_cache_echo(cache_config),
-    }
-    emit_csv(output, MITIGATE_COLUMNS, report.rows(), echo)
+def _cmd_mitigate(args, cache_config) -> int:
+    period = flush_period_cycles(args.period_us, args.clock_ghz)
+    workload = load_trace(args.trace) if args.trace else None
+    report = mitigation_eval(workload, period, args.write_ports,
+                             args.cycles_per_load, cache_config)
+    # the replay draws nothing at random: --seed is accepted only for
+    # callers that pass it anyway (perfbench's stream_replay), not echoed
+    echo = {**_echo(args, "seed"), **_cache_echo(cache_config)}
+    emit_csv(args.output, MITIGATE_COLUMNS, report.rows(), echo)
     return 0
 
 
-def _cmd_oracle(args, config) -> int:
-    sequences = _resolve(args.sequences, config, "sequences", 10, int)
-    loads = _resolve(args.loads, config, "loads", 100_000, int)
-    output = _resolve(args.output, config, "output", "oracle.csv", str)
-    if sequences < 1 or loads < 1:
-        raise UsageError("sequences and loads must be positive")
-    if loads > MAX_ORACLE_LOADS:
-        raise UsageError(f"loads must not exceed {MAX_ORACLE_LOADS}")
-    report = run_equivalence_check(n_loads=loads, seeds=range(sequences))
-    rows = [{"seed": seed, "loads": loads, "mismatches": mismatches}
+def _cmd_oracle(args, cache_config) -> int:
+    if cache_config is not None:
+        raise ValueError("oracle models no cache: drop the cache_* keys")
+    if args.sequences < 1 or args.loads < 1:
+        raise ValueError("sequences and loads must be positive")
+    if args.loads > MAX_ORACLE_LOADS:
+        raise ValueError(f"loads must not exceed {MAX_ORACLE_LOADS}")
+    report = run_equivalence_check(n_loads=args.loads,
+                                   seeds=range(args.sequences))
+    rows = [{"seed": seed, "loads": args.loads, "mismatches": mismatches}
             for seed, mismatches in report.per_seed]
-    echo = {"command": "oracle", "sequences": sequences, "loads": loads}
-    emit_csv(output, ORACLE_COLUMNS, rows, echo)
+    emit_csv(args.output, ORACLE_COLUMNS, rows, _echo(args))
     if not report.ok:
         print(f"verification mismatch: "
               f"{report.first_mismatch or 'state divergence'}",
@@ -319,25 +296,24 @@ def _cmd_oracle(args, config) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # the oracle's streams are always seeds 0..sequences-1: no --seed
-    configured = argparse.ArgumentParser(add_help=False)
+    configured = _Parser(add_help=False)
     configured.add_argument("--config", metavar="FILE",
                             help="key=value defaults; explicit flags win")
-    common = argparse.ArgumentParser(add_help=False, parents=[configured])
+    common = _Parser(add_help=False, parents=[configured])
     common.add_argument("--seed", type=int, default=None,
                         help="run seed (default: AFTERIMAGE_SEED or 0)")
 
-    parser = argparse.ArgumentParser(
-        prog="afterimage",
-        description="Stride-prefetcher side-channel simulator")
+    parser = _Parser(prog="afterimage",
+                     description="Stride-prefetcher side-channel simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     reveng = sub.add_parser(
         "reveng", parents=[common],
         help="replay the reverse-engineering benches and self-check")
-    reveng.add_argument("--which", default=None,
+    reveng.add_argument("--which", default="all",
                         choices=[*_REVENG, "all"],
                         help="which bench to run (default all)")
-    reveng.add_argument("--out-dir", default=None,
+    reveng.add_argument("--out-dir", default=".",
                         help="directory for reveng_<name>.csv files")
 
     attack = sub.add_parser("attack", parents=[common],
@@ -348,38 +324,38 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--channel", default=None,
                         choices=["prime_probe", "flush_reload",
                                  "status_probe"])
-    attack.add_argument("--rounds", type=int, default=None)
-    attack.add_argument("--noise-evict", type=float, default=None,
+    attack.add_argument("--rounds", type=int, default=200)
+    attack.add_argument("--noise-evict", type=float, default=0.0,
                         help="per-line eviction probability")
-    attack.add_argument("--noise-load", type=float, default=None,
+    attack.add_argument("--noise-load", type=float, default=0.0,
                         help="per-round stray cached line probability")
     attack.add_argument("--next-line-noise", action="store_true",
-                        default=None,
                         help="install neighbours of every victim access")
     attack.add_argument("--flush-on-switch", action="store_true",
-                        default=None,
                         help="clear the table at every context switch")
-    attack.add_argument("--output", default=None, metavar="FILE")
+    attack.add_argument("--output", default=None, metavar="FILE",
+                        help="default attack_v<variant>_<channel>.csv")
 
     mitigate = sub.add_parser("mitigate", parents=[common],
                               help="price the periodic table flush")
-    mitigate.add_argument("--period-us", type=float, default=None,
+    mitigate.add_argument("--period-us", type=float, default=10.0,
                           help="flush period in microseconds (inf disables)")
-    mitigate.add_argument("--write-ports", type=int, default=None)
-    mitigate.add_argument("--trace", default=None, metavar="FILE",
+    mitigate.add_argument("--write-ports", type=int, default=1)
+    mitigate.add_argument("--trace", default="", metavar="FILE",
                           help="ip_hex,vaddr_hex,domain_id load trace")
-    mitigate.add_argument("--cycles-per-load", type=int, default=None)
-    mitigate.add_argument("--clock-ghz", type=float, default=None)
-    mitigate.add_argument("--output", default=None, metavar="FILE")
+    mitigate.add_argument("--cycles-per-load", type=int, default=10)
+    mitigate.add_argument("--clock-ghz", type=float,
+                          default=DEFAULT_CLOCK_GHZ)
+    mitigate.add_argument("--output", default="mitigate.csv", metavar="FILE")
 
     oracle = sub.add_parser(
         "oracle", parents=[configured],
         help="fuzz the table against the reference transcription")
-    oracle.add_argument("--sequences", type=int, default=None,
+    oracle.add_argument("--sequences", type=int, default=10,
                         help="number of seeded load streams")
-    oracle.add_argument("--loads", type=int, default=None,
+    oracle.add_argument("--loads", type=int, default=100_000,
                         help=f"loads per stream (at most {MAX_ORACLE_LOADS})")
-    oracle.add_argument("--output", default=None, metavar="FILE")
+    oracle.add_argument("--output", default="oracle.csv", metavar="FILE")
 
     return parser
 
@@ -393,14 +369,18 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
         config = read_config(args.config) if args.config else {}
-        return _HANDLERS[args.command](args, config)
+        if config:
+            # the file's entries go before the explicit flags, which win
+            args = parser.parse_args(
+                argv[:1] + _config_flags(config, vars(args)) + argv[1:])
+        return _HANDLERS[args.command](args, _cache_config(config))
+    except SystemExit as exc:  # --help
+        return exc.code if isinstance(exc.code, int) else 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -152,9 +152,13 @@ class Machine:
         the cache access, then the prefetch install if the table asked
         for one.  The caller decides what the latency costs on the clock.
         """
-        while self._next_flush is not None and self.clock >= self._next_flush:
-            self._reset_table()
-            self._next_flush += self.flush_period
+        if self._next_flush is not None and self.clock >= self._next_flush:
+            # each reset owed back to back ends (period - cost) cycles
+            # nearer its next deadline: count them instead of looping
+            gain = self.flush_period - self.table.reset_cost(self.write_ports)
+            owed = (self.clock - self._next_flush) // gain + 1
+            self._reset_table(owed)
+            self._next_flush += owed * self.flush_period
         target = self.table.observe_load(self.tlb, ip, paddr)
         latency = self.cache.access(paddr)
         if target is not None:
@@ -168,10 +172,12 @@ class Machine:
         self.tlb.access(page_frame(paddr))
         self.cache.flush_line(paddr)
 
-    def _reset_table(self) -> None:
-        cycles = self.table.reset(self.write_ports)
+    def _reset_table(self, times: int = 1) -> None:
+        """Reset the table ``times`` times in a row: one wipe does, but
+        each reset is counted and charged."""
+        cycles = self.table.reset(self.write_ports) * times
         self.clock += cycles
-        self.flush_count += 1
+        self.flush_count += times
         self.reset_cycles += cycles
 
     # -- execution -------------------------------------------------------

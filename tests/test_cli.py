@@ -141,6 +141,22 @@ def test_seed_precedence_flag_file_env_default(tmp_path, monkeypatch):
     assert _echoed_seed(out) == 0
 
 
+def test_readme_config_example_runs(tmp_path):
+    readme = Path(__file__).parents[1] / "README.md"
+    block = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(block)
+    out = tmp_path / "readme.csv"
+    assert main(["attack", "--variant", "2", "--channel", "flush_reload",
+                 "--rounds", "2", "--config", str(cfg),
+                 "--output", str(out)]) == 0
+    comments, data = _split(_lines(out))
+    for echoed in ("# seed=9", "# noise_evict=0.01", "# cache_hit_latency=30",
+                   "# rounds=2"):
+        assert echoed in comments
+    assert len(data) == 3
+
+
 def test_config_file_comments_and_dashes(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# a comment\n\nnoise-evict = 0.25\nrounds=4\n")
@@ -427,6 +443,25 @@ def test_mitigate_period_equal_to_reset_exits_2(tmp_path):
     assert proc.stderr.splitlines() == [
         "error: flush period 24 does not exceed the 24-cycle table reset "
         "itself"]
+
+
+@pytest.mark.parametrize("cycles", ["1000000000000",
+                                    "1000000000000000000"])
+def test_mitigate_huge_cycles_per_load_finishes(tmp_path, cycles):
+    # the flush clock used to reset once per elapsed period in a loop,
+    # about 10**13 times per load here; the child process lets the
+    # timeout stop such a regression
+    trace = tmp_path / "t.txt"
+    trace.write_text("".join(f"0x400100,{0x10000 + i * 0x40:#x},0\n"
+                             for i in range(3)))
+    out = tmp_path / "x.csv"
+    proc = _run_child("-m", "afterimage.cli", "mitigate", "--trace",
+                      str(trace), "--cycles-per-load", cycles,
+                      "--output", str(out))
+    assert proc.returncode == 0, proc.stderr
+    _, data = _split(_lines(out))
+    fields = dict(zip(data[0].split(","), data[1].split(",")))
+    assert int(fields["flushes"]) > 10**7
 
 
 def test_mitigate_negative_trace_address_exits_2(tmp_path):

@@ -186,6 +186,38 @@ def test_flush_period_must_exceed_the_reset():
     assert m.flush_count == 1 and m.clock == 25 + 24
 
 
+def _looped_flush_clock(n_loads, cycles_per_load, period, cost):
+    """The periodic flush clock as a loop, one reset per elapsed period."""
+    clock, due, flushes = 0, period, 0
+    for _ in range(n_loads):
+        while clock >= due:
+            clock += cost
+            flushes += 1
+            due += period
+        clock += cycles_per_load
+    return clock, flushes
+
+
+@pytest.mark.parametrize("cycles_per_load, period, ports", [
+    (10, 36_000, 1), (10**5, 36_000, 1), (10**8, 36_000, 1),
+    (10, 25, 1), (10**5, 25, 1), (10**5, 1000, 2), (10**5, 13, 2),
+])
+def test_flush_clock_owes_the_resets_of_a_loop(cycles_per_load, period,
+                                               ports):
+    # the clock counts the resets owed since the last load in one step;
+    # they must be the ones a reset-per-period loop would make
+    m = Machine(flush_period=period, write_ports=ports)
+    for i in range(3):
+        m.load(0x400100, 0x10000 + i * 64)
+        m.clock += cycles_per_load
+    cost = PrefetchTable.reset_cost(ports)
+    clock, flushes = _looped_flush_clock(3, cycles_per_load, period, cost)
+    assert (m.clock, m.flush_count, m.reset_cycles) == (
+        clock, flushes, cost * flushes)
+    if (cycles_per_load, period) == (10**8, 36_000):
+        assert (m.flush_count, m.reset_cycles) == (5559, 133416)
+
+
 def test_clock_tracks_latencies():
     m = Machine()
     loads = m.run_program(Domain("a"), [Load(0x400000, 0x1000),

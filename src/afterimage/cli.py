@@ -62,7 +62,11 @@ _CACHE_KEYS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Report usage errors as ValueError: main prints one line, exit 2."""
+    """Report usage errors as ValueError: main prints one line, exit 2.
+    An option is matched only by its full name, never by a prefix."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ValueError(message)
@@ -108,6 +112,8 @@ def _config_flags(config: dict, parsed: dict) -> list[str]:
     ``--key=value``, so that the parser checks it like a flag."""
     flags = []
     for key, value in config.items():
+        if key == "config":
+            raise ValueError("config key config: config files do not nest")
         flag = "--" + key.replace("_", "-")
         if isinstance(parsed.get(key), bool):
             flags += [flag] if _to_bool(key, value) else []

@@ -12,31 +12,32 @@ CLI can self-check.
 end.  They are one attack in three scenarios: a shared-address-space
 victim, a cross-process victim reached through a shared page, and a
 kernel syscall reached through shared memory.  A scenario builder says
-who trains, where the victim runs, which page is watched and how a
-detected stride decodes to a bit; one round loop, ``_score_rounds``,
-then trains, runs the victim, observes through the chosen channel and
+who trains, where the victim runs, what each arm of its secret-dependent
+branch loads, which page is watched and how a detected stride decodes
+to a bit; one round loop, ``_score_rounds``, then trains, draws the
+secret bit, runs that arm, observes through the chosen channel and
 scores each round for every variant.  ``mitigation_eval`` measures
 what periodically clearing the table costs in prefetch coverage.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .cache import CacheModel, MinimalEvictionSet, build_eviction_set
 from .programs import (
     Domain,
     FlushLines,
+    Load,
     Machine,
-    SecretSource,
     Step,
     _stride_bytes,
     build_gadget,
-    build_kernel_syscall,
-    build_victim,
     ip_matching_groups,
     ip_with_tag,
 )
@@ -591,24 +592,18 @@ def _page_eviction_sets(cache: CacheModel,
     return out
 
 
-def _secret_source(seed: int, flush_on_switch: bool) -> SecretSource:
-    # Under the mitigation every bit is sent as 1: with a random secret
-    # a dead channel would still agree with the truth half the time,
-    # which would mask the blockage.
-    if flush_on_switch:
-        return SecretSource(bits=[1])
-    return SecretSource(seed=seed ^ 0x5EC2E7)
-
-
 @dataclass
 class _Scenario:
     """Who trains, where the victim runs and which page is watched.
 
     ``page_vaddr`` is the observed page in the attacker's space and
-    ``page_paddr`` where it lives.  ``decode`` maps the detected stride
-    (None when nothing was detected) to the inferred bit; a stride it
-    does not list infers nothing.  ``probes`` replay the trained
-    entries for the status probe, in the order of ``decode``'s strides.
+    ``page_paddr`` where it lives.  ``arms`` maps each secret bit to
+    the (load IP, array vaddr) of the branch arm the victim then runs,
+    or to None for an arm that makes no load.  ``decode`` maps the
+    detected stride (None when nothing was detected) to the inferred
+    bit; a stride it does not list infers nothing.  ``probes`` replay
+    the trained entries for the status probe, in the order of
+    ``decode``'s strides.
     """
 
     attacker: Domain
@@ -616,8 +611,7 @@ class _Scenario:
     page_vaddr: int
     page_paddr: int
     victim: Domain
-    victim_program: list[Step]
-    source: SecretSource
+    arms: dict[int, tuple[int, int] | None]
     decode: dict[int | None, int]
     probes: list[StatusProbe] | None = None
     detail: dict = field(default_factory=dict)
@@ -628,10 +622,18 @@ class _Scenario:
 _IF_TAG, _ELSE_TAG = 0x3A, 0xB4
 _STRIDE_IF, _STRIDE_ELSE = 7, 13
 _TWO_SIDED = {_STRIDE_IF: 1, _STRIDE_ELSE: 0}
+_VICTIM_CODE = 0x700000
+_KERNEL_CODE = 0x7FFF00F000  # fixed: kernel text is not randomized here
+_ARRAY_LINES = 48  # the victim's array; each load picks one of its lines
 
 
-def _same_space(machine: Machine, seed: int,
-                flush_on_switch: bool) -> _Scenario:
+def _two_arms(array: int) -> dict[int, tuple[int, int]]:
+    """The if arm (bit 1) and the else arm (bit 0), loading from ``array``."""
+    return {1: (ip_with_tag(_VICTIM_CODE, _IF_TAG), array),
+            0: (ip_with_tag(_VICTIM_CODE + 0x1000, _ELSE_TAG), array)}
+
+
+def _same_space(machine: Machine, seed: int) -> _Scenario:
     """Variant 1: gadget, victim and observer share one address space.
 
     The gadget trains both candidate tags with distinct strides; the
@@ -642,7 +644,6 @@ def _same_space(machine: Machine, seed: int,
     gadget_code, arrays, iters = 0x400000, (0x10000, 0x12000), 3
     victim_page = 0x600000
     dom = Domain("proc")
-    source = _secret_source(seed, flush_on_switch)
     # the victim initialised its array earlier; the translation is warm
     machine.tlb.access(page_frame(dom.translate(victim_page)))
     gadget = build_gadget(_IF_TAG, _ELSE_TAG, _STRIDE_IF, _STRIDE_ELSE,
@@ -655,13 +656,11 @@ def _same_space(machine: Machine, seed: int,
         ip = ip_with_tag(gadget_code + k * 0x1000, tag)
         replay = dom.translate(arrays[k]) + iters * sb
         probes.append(StatusProbe(tag, ip, replay, sb))
-    victim = build_victim(source, _IF_TAG, _ELSE_TAG, array_base=victim_page)
     return _Scenario(dom, gadget, victim_page, dom.translate(victim_page),
-                     dom, victim, source, _TWO_SIDED, probes)
+                     dom, _two_arms(victim_page), _TWO_SIDED, probes)
 
 
-def _cross_process(machine: Machine, seed: int,
-                   flush_on_switch: bool) -> _Scenario:
+def _cross_process(machine: Machine, seed: int) -> _Scenario:
     """Variant 2: the victim runs in another process; a shared page
     carries both the victim's array and the observer's reloads."""
     shared_vaddr, shared_paddr = 0x640000, 0x500000
@@ -669,16 +668,12 @@ def _cross_process(machine: Machine, seed: int,
     victim = Domain("victim", phys_offset=0x20000000)
     attacker.map_shared(shared_vaddr, shared_paddr)
     victim.map_shared(shared_vaddr, shared_paddr)
-    source = _secret_source(seed, flush_on_switch)
     gadget = build_gadget(_IF_TAG, _ELSE_TAG, _STRIDE_IF, _STRIDE_ELSE)
-    victim_program = build_victim(source, _IF_TAG, _ELSE_TAG,
-                                  array_base=shared_vaddr)
     return _Scenario(attacker, gadget, shared_vaddr, shared_paddr,
-                     victim, victim_program, source, _TWO_SIDED)
+                     victim, _two_arms(shared_vaddr), _TWO_SIDED)
 
 
-def _user_kernel(machine: Machine, seed: int,
-                 flush_on_switch: bool) -> _Scenario:
+def _user_kernel(machine: Machine, seed: int) -> _Scenario:
     """Variant 3: the victim load sits inside a syscall handler.
 
     Kernel code addresses are hidden, so the rig first hunts for a user
@@ -695,11 +690,8 @@ def _user_kernel(machine: Machine, seed: int,
     user = Domain("user")
     kernel = Domain("kernel", phys_offset=0x80000000)
     kernel.map_shared(kernel_vaddr, shared_paddr)
-    source = _secret_source(seed, flush_on_switch)
-    syscall = build_kernel_syscall(source, kernel_tag, kernel_vaddr)
-    # the search phase forces the interesting branch with known inputs
-    search_syscall = build_kernel_syscall(SecretSource(bits=[1]), kernel_tag,
-                                          kernel_vaddr)
+    arms = {1: (ip_with_tag(_KERNEL_CODE, kernel_tag), kernel_vaddr),
+            0: None}
     groups = ip_matching_groups(n_groups=20, group_size=24,
                                 stride_lines=stride, iterations=3)
     flush_prog = [FlushLines(shared_paddr, PAGE_LINES)]
@@ -712,9 +704,10 @@ def _user_kernel(machine: Machine, seed: int,
     matched = None
     for g, group_prog in enumerate(groups):
         for _attempt in range(3):
-            machine.run_program(user, group_prog, search_rng)
-            machine.run_program(user, flush_prog, search_rng)
-            machine.run_program(kernel, search_syscall, search_rng)
+            machine.run_program(user, group_prog)
+            machine.run_program(user, flush_prog)
+            # the search forces the loading arm with known inputs
+            machine.run_program(kernel, _victim_steps(arms[1], search_rng))
             observed = flush_reload(machine.cache, shared_paddr, search_rng)
             if detect_stride(observed, [stride]).detected == stride:
                 matched = g
@@ -725,17 +718,39 @@ def _user_kernel(machine: Machine, seed: int,
     # with an arbitrary group so the scored rounds still run honestly
     group_prog = groups[matched if matched is not None else 0]
     return _Scenario(user, group_prog, shared_paddr, shared_paddr,
-                     kernel, syscall, source, {stride: 1, None: 0},
+                     kernel, arms, {stride: 1, None: 0},
                      detail={"matched_group": matched})
 
 
 _SCENARIOS = {1: _same_space, 2: _cross_process, 3: _user_kernel}
 
 
+def _secret_source(seed: int, flush_on_switch: bool) -> Iterator[int]:
+    """The victim's secret bits, one per round."""
+    # Under the mitigation every bit is sent as 1: with a random secret
+    # a dead channel would still agree with the truth half the time,
+    # which would mask the blockage.
+    if flush_on_switch:
+        return itertools.repeat(1)
+    rng = random.Random(seed ^ 0x5EC2E7)
+    return (rng.randrange(2) for _ in itertools.count())
+
+
+def _victim_steps(arm: tuple[int, int] | None,
+                  rng: random.Random) -> list[Step]:
+    """One arm of the victim's branch: a load from its IP of a random
+    line of its array, or nothing for an arm that makes no load."""
+    if arm is None:
+        return []
+    ip, array = arm
+    return [Load(ip, array + rng.randrange(_ARRAY_LINES) * LINE_BYTES)]
+
+
 def _score_rounds(machine: Machine, sc: _Scenario, channel: str,
-                  rounds: int, noise: NoiseModel,
-                  seed: int) -> list[RoundRecord]:
-    """Train, let the victim run, observe the page and decode, per round.
+                  rounds: int, noise: NoiseModel, seed: int,
+                  bits: Iterator[int]) -> list[RoundRecord]:
+    """Train, let the victim run the arm of the round's secret bit,
+    observe the page and decode, per round.
 
     Flush+reload empties the page before the victim runs; prime+probe
     primes one eviction set per page line instead.  Both then see the
@@ -749,13 +764,15 @@ def _score_rounds(machine: Machine, sc: _Scenario, channel: str,
     records = []
     for i in range(rounds):
         rng = _round_rng(seed, noise.seed, i)
-        machine.run_program(sc.attacker, sc.training, rng)
+        machine.run_program(sc.attacker, sc.training)
         if channel == "flush_reload":
-            machine.run_program(sc.attacker, flush_prog, rng)
+            machine.run_program(sc.attacker, flush_prog)
         elif channel == "prime_probe":
             baseline = prime(cache, mes_list)
-        victim_loads = machine.run_program(sc.victim, sc.victim_program, rng)
-        truth = sc.source.history[-1]
+        truth = next(bits)
+        # a silent arm runs no step, but entering the domain still counts
+        victim_loads = machine.run_program(
+            sc.victim, _victim_steps(sc.arms[truth], rng))
 
         if channel == "status_probe":
             # the victim's load retrained the entry of the arm it took
@@ -807,8 +824,9 @@ def run_attack(variant: int, channel: str, rounds: int = 200,
     noise = noise if noise is not None else NoiseModel()
     machine = Machine(cache_config=cache_config,
                       flush_on_switch=flush_on_switch)
-    scenario = _SCENARIOS[variant](machine, seed, flush_on_switch)
-    records = _score_rounds(machine, scenario, channel, rounds, noise, seed)
+    scenario = _SCENARIOS[variant](machine, seed)
+    records = _score_rounds(machine, scenario, channel, rounds, noise, seed,
+                            _secret_source(seed, flush_on_switch))
     return AttackOutcome(records, scenario.detail)
 
 

@@ -30,9 +30,10 @@ LINE_SHIFT = 6
 
 
 def plru_touch(mru, slot):
-    """Set a slot's recency bit; clear all others first if that would fill the set."""
-    if mru[slot]:
-        return
+    """Set a clear slot's recency bit; clear all others first if that
+    would fill the set.  The caller only touches a slot whose bit is
+    clear: a hit skips the call when the bit is set, and an allocation
+    takes an empty slot or ``mru.index(False)``."""
     if mru.count(True) == len(mru) - 1:
         mru[:] = [False] * len(mru)
     mru[slot] = True

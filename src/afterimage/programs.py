@@ -1,15 +1,15 @@
 """Straight-line victim/attacker programs and their execution.
 
-A program is a flat list of steps (loads, flushes and secret-dependent
-branches) run by a Machine that owns the prefetcher table, the TLB and
-the cache and keeps a cycle clock fed by load latencies.  The Machine
-keeps no log: a run returns the physical addresses of the demand loads
-it made, and everything else is read from the state it leaves.  Every
-demand load in the simulator, whether a program step, a bench load, a
-status probe or a replayed trace, goes through ``Machine.load``.
-Domains give each simulated protection context its own page mapping;
-translation is identity-plus-offset with explicit per-frame overrides
-so that shared memory can alias one physical page from several domains.
+A program is a flat list of steps (loads and line flushes) run by a
+Machine that owns the prefetcher table, the TLB and the cache and keeps
+a cycle clock fed by load latencies.  The Machine keeps no log: a run
+returns the physical addresses of the demand loads it made, and
+everything else is read from the state it leaves.  Every demand load in
+the simulator, whether a program step, a bench load, a status probe or a
+replayed trace, goes through ``Machine.load``.  Domains give each
+simulated protection context its own page mapping; translation is
+identity-plus-offset with explicit per-frame overrides so that shared
+memory can alias one physical page from several domains.
 
 Prefetcher and cache state persist across domain switches unless a flush
 is armed: ``flush_on_switch`` wipes the table at every switch, and a
@@ -18,10 +18,9 @@ is armed: ``flush_on_switch`` wipes the table at every switch, and a
 
 from __future__ import annotations
 
-import random
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 from .cache import CacheConfig, CacheModel
 from .kernels import STRIDE_LIMIT
@@ -33,10 +32,6 @@ from .uarch import (
     page_frame,
 )
 
-KERNEL_CODE_BASE = 0x7FFF00F000  # fixed: kernel text is not randomized here
-
-AddrExpr = Union[int, Callable[[random.Random], int]]
-
 
 def ip_with_tag(code_base: int, tag: int) -> int:
     return (code_base & ~0xFF) | (tag & 0xFF)
@@ -45,7 +40,7 @@ def ip_with_tag(code_base: int, tag: int) -> int:
 @dataclass(frozen=True)
 class Load:
     ip: int
-    vaddr: AddrExpr
+    vaddr: int
 
 
 @dataclass(frozen=True)
@@ -54,35 +49,7 @@ class FlushLines:
     n_lines: int = 1
 
 
-@dataclass(frozen=True)
-class Branch:
-    source: "SecretSource"
-    taken: tuple = ()
-    not_taken: tuple = ()
-
-
-Step = Union[Load, FlushLines, Branch]
-
-
-class SecretSource:
-    """Ground-truth bit stream, seeded or user-supplied, with history."""
-
-    def __init__(self, seed: int | None = None, bits: list[int] | None = None):
-        if bits is None and seed is None:
-            raise ValueError("need a seed or an explicit bit list")
-        self._bits = list(bits) if bits is not None else None
-        self._pos = 0
-        self._rng = random.Random(seed) if bits is None else None
-        self.history: list[int] = []
-
-    def next_bit(self) -> int:
-        if self._bits is not None:
-            bit = self._bits[self._pos % len(self._bits)]
-            self._pos += 1
-        else:
-            bit = self._rng.randrange(2)
-        self.history.append(bit)
-        return bit
+Step = Union[Load, FlushLines]
 
 
 class Domain:
@@ -182,36 +149,27 @@ class Machine:
 
     # -- execution -------------------------------------------------------
 
-    def run_program(self, domain: Domain, steps: list[Step],
-                    rng: random.Random | None = None) -> list[int]:
+    def run_program(self, domain: Domain, steps: list[Step]) -> list[int]:
         """Run a step list in a domain and return the physical addresses
         of its demand loads, in order.  Entering a new domain flushes
-        the table first when ``flush_on_switch`` is set."""
-        rng = rng or random.Random(0)
+        the table first when ``flush_on_switch`` is set, even for an
+        empty list."""
         if (self.flush_on_switch and self.current_domain is not None
                 and domain.name != self.current_domain):
             self._reset_table()
         self.current_domain = domain.name
         loads: list[int] = []
-        self._run_steps(domain, steps, rng, loads)
-        return loads
-
-    def _run_steps(self, domain: Domain, steps, rng: random.Random,
-                   loads: list[int]) -> None:
         for step in steps:
             if isinstance(step, Load):
-                vaddr = step.vaddr(rng) if callable(step.vaddr) else step.vaddr
-                paddr = domain.translate(vaddr)
+                paddr = domain.translate(step.vaddr)
                 self.clock += self.load(step.ip, paddr)
                 loads.append(paddr)
             elif isinstance(step, FlushLines):
                 for i in range(step.n_lines):
                     self.flush(domain.translate(step.vaddr + i * LINE_BYTES))
-            elif isinstance(step, Branch):
-                arm = step.taken if step.source.next_bit() else step.not_taken
-                self._run_steps(domain, arm, rng, loads)
             else:
                 raise TypeError(f"unknown step {step!r}")
+        return loads
 
 
 # -- program builders ----------------------------------------------------
@@ -242,42 +200,6 @@ def build_gadget(if_tag: int, else_tag: int, stride_if: int, stride_else: int,
         steps.append(Load(ip_if, array_if + i * sb_if))
         steps.append(Load(ip_else, array_else + i * sb_else))
     return steps
-
-
-def line_picker(array_base: int, array_lines: int):
-    """Uniformly random line inside the victim's array."""
-    def pick(rng: random.Random) -> int:
-        return array_base + rng.randrange(array_lines) * LINE_BYTES
-    return pick
-
-
-def build_victim(source: SecretSource, if_tag: int, else_tag: int,
-                 array_base: int, array_lines: int = 48) -> list[Step]:
-    """Secret-dependent branch; each arm loads one arbitrary array line."""
-    if array_lines < 1 or array_lines > PAGE_BYTES // LINE_BYTES:
-        raise ValueError("array must fit one page")
-    code_base = 0x700000
-    branch = Branch(
-        source,
-        taken=(Load(ip_with_tag(code_base, if_tag),
-                    line_picker(array_base, array_lines)),),
-        not_taken=(Load(ip_with_tag(code_base + 0x1000, else_tag),
-                        line_picker(array_base, array_lines)),),
-    )
-    return [branch]
-
-
-def build_kernel_syscall(source: SecretSource, tag: int,
-                         shared_vaddr: int) -> list[Step]:
-    """Syscall body: when the secret bit is set, one load into shared memory."""
-    array_lines = 48
-    branch = Branch(
-        source,
-        taken=(Load(ip_with_tag(KERNEL_CODE_BASE, tag),
-                    line_picker(shared_vaddr, array_lines)),),
-        not_taken=(),
-    )
-    return [branch]
 
 
 def ip_matching_groups(n_groups: int = 20, group_size: int = 24,

@@ -193,6 +193,16 @@ def test_unknown_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_abbreviated_flag_exits_2(tmp_path, capsys):
+    # options match by full name only: --round is not taken for --rounds
+    out = tmp_path / "a.csv"
+    assert main(["attack", "--variant", "1", "--channel", "flush_reload",
+                 "--round", "2", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unrecognized arguments: --round 2"]
+    assert not out.exists()
+
+
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
     capsys.readouterr()

@@ -95,6 +95,8 @@ def test_any_config_file_ends_in_a_csv_or_one_error_line(command, entries,
 
 @pytest.mark.parametrize("command, line, message", [
     ("attack", "rouns=500", "unrecognized arguments: --rouns=500"),
+    ("attack", "round=5", "unrecognized arguments: --round=5"),
+    ("attack", "config=x.cfg", "config key config: config files do not nest"),
     ("attack", "trace=t.txt", "unrecognized arguments: --trace=t.txt"),
     ("attack", "rounds=x", "argument --rounds: invalid int value: 'x'"),
     ("attack", "channel=bogus", "argument --channel: invalid choice: "

@@ -1,5 +1,6 @@
 """Tests for the reverse-engineering benches, attacks and mitigation."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -18,8 +19,11 @@ from afterimage.experiments import (
     NoiseModel,
     SurvivalResult,
     UnsupportedChannelError,
+    _SCENARIOS,
     _apply_page_noise,
     _page_eviction_sets,
+    _secret_source,
+    _victim_steps,
     flush_period_cycles,
     load_trace,
     mitigation_eval,
@@ -31,8 +35,15 @@ from afterimage.experiments import (
     run_attack,
     synthetic_workload,
 )
+from afterimage.programs import Load, Machine
 from afterimage.sidechannel import PAGE_LINES
-from afterimage.uarch import LINE_BYTES, PAGE_BYTES, line_index
+from afterimage.uarch import (
+    LINE_BYTES,
+    PAGE_BYTES,
+    ip_tag,
+    line_index,
+    page_frame,
+)
 
 
 # --------------------------------------------------------------------------
@@ -202,8 +213,8 @@ def test_attack_is_seed_reproducible():
 
 
 def test_attack_memory_stays_bounded_in_rounds():
-    # per round an attack keeps only its RoundRecord and the secret bit;
-    # nothing else a round makes may outlive it
+    # per round an attack keeps only its RoundRecord; nothing else a
+    # round makes may outlive it
     def peak(rounds):
         tracemalloc.start()
         try:
@@ -258,6 +269,50 @@ def test_page_eviction_sets_match_per_line_search(slices, sets_per_slice,
                                         for ln in range(PAGE_LINES)])
         assert _search_outcome(
             lambda: _page_eviction_sets(cache, page)) == want, page
+
+
+# --------------------------------------------------------------------------
+# the victim: secret bits and branch arms
+# --------------------------------------------------------------------------
+
+
+def _bits(seed, flush_on_switch, n=64):
+    return list(itertools.islice(_secret_source(seed, flush_on_switch), n))
+
+
+def test_secret_bits_follow_the_seed():
+    assert _bits(42, False) == _bits(42, False)
+    assert set(_bits(42, False)) == {0, 1}
+    # the mitigation sends all ones, so a dead channel cannot agree by chance
+    assert set(_bits(42, True)) == {1}
+
+
+def test_victim_arms_carry_the_trained_tags_into_the_watched_page():
+    def watched(sc, array):
+        last = array + (48 - 1) * LINE_BYTES
+        return {page_frame(sc.victim.translate(a)) for a in (array, last)} \
+            == {page_frame(sc.page_paddr)}
+
+    for variant in (1, 2):
+        sc = _SCENARIOS[variant](Machine(), 0)
+        assert {bit: ip_tag(ip) for bit, (ip, _) in sc.arms.items()} == {
+            1: 0x3A, 0: 0xB4}
+        assert all(watched(sc, array) for _, array in sc.arms.values())
+    sc = _SCENARIOS[3](Machine(), 0)
+    ip, array = sc.arms[1]
+    assert ip_tag(ip) == 0x4B and watched(sc, array)
+    assert sc.arms[0] is None
+
+
+def test_a_loading_arm_draws_one_line_and_a_silent_arm_none():
+    rng, twin = random.Random(5), random.Random(5)
+    for _ in range(100):
+        line = twin.randrange(48)
+        assert _victim_steps((0x70003A, 0x30000), rng) == [
+            Load(0x70003A, 0x30000 + line * LINE_BYTES)]
+    assert rng.getstate() == twin.getstate()
+    assert _victim_steps(None, rng) == []
+    assert rng.getstate() == twin.getstate()
 
 
 def test_kernel_attack_finds_matching_group_via_channel():

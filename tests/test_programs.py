@@ -1,38 +1,17 @@
-"""Domains, secret sources, program builders and the Machine."""
-
-import random
+"""Domains, program builders and the Machine."""
 
 import pytest
 
 from afterimage.programs import (
-    Branch,
     Domain,
     FlushLines,
     Load,
     Machine,
-    SecretSource,
     build_gadget,
-    build_kernel_syscall,
-    build_victim,
     ip_matching_groups,
+    ip_with_tag,
 )
 from afterimage.uarch import PrefetchTable, ip_tag, page_frame
-
-
-def test_secret_source_seeded_reproducibility():
-    a = SecretSource(seed=42)
-    b = SecretSource(seed=42)
-    bits = [a.next_bit() for _ in range(32)]
-    assert bits == [b.next_bit() for _ in range(32)]
-    assert a.history == bits
-    assert set(bits) == {0, 1}
-
-
-def test_secret_source_explicit_bits_cycle():
-    s = SecretSource(bits=[1, 0, 0])
-    assert [s.next_bit() for _ in range(6)] == [1, 0, 0, 1, 0, 0]
-    with pytest.raises(ValueError):
-        SecretSource()
 
 
 def test_domain_translation_and_sharing():
@@ -70,32 +49,6 @@ def test_short_gadget_stays_below_trigger():
     m.run_program(Domain("a"), build_gadget(0xA0, 0xB4, 7, 13, iterations=2))
     assert m.table.entry_for(0xA0).confidence == 1
     assert m.table.entry_for(0xB4).confidence == 1
-
-
-def test_victim_branch_follows_secret():
-    src = SecretSource(bits=[1, 0])
-    prog = build_victim(src, 0xA0, 0xB4, array_base=0x30000)
-    m = Machine()
-    d = Domain("v")
-    assert len(m.run_program(d, prog)) == 1
-    assert m.table.entry_for(0xA0) is not None
-    assert m.table.entry_for(0xB4) is None
-    assert len(m.run_program(d, prog)) == 1
-    assert m.table.entry_for(0xB4) is not None
-    assert src.history == [1, 0]
-    with pytest.raises(ValueError):
-        build_victim(src, 0xA0, 0xB4, 0x30000, array_lines=100)
-
-
-def test_kernel_syscall_loads_only_when_bit_set():
-    src = SecretSource(bits=[0, 1])
-    prog = build_kernel_syscall(src, 0xC3, shared_vaddr=0x30000)
-    m = Machine()
-    k = Domain("kern", phys_offset=0x80000000)
-    k.map_shared(0x30000, 0x500000)
-    assert m.run_program(k, prog) == []
-    loads = m.run_program(k, prog)
-    assert len(loads) == 1 and page_frame(loads[0]) == page_frame(0x500000)
 
 
 def test_ip_matching_groups_cover_tag_space():
@@ -226,6 +179,11 @@ def test_clock_tracks_latencies():
     assert m.clock == 200 + 40
 
 
+def test_unknown_step_is_rejected():
+    with pytest.raises(TypeError):
+        Machine().run_program(Domain("a"), [0x1000])
+
+
 def test_cross_process_shared_page_carries_the_stride():
     # train in one process, trigger from another via a shared physical page
     shared_phys = 0x500000
@@ -234,13 +192,12 @@ def test_cross_process_shared_page_carries_the_stride():
     victim = Domain("victim", phys_offset=0x200000000)
     victim.map_shared(0x30000, shared_phys)
 
-    src = SecretSource(bits=[1])
     m = Machine()
     m.run_program(attacker, build_gadget(0xA0, 0xB4, 8, 13))
     assert m.run_program(attacker, [FlushLines(0x20000, 64)]) == []
     requests, installs = m.prefetch_requests, m.cache.prefetch_installs
-    [load] = m.run_program(victim, build_victim(src, 0xA0, 0xB4, 0x30000),
-                           rng=random.Random(7))
+    [load] = m.run_program(victim, [Load(ip_with_tag(0x700000, 0xA0),
+                                         0x30000 + 20 * 64)])
 
     # the victim's one load fired the stride trained in the other process
     assert m.prefetch_requests == requests + 1

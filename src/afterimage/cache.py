@@ -3,13 +3,13 @@
 Lines are tracked by their 64-byte line index.  The slice is an XOR-fold
 of the line index (a stand-in for the undocumented physical hash), the
 set is its low bits.  The fold is XOR-linear: the slice of ``a ^ b`` is
-the slice of ``a`` XOR the slice of ``b``.  Eviction-set search relies
-on this to find the sets of a whole page from one search.  Timing is
-whole-line and two-valued: a configured hit latency and miss latency,
-with a decision threshold strictly between them.  ``install_prefetch``
-takes the byte address the prefetch table returned; the install
-bypasses latency accounting but is tagged so a later demand hit can be
-attributed to it.
+the slice of ``a`` XOR the slice of ``b``.  ``page_eviction_sets``
+relies on this to find the sets of a whole page's lines with one search
+per distinct high part.  Timing is whole-line and two-valued: a
+configured hit latency and miss latency, with a decision threshold
+strictly between them.  ``install_prefetch`` takes the byte address the
+prefetch table returned; the install bypasses latency accounting but is
+tagged so a later demand hit can be attributed to it.
 
 A line's placement is its ``(slice, set)`` key.  ``access`` places an
 address and hands it to ``access_line``, which holds the one LRU,
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .uarch import LINE_BYTES, LINE_SHIFT
+from .uarch import LINE_BYTES, LINE_SHIFT, PAGE_LINES
 
 
 class EvictionSetError(ValueError):
@@ -191,3 +191,37 @@ def build_eviction_set(cache: CacheModel, set_index: int, slice_index: int,
     raise EvictionSetError(
         f"pool exhausted with {len(lines)}/{want} members for "
         f"set {set_index} slice {slice_index}")
+
+
+def page_eviction_sets(cache: CacheModel,
+                       page_paddr: int) -> list[MinimalEvictionSet]:
+    """One eviction set per line of the page, each drawn from the pool
+    ``set_index + k * sets_per_slice`` for ``k`` in 1..4095 (not the
+    line itself).
+
+    Pool line ``k`` shares the set bits of the page line ``own``, and
+    the slice fold is XOR-linear, so it lands in ``own``'s slice
+    exactly when ``k << set_bits`` and ``own``'s high part shifted
+    the same way fold alike.  That depends on the high part alone, so
+    one search per distinct high part finds the ``k`` of every line
+    that shares it.
+    """
+    set_mask = cache._set_mask
+    set_bits = set_mask.bit_length()
+    offsets: dict[int, list[int]] = {}  # high part -> the k found for it
+    out = []
+    first = page_paddr >> LINE_SHIFT
+    for own in range(first, first + PAGE_LINES):
+        set_index, high = own & set_mask, own >> set_bits
+        slice_index = cache._slice(own)
+        ks = offsets.get(high)
+        if ks is None:
+            pool = ((set_index | k << set_bits) * LINE_BYTES
+                    for k in range(1, 4096) if k != high)
+            mes = build_eviction_set(cache, set_index, slice_index, pool)
+            offsets[high] = [li >> set_bits for li in mes.lines]
+        else:
+            mes = MinimalEvictionSet(set_index, slice_index,
+                                     [set_index | k << set_bits for k in ks])
+        out.append(mes)
+    return out

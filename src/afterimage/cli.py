@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .cache import CacheConfig
@@ -42,23 +43,10 @@ from .experiments import (
 )
 from .oracle import run_equivalence_check
 
-ATTACK_COLUMNS = ["round", "truth", "detected_stride", "inferred", "success"]
-MITIGATE_COLUMNS = [
-    "flush_period", "write_ports", "loads", "flushes", "reset_cycles",
-    "baseline_misses", "prefetch_requests", "useful_prefetches",
-    "coverage", "coverage_no_flush", "coverage_delta",
-]
-ORACLE_COLUMNS = ["seed", "loads", "mismatches"]
 MAX_ORACLE_LOADS = 1_000_000  # a stream this long holds about 200 MB of lists
 
-_CACHE_KEYS = {
-    "cache_slices": "slices",
-    "cache_sets_per_slice": "sets_per_slice",
-    "cache_associativity": "associativity",
-    "cache_hit_latency": "hit_latency",
-    "cache_miss_latency": "miss_latency",
-    "cache_threshold": "threshold",
-}
+_CACHE_KEYS = {f"cache_{f.name}": f.name for f in fields(CacheConfig)}
+_REVENG = ("indexing", "confstride", "page", "entries", "replacement")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,11 +153,13 @@ def _echo(args, *drop: str) -> dict:
 # --------------------------------------------------------------------------
 
 
-def emit_csv(path: str | Path, columns: list[str], rows: list[dict],
-             config: dict, success_rate: float | None = None) -> None:
-    """Write header comments, a column row, data rows and an optional
-    trailing ``# success_rate=<r>`` summary."""
+def emit_csv(path: str | Path, rows: list[dict], config: dict,
+             success_rate: float | None = None) -> None:
+    """Write header comments, a column row (the first row's keys, in
+    order), data rows and an optional trailing ``# success_rate=<r>``
+    summary."""
     lines = [f"# {key}={value}" for key, value in sorted(config.items())]
+    columns = list(rows[0])
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(str(row[column]) for column in columns))
@@ -183,63 +173,39 @@ def emit_csv(path: str | Path, columns: list[str], rows: list[dict],
 # --------------------------------------------------------------------------
 
 
-def _reveng_indexing(seed, cache_config):
-    result = rev_indexing(cache_config=cache_config)
-    return ["offset", "triggered"], result.rows(), result.verify()
-
-
-def _reveng_confstride(seed, cache_config):
-    columns = ["mode", "iteration", "st1_7_hot", "st2_5_hot", "label"]
-    rows, problems = [], []
-    for mode in ("random", "equals_st2"):
-        result = rev_conf_stride(offset_mode=mode, seed=seed,
-                                 cache_config=cache_config)
-        rows.extend({"mode": mode, **row} for row in result.rows())
-        problems.extend(f"{mode}: {p}" for p in result.verify())
-    return columns, rows, problems
-
-
-def _reveng_page(seed, cache_config):
-    result = rev_page(cache_config=cache_config)
-    columns = ["pool", "offset_pages", "tlb", "access", "triggered"]
-    return columns, result.rows(), result.verify()
-
-
-def _reveng_entries(seed, cache_config):
-    rows, problems = [], []
-    for n_ips in (24, 26, 30):
-        result = rev_entries(n_ips, cache_config=cache_config)
-        rows.extend({"n_ips": n_ips, **row} for row in result.rows())
-        problems.extend(f"{n_ips} streams: {p}" for p in result.verify())
-    return ["n_ips", "position", "alive"], rows, problems
-
-
-def _reveng_replacement(seed, cache_config):
-    result = rev_replacement(cache_config=cache_config)
-    return ["position", "alive"], result.rows(), result.verify()
-
-
-_REVENG = {
-    "indexing": _reveng_indexing,
-    "confstride": _reveng_confstride,
-    "page": _reveng_page,
-    "entries": _reveng_entries,
-    "replacement": _reveng_replacement,
-}
+def _reveng_runs(name, seed, cache_config):
+    """The runs of one reveng bench, as (row prefix, problem prefix,
+    result) each."""
+    if name == "confstride":
+        return [({"mode": mode}, f"{mode}: ",
+                 rev_conf_stride(offset_mode=mode, seed=seed,
+                                 cache_config=cache_config))
+                for mode in ("random", "equals_st2")]
+    if name == "entries":
+        return [({"n_ips": n_ips}, f"{n_ips} streams: ",
+                 rev_entries(n_ips, cache_config=cache_config))
+                for n_ips in (24, 26, 30)]
+    bench = {"indexing": rev_indexing, "page": rev_page,
+             "replacement": rev_replacement}[name]
+    return [({}, "", bench(cache_config=cache_config))]
 
 
 def _cmd_reveng(args, cache_config) -> int:
     args.seed = _seed(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = list(_REVENG) if args.which == "all" else [args.which]
+    names = _REVENG if args.which == "all" else [args.which]
     problems = []
     for name in names:
-        columns, rows, found = _REVENG[name](args.seed, cache_config)
+        rows = []
+        for row_prefix, problem_prefix, result in _reveng_runs(
+                name, args.seed, cache_config):
+            rows += [{**row_prefix, **row} for row in result.rows()]
+            problems += [f"{name}: {problem_prefix}{problem}"
+                         for problem in result.verify()]
         echo = {**_echo(args, "which", "out_dir"), "experiment": name,
                 **_cache_echo(cache_config)}
-        emit_csv(out_dir / f"reveng_{name}.csv", columns, rows, echo)
-        problems.extend(f"{name}: {p}" for p in found)
+        emit_csv(out_dir / f"reveng_{name}.csv", rows, echo)
     if problems:
         for problem in problems:
             print(f"verification mismatch: {problem}", file=sys.stderr)
@@ -258,7 +224,7 @@ def _cmd_attack(args, cache_config) -> int:
     output = (args.output if args.output is not None
               else f"attack_v{args.variant}_{args.channel}.csv")
     echo = {**_echo(args), **_cache_echo(cache_config), **outcome.detail}
-    emit_csv(output, ATTACK_COLUMNS, outcome.rows(), echo,
+    emit_csv(output, outcome.rows(), echo,
              success_rate=outcome.success_rate)
     return 0
 
@@ -271,7 +237,7 @@ def _cmd_mitigate(args, cache_config) -> int:
     # the replay draws nothing at random: --seed is accepted only for
     # callers that pass it anyway (perfbench's stream_replay), not echoed
     echo = {**_echo(args, "seed"), **_cache_echo(cache_config)}
-    emit_csv(args.output, MITIGATE_COLUMNS, report.rows(), echo)
+    emit_csv(args.output, report.rows(), echo)
     return 0
 
 
@@ -286,7 +252,7 @@ def _cmd_oracle(args, cache_config) -> int:
                                    seeds=range(args.sequences))
     rows = [{"seed": seed, "loads": args.loads, "mismatches": mismatches}
             for seed, mismatches in report.per_seed]
-    emit_csv(args.output, ORACLE_COLUMNS, rows, _echo(args))
+    emit_csv(args.output, rows, _echo(args))
     if not report.ok:
         print(f"verification mismatch: "
               f"{report.first_mismatch or 'state divergence'}",

@@ -29,20 +29,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from .cache import CacheModel, MinimalEvictionSet, build_eviction_set
+from .cache import CacheModel, MinimalEvictionSet, page_eviction_sets
 from .programs import (
     Domain,
     FlushLines,
     Load,
     Machine,
     Step,
-    _stride_bytes,
     build_gadget,
     ip_matching_groups,
     ip_with_tag,
+    stride_bytes,
 )
 from .sidechannel import (
-    PAGE_LINES,
     StatusProbe,
     detect_stride,
     flush_reload,
@@ -50,7 +49,7 @@ from .sidechannel import (
     prime,
     probe,
 )
-from .uarch import LINE_BYTES, LINE_SHIFT, PAGE_BYTES, page_frame
+from .uarch import LINE_BYTES, LINE_SHIFT, PAGE_BYTES, PAGE_LINES, page_frame
 
 #: Clock used to convert flush periods given in microseconds.
 DEFAULT_CLOCK_GHZ = 3.6
@@ -198,7 +197,7 @@ def rev_indexing(trained_tag: int = 0x2C,
     """
     if not 0 <= trained_tag <= 0xFF:
         raise ValueError("trained_tag must fit in one byte")
-    sb = _stride_bytes(7)
+    sb = stride_bytes(7)
     train_page = 0x100000
     replay_page = 0x180000
     train_ip = ip_with_tag(0x400000, trained_tag)
@@ -263,8 +262,8 @@ def rev_conf_stride(st1: int = 7, st2: int = 5, tr1: int = 4, tr2: int = 3,
         raise ValueError("both training phases need at least one load")
     if st1 == st2 or st1 < 1 or st2 < 1:
         raise ValueError("strides must be distinct positive line counts")
-    sb1 = _stride_bytes(st1)
-    sb2 = _stride_bytes(st2)
+    sb1 = stride_bytes(st1)
+    sb2 = stride_bytes(st2)
     page = 0x200000
     ip = ip_with_tag(0x400000, 0x51)
     rng = random.Random(seed)
@@ -369,7 +368,7 @@ def _page_trial(pool: str, offset_pages: int, *, cold: bool = False,
                 cache_config=None) -> list[bool]:
     """Train a stream, then time its prefetch ``offset_pages`` ahead; a
     ``cold`` trial skips the next frame's pre-walk and times two accesses."""
-    sb = _stride_bytes(7)
+    sb = stride_bytes(7)
     vbase = 0x300000
     if pool == "reclaimed":
         # every virtual page of the walk recycles the same physical frame
@@ -558,40 +557,6 @@ class AttackOutcome:
         } for r in self.records]
 
 
-def _page_eviction_sets(cache: CacheModel,
-                        page_paddr: int) -> list[MinimalEvictionSet]:
-    """One eviction set per line of the page, each drawn from the pool
-    ``set_index + k * sets_per_slice`` for ``k`` in 1..4095 (not the
-    line itself).
-
-    Pool line ``k`` shares the set bits of the page line ``own``, and
-    the slice fold is XOR-linear, so it lands in ``own``'s slice
-    exactly when ``k << set_bits`` and ``own``'s high part shifted
-    the same way fold alike.  That depends on the high part alone, so
-    one search per distinct high part finds the ``k`` of every line
-    that shares it.
-    """
-    set_mask = cache._set_mask
-    set_bits = set_mask.bit_length()
-    offsets: dict[int, list[int]] = {}  # high part -> the k found for it
-    out = []
-    first = page_paddr >> LINE_SHIFT
-    for own in range(first, first + PAGE_LINES):
-        set_index, high = own & set_mask, own >> set_bits
-        slice_index = cache._slice(own)
-        ks = offsets.get(high)
-        if ks is None:
-            pool = ((set_index | k << set_bits) * LINE_BYTES
-                    for k in range(1, 4096) if k != high)
-            mes = build_eviction_set(cache, set_index, slice_index, pool)
-            offsets[high] = [li >> set_bits for li in mes.lines]
-        else:
-            mes = MinimalEvictionSet(set_index, slice_index,
-                                     [set_index | k << set_bits for k in ks])
-        out.append(mes)
-    return out
-
-
 @dataclass
 class _Scenario:
     """Who trains, where the victim runs and which page is watched.
@@ -652,7 +617,7 @@ def _same_space(machine: Machine, seed: int) -> _Scenario:
     probes = []
     for k, (tag, stride) in enumerate(((_IF_TAG, _STRIDE_IF),
                                        (_ELSE_TAG, _STRIDE_ELSE))):
-        sb = _stride_bytes(stride)
+        sb = stride_bytes(stride)
         ip = ip_with_tag(gadget_code + k * 0x1000, tag)
         replay = dom.translate(arrays[k]) + iters * sb
         probes.append(StatusProbe(tag, ip, replay, sb))
@@ -760,7 +725,7 @@ def _score_rounds(machine: Machine, sc: _Scenario, channel: str,
     flush_prog = [FlushLines(sc.page_vaddr, PAGE_LINES)]
     strides = [s for s in sc.decode if s is not None]
     if channel == "prime_probe":
-        mes_list = _page_eviction_sets(cache, sc.page_paddr)
+        mes_list = page_eviction_sets(cache, sc.page_paddr)
     records = []
     for i in range(rounds):
         rng = _round_rng(seed, noise.seed, i)
@@ -874,7 +839,7 @@ class MitigationReport:
 def synthetic_workload(n_loads: int = 144_000, n_ips: int = 8,
                        spacing: int = 1 << 24) -> list[tuple[int, int]]:
     """Interleave ``n_ips`` fixed-stride streams, one load per turn."""
-    sb = _stride_bytes(7)
+    sb = stride_bytes(7)
     code_base, data_base = 0x900000, 0x20000000
     ips = [ip_with_tag(code_base + k * 0x1000, 0x10 + k)
            for k in range(n_ips)]
@@ -892,9 +857,9 @@ def load_trace(path: str | Path) -> list[tuple[int, int, int]]:
     """Parse a load trace: one ``ip_hex,vaddr_hex,domain_id`` per line.
 
     Blank lines and lines starting with ``#`` are skipped.  Malformed
-    lines, and negative IPs or addresses, raise ValueError naming the
-    file and line number; a file that is not UTF-8 text raises
-    ValueError naming the file.
+    lines, and IPs or addresses outside ``0 <= value < 2**64``, raise
+    ValueError naming the file and line number; a file that is not
+    UTF-8 text raises ValueError naming the file.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -917,9 +882,9 @@ def load_trace(path: str | Path) -> list[tuple[int, int, int]]:
         except ValueError:
             raise ValueError(
                 f"{path}:{lineno}: malformed field in {line!r}") from None
-        if ip < 0 or vaddr < 0:
-            raise ValueError(
-                f"{path}:{lineno}: negative ip or address in {line!r}")
+        if not (0 <= ip < 1 << 64 and 0 <= vaddr < 1 << 64):
+            raise ValueError(f"{path}:{lineno}: ip or address outside "
+                             f"0 .. 2**64 - 1 in {line!r}")
         records.append((ip, vaddr, domain_id))
     return records
 
@@ -942,11 +907,13 @@ def mitigation_eval(workload=None, flush_period_cycles: int | None = 36_000,
         raise ValueError("cycles_per_load must be >= 1")
     if flush_period_cycles == math.inf:
         flush_period_cycles = None
-    # building the flushed machine checks the ports and the period
-    unflushed = Machine(cache_config=cache_config)
+    # building the flushed machine checks the ports and the period; with
+    # no period it never resets, so its replay is the unflushed one
     flushed = Machine(cache_config=cache_config,
                       flush_period=flush_period_cycles,
                       write_ports=write_ports)
+    unflushed = (flushed if flush_period_cycles is None
+                 else Machine(cache_config=cache_config))
     if workload is None:
         workload = synthetic_workload()
     loads = [(item[0], item[1]) for item in workload]
@@ -955,7 +922,7 @@ def mitigation_eval(workload=None, flush_period_cycles: int | None = 36_000,
     for _ip, paddr in loads:
         base_cache.access(paddr)
     baseline_misses = base_cache.demand_misses
-    for machine in (unflushed, flushed):
+    for machine in dict.fromkeys((unflushed, flushed)):  # each one once
         for ip, paddr in loads:
             machine.load(ip, paddr)
             machine.clock += cycles_per_load

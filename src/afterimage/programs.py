@@ -175,7 +175,7 @@ class Machine:
 # -- program builders ----------------------------------------------------
 
 
-def _stride_bytes(stride_lines: int) -> int:
+def stride_bytes(stride_lines: int) -> int:
     sb = stride_lines * LINE_BYTES
     if abs(sb) > STRIDE_LIMIT:
         raise ValueError(f"stride {stride_lines} lines exceeds the 13-bit field")
@@ -188,8 +188,8 @@ def build_gadget(if_tag: int, else_tag: int, stride_if: int, stride_else: int,
     """Training gadget: two load IPs walking distinct strides (in lines)."""
     if if_tag == else_tag:
         raise ValueError("if/else tags must differ")
-    sb_if = _stride_bytes(stride_if)
-    sb_else = _stride_bytes(stride_else)
+    sb_if = stride_bytes(stride_if)
+    sb_else = stride_bytes(stride_else)
     if stride_if == stride_else:
         warnings.warn("equal strides leave the two paths indistinguishable",
                       stacklevel=2)
@@ -218,7 +218,7 @@ def ip_matching_groups(n_groups: int = 20, group_size: int = 24,
     """
     if n_groups * group_size < 256:
         raise ValueError("groups cannot cover all 256 tags")
-    sb = _stride_bytes(stride_lines)
+    sb = stride_bytes(stride_lines)
     code_base, data_base = 0x400000, 0x40000000
     groups = []
     for g in range(n_groups):

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 
 from .cache import CacheModel, MinimalEvictionSet
 from .programs import Machine
-from .uarch import LINE_BYTES
-
-PAGE_LINES = 64
+from .uarch import LINE_BYTES, PAGE_LINES
 
 
 @dataclass

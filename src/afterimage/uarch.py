@@ -26,10 +26,11 @@ from dataclasses import dataclass
 from . import kernels
 from .kernels import TABLE_SLOTS
 
-LINE_BYTES = 64
-PAGE_BYTES = 4096
 LINE_SHIFT = kernels.LINE_SHIFT
 PAGE_SHIFT = kernels.PAGE_SHIFT
+LINE_BYTES = 1 << LINE_SHIFT
+PAGE_BYTES = 1 << PAGE_SHIFT
+PAGE_LINES = PAGE_BYTES // LINE_BYTES
 
 Address = int
 

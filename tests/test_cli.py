@@ -474,19 +474,6 @@ def test_mitigate_huge_cycles_per_load_finishes(tmp_path, cycles):
     assert int(fields["flushes"]) > 10**7
 
 
-def test_mitigate_negative_trace_address_exits_2(tmp_path):
-    # a negative line index used to make the slice hash loop forever;
-    # the child process lets the timeout stop such a regression
-    trace = tmp_path / "neg.txt"
-    trace.write_text("0x400100,-0x10,0\n")
-    proc = _run_child("-m", "afterimage.cli", "mitigate", "--trace",
-                      str(trace), "--output", str(tmp_path / "x.csv"))
-    assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and "neg.txt:1" in lines[0]
-    assert not (tmp_path / "x.csv").exists()
-
-
 _BAD_TRACES = {
     "non_hex_field": (b"0x400100,0xzz,0\n",
                       "{path}:1: malformed field in '0x400100,0xzz,0'"),
@@ -496,9 +483,13 @@ _BAD_TRACES = {
     "two_fields": (b"# loads\n0x400100,0x10000\n",
                    "{path}:2: expected ip_hex,vaddr_hex,domain_id, "
                    "got '0x400100,0x10000'"),
+    # a negative line index used to make the slice hash loop forever
     "negative_address": (b"0x400100,-0x40,0\n",
-                         "{path}:1: negative ip or address in "
-                         "'0x400100,-0x40,0'"),
+                         "{path}:1: ip or address outside 0 .. 2**64 - 1 "
+                         "in '0x400100,-0x40,0'"),
+    "above_64_bits": (b"# loads\n0x400100,0x10000000000000000,0\n",
+                      "{path}:2: ip or address outside 0 .. 2**64 - 1 "
+                      "in '0x400100,0x10000000000000000,0'"),
     "not_utf8": (b"0x400100,0x10000,0\n\xff\xfe\n",
                  "{path}: not UTF-8 text: 'utf-8' codec can't decode byte "
                  "0xff in position 19: invalid start byte"),
@@ -586,13 +577,9 @@ def test_cli_import_leaves_numpy_out():
 # --------------------------------------------------------------------------
 
 
-def test_emit_csv_empty_rows_writes_header_only(tmp_path):
-    out = tmp_path / "empty.csv"
-    emit_csv(out, ["a", "b"], [], {"command": "demo", "n": 0})
-    assert _lines(out) == ["# command=demo", "# n=0", "a,b"]
-
-
-def test_emit_csv_column_order_is_stable(tmp_path):
+def test_emit_csv_columns_are_the_first_rows_keys_in_order(tmp_path):
     out = tmp_path / "cols.csv"
-    emit_csv(out, ["z", "a"], [{"a": 1, "z": 2}], {"k": "v"})
-    assert _lines(out) == ["# k=v", "z,a", "2,1"]
+    # a later row's own key order does not move its values
+    emit_csv(out, [{"z": 2, "a": 1}, {"a": 3, "z": 4}], {"k": "v"},
+             success_rate=0.5)
+    assert _lines(out) == ["# k=v", "z,a", "2,1", "4,3", "# success_rate=0.5"]

@@ -12,6 +12,7 @@ from afterimage.cache import (
     CacheModel,
     EvictionSetError,
     build_eviction_set,
+    page_eviction_sets,
 )
 from afterimage.experiments import (
     ATTACK_CHANNELS,
@@ -21,7 +22,6 @@ from afterimage.experiments import (
     UnsupportedChannelError,
     _SCENARIOS,
     _apply_page_noise,
-    _page_eviction_sets,
     _secret_source,
     _victim_steps,
     flush_period_cycles,
@@ -36,10 +36,10 @@ from afterimage.experiments import (
     synthetic_workload,
 )
 from afterimage.programs import Load, Machine
-from afterimage.sidechannel import PAGE_LINES
 from afterimage.uarch import (
     LINE_BYTES,
     PAGE_BYTES,
+    PAGE_LINES,
     ip_tag,
     line_index,
     page_frame,
@@ -268,7 +268,7 @@ def test_page_eviction_sets_match_per_line_search(slices, sets_per_slice,
         want = _search_outcome(lambda: [_mes_for_line(cache, page, ln)
                                         for ln in range(PAGE_LINES)])
         assert _search_outcome(
-            lambda: _page_eviction_sets(cache, page)) == want, page
+            lambda: page_eviction_sets(cache, page)) == want, page
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Package hygiene: every public name resolves, no module imports a name
-it never uses, and no private definition or attribute goes unread.  A
-dependency-free stand-in for a linter."""
+it never uses, no private definition or attribute goes unread, and no
+module touches another module's private names.  A dependency-free
+stand-in for a linter."""
 
 import ast
 from pathlib import Path
@@ -86,3 +87,50 @@ def test_every_private_attribute_assigned_is_read():
     unread = [f"{where}: {name}" for name, where in sorted(stored.items())
               if name not in loaded]
     assert unread == []
+
+
+def _defined_private_names(tree):
+    """The private names a module defines: functions, classes, methods,
+    module and class variables, and attributes it stores."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Store):
+            names.add(node.attr)
+    bodies = [tree.body] + [node.body for node in ast.walk(tree)
+                            if isinstance(node, ast.ClassDef)]
+    for body in bodies:
+        for node in body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in names if _private(name)}
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    # a private name is its module's own decision: another module that
+    # imports it or reads it as an attribute holds a second copy of it
+    trees = _trees()
+    defined = {fname: _defined_private_names(tree)
+               for fname, tree in trees.items()}
+    leaks = []
+    for fname, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used = [(alias.name, alias.lineno) for alias in node.names]
+            elif (isinstance(node, ast.Attribute)
+                  and not isinstance(node.ctx, ast.Store)):
+                used = [(node.attr, node.lineno)]
+            else:
+                continue
+            for name, line in used:
+                owners = sorted(other for other, names in defined.items()
+                                if other != fname and name in names)
+                if _private(name) and name not in defined[fname] and owners:
+                    leaks.append(f"{fname}:{line}: {name} "
+                                 f"({', '.join(owners)})")
+    assert leaks == []

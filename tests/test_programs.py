@@ -171,6 +171,25 @@ def test_flush_clock_owes_the_resets_of_a_loop(cycles_per_load, period,
         assert (m.flush_count, m.reset_cycles) == (5559, 133416)
 
 
+def test_machine_without_a_period_never_resets_whatever_its_ports():
+    # mitigation_eval replays a workload once when it has no period, on
+    # the machine built with the ports: it must end as a plain Machine
+    machines = Machine(flush_period=None, write_ports=2), Machine()
+    for m in machines:
+        for i in range(3000):
+            k = i % 3
+            m.load(ip_with_tag(0x900000 + k * 0x1000, 0x10 + k),
+                   0x20000000 + k * (1 << 24) + i // 3 * 448)
+            m.clock += 10
+    a, b = machines
+    assert a.prefetch_requests > 0 and a.cache.useful_prefetch_hits > 0
+    assert (a.clock, a.flush_count, a.reset_cycles, a.prefetch_requests) == (
+        b.clock, b.flush_count, b.reset_cycles, b.prefetch_requests)
+    assert vars(a.cache) == vars(b.cache)
+    assert vars(a.table) == vars(b.table)
+    assert a.tlb.lru == b.tlb.lru
+
+
 def test_clock_tracks_latencies():
     m = Machine()
     loads = m.run_program(Domain("a"), [Load(0x400000, 0x1000),

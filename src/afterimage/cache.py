@@ -51,6 +51,8 @@ class CacheConfig:
         for name in ("slices", "sets_per_slice", "associativity"):
             if not _is_pow2(getattr(self, name)):
                 raise ValueError(f"{name} must be a power of two")
+        if self.hit_latency < 1:
+            raise ValueError("hit_latency must be at least 1")
         if not self.hit_latency < self.threshold < self.miss_latency:
             raise ValueError("threshold must lie strictly between hit and miss latency")
 

@@ -29,6 +29,7 @@ from pathlib import Path
 
 from .cache import CacheConfig
 from .experiments import (
+    ATTACK_CHANNELS,
     DEFAULT_CLOCK_GHZ,
     NoiseModel,
     flush_period_cycles,
@@ -218,7 +219,7 @@ def _cmd_attack(args, cache_config) -> int:
         raise ValueError("attack needs --variant and --channel")
     args.seed = _seed(args)
     noise = NoiseModel(p_evict=args.noise_evict, p_extra_load=args.noise_load,
-                       next_line_noise=args.next_line_noise, seed=args.seed)
+                       next_line_noise=args.next_line_noise)
     outcome = run_attack(args.variant, args.channel, args.rounds, noise,
                          args.seed, args.flush_on_switch, cache_config)
     output = (args.output if args.output is not None
@@ -294,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="1 same address space, 2 cross process, "
                              "3 user to kernel")
     attack.add_argument("--channel", default=None,
-                        choices=["prime_probe", "flush_reload",
-                                 "status_probe"])
+                        choices=ATTACK_CHANNELS[1])
     attack.add_argument("--rounds", type=int, default=200)
     attack.add_argument("--noise-evict", type=float, default=0.0,
                         help="per-line eviction probability")

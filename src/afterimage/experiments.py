@@ -49,7 +49,8 @@ from .sidechannel import (
     prime,
     probe,
 )
-from .uarch import LINE_BYTES, LINE_SHIFT, PAGE_BYTES, PAGE_LINES, page_frame
+from .uarch import (LINE_BYTES, LINE_SHIFT, PAGE_BYTES, PAGE_LINES, ip_tag,
+                    page_frame)
 
 #: Clock used to convert flush periods given in microseconds.
 DEFAULT_CLOCK_GHZ = 3.6
@@ -91,16 +92,15 @@ class NoiseModel:
     next_line_noise is set, the two lines adjacent to every victim
     access are installed as well, imitating an adjacent-line prefetcher.
 
-    All randomness derives from (seed, round index), never from the
-    probabilities, so sweeping a probability replays identical draws
-    and noise events at a higher setting are a superset of those at a
-    lower one.
+    The model holds no seed: all randomness derives from the run's seed
+    and the round index, never from the probabilities, so sweeping a
+    probability replays identical draws and noise events at a higher
+    setting are a superset of those at a lower one.
     """
 
     p_evict: float = 0.0
     p_extra_load: float = 0.0
     next_line_noise: bool = False
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("p_evict", "p_extra_load"):
@@ -109,8 +109,9 @@ class NoiseModel:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-def _round_rng(seed: int, noise_seed: int, index: int) -> random.Random:
-    return random.Random((seed * 1_000_003 + noise_seed) * 1_000_003 + index)
+def _round_rng(seed: int, index: int) -> random.Random:
+    # the seed enters twice so that every pinned CSV keeps its draws
+    return random.Random((seed * 1_000_003 + seed) * 1_000_003 + index)
 
 
 def _apply_page_noise(cache: CacheModel, noise: NoiseModel,
@@ -561,24 +562,22 @@ class AttackOutcome:
 class _Scenario:
     """Who trains, where the victim runs and which page is watched.
 
-    ``page_vaddr`` is the observed page in the attacker's space and
-    ``page_paddr`` where it lives.  ``arms`` maps each secret bit to
-    the (load IP, array vaddr) of the branch arm the victim then runs,
-    or to None for an arm that makes no load.  ``decode`` maps the
-    detected stride (None when nothing was detected) to the inferred
-    bit; a stride it does not list infers nothing.  ``probes`` replay
-    the trained entries for the status probe, in the order of
-    ``decode``'s strides.
+    ``training`` is the attacker's program of loads, from which the
+    status probe also takes its replays.  ``page_vaddr`` is the observed
+    page in the attacker's space; the attacker's domain says where it
+    lives.  ``arms`` maps each secret bit to the (load IP, array vaddr)
+    of the branch arm the victim then runs, or to None for an arm that
+    makes no load.  ``decode`` maps the detected stride in lines (None
+    when nothing was detected) to the inferred bit; a stride it does
+    not list infers nothing.
     """
 
     attacker: Domain
     training: list[Step]
     page_vaddr: int
-    page_paddr: int
     victim: Domain
     arms: dict[int, tuple[int, int] | None]
     decode: dict[int | None, int]
-    probes: list[StatusProbe] | None = None
     detail: dict = field(default_factory=dict)
 
 
@@ -606,23 +605,13 @@ def _same_space(machine: Machine, seed: int) -> _Scenario:
     low byte collides with one of them, firing that entry's stale
     stride into the victim's own array where the observer can see it.
     """
-    gadget_code, arrays, iters = 0x400000, (0x10000, 0x12000), 3
     victim_page = 0x600000
     dom = Domain("proc")
     # the victim initialised its array earlier; the translation is warm
     machine.tlb.access(page_frame(dom.translate(victim_page)))
-    gadget = build_gadget(_IF_TAG, _ELSE_TAG, _STRIDE_IF, _STRIDE_ELSE,
-                          iterations=iters, code_base=gadget_code,
-                          array_if=arrays[0], array_else=arrays[1])
-    probes = []
-    for k, (tag, stride) in enumerate(((_IF_TAG, _STRIDE_IF),
-                                       (_ELSE_TAG, _STRIDE_ELSE))):
-        sb = stride_bytes(stride)
-        ip = ip_with_tag(gadget_code + k * 0x1000, tag)
-        replay = dom.translate(arrays[k]) + iters * sb
-        probes.append(StatusProbe(tag, ip, replay, sb))
-    return _Scenario(dom, gadget, victim_page, dom.translate(victim_page),
-                     dom, _two_arms(victim_page), _TWO_SIDED, probes)
+    gadget = build_gadget(_IF_TAG, _ELSE_TAG, _STRIDE_IF, _STRIDE_ELSE)
+    return _Scenario(dom, gadget, victim_page, dom, _two_arms(victim_page),
+                     _TWO_SIDED)
 
 
 def _cross_process(machine: Machine, seed: int) -> _Scenario:
@@ -634,8 +623,8 @@ def _cross_process(machine: Machine, seed: int) -> _Scenario:
     attacker.map_shared(shared_vaddr, shared_paddr)
     victim.map_shared(shared_vaddr, shared_paddr)
     gadget = build_gadget(_IF_TAG, _ELSE_TAG, _STRIDE_IF, _STRIDE_ELSE)
-    return _Scenario(attacker, gadget, shared_vaddr, shared_paddr,
-                     victim, _two_arms(shared_vaddr), _TWO_SIDED)
+    return _Scenario(attacker, gadget, shared_vaddr, victim,
+                     _two_arms(shared_vaddr), _TWO_SIDED)
 
 
 def _user_kernel(machine: Machine, seed: int) -> _Scenario:
@@ -682,9 +671,8 @@ def _user_kernel(machine: Machine, seed: int) -> _Scenario:
     # nothing matched (e.g. table flushed on every switch): carry on
     # with an arbitrary group so the scored rounds still run honestly
     group_prog = groups[matched if matched is not None else 0]
-    return _Scenario(user, group_prog, shared_paddr, shared_paddr,
-                     kernel, arms, {stride: 1, None: 0},
-                     detail={"matched_group": matched})
+    return _Scenario(user, group_prog, shared_paddr, kernel, arms,
+                     {stride: 1, None: 0}, detail={"matched_group": matched})
 
 
 _SCENARIOS = {1: _same_space, 2: _cross_process, 3: _user_kernel}
@@ -711,6 +699,16 @@ def _victim_steps(arm: tuple[int, int] | None,
     return [Load(ip, array + rng.randrange(_ARRAY_LINES) * LINE_BYTES)]
 
 
+def _status_probes(domain: Domain, training: list[Step]) -> list[StatusProbe]:
+    """Replay each IP the training program loads from, in the order of
+    its first load, one stride past its last load in ``domain``."""
+    walks: dict[int, list[int]] = {}
+    for step in training:
+        walks.setdefault(step.ip, []).append(step.vaddr)
+    return [StatusProbe(ip, domain.translate(2 * last - prev), last - prev)
+            for ip, (*_, prev, last) in walks.items()]
+
+
 def _score_rounds(machine: Machine, sc: _Scenario, channel: str,
                   rounds: int, noise: NoiseModel, seed: int,
                   bits: Iterator[int]) -> list[RoundRecord]:
@@ -722,13 +720,16 @@ def _score_rounds(machine: Machine, sc: _Scenario, channel: str,
     page noise.  The status probe reads the table, not the page.
     """
     cache = machine.cache
+    page_paddr = sc.attacker.translate(sc.page_vaddr)
     flush_prog = [FlushLines(sc.page_vaddr, PAGE_LINES)]
     strides = [s for s in sc.decode if s is not None]
     if channel == "prime_probe":
-        mes_list = page_eviction_sets(cache, sc.page_paddr)
+        mes_list = page_eviction_sets(cache, page_paddr)
+    elif channel == "status_probe":
+        probes = _status_probes(sc.attacker, sc.training)
     records = []
     for i in range(rounds):
-        rng = _round_rng(seed, noise.seed, i)
+        rng = _round_rng(seed, i)
         machine.run_program(sc.attacker, sc.training)
         if channel == "flush_reload":
             machine.run_program(sc.attacker, flush_prog)
@@ -741,22 +742,21 @@ def _score_rounds(machine: Machine, sc: _Scenario, channel: str,
 
         if channel == "status_probe":
             # the victim's load retrained the entry of the arm it took
-            dropped = {p.tag for p in sc.probes
+            dropped = {ip_tag(p.ip) for p in probes
                        if rng.random() < noise.p_evict}
-            alive = prefetcher_status_probe(machine, sc.probes,
+            alive = prefetcher_status_probe(machine, probes,
                                             drop_targets=dropped)
-            dead = [s for s, p in zip(strides, sc.probes)
-                    if not alive[p.tag]]
+            dead = [p.stride // LINE_BYTES for p in probes
+                    if not alive[ip_tag(p.ip)]]
             detected = dead[0] if len(dead) == 1 else None
         else:
-            _apply_page_noise(cache, noise, rng, sc.page_paddr,
-                              victim_loads)
+            _apply_page_noise(cache, noise, rng, page_paddr, victim_loads)
             if channel == "prime_probe":
                 _apply_probe_noise(cache, noise, rng, mes_list)
                 evicted = probe(cache, mes_list, baseline)
                 observed = {ln for ln, hit in enumerate(evicted) if hit}
             else:
-                observed = flush_reload(cache, sc.page_paddr, rng)
+                observed = flush_reload(cache, page_paddr, rng)
             detected = detect_stride(observed, strides).detected
         inferred = sc.decode.get(detected)
         records.append(RoundRecord(i, truth, detected, inferred))
@@ -853,13 +853,14 @@ def synthetic_workload(n_loads: int = 144_000, n_ips: int = 8,
     return loads
 
 
-def load_trace(path: str | Path) -> list[tuple[int, int, int]]:
-    """Parse a load trace: one ``ip_hex,vaddr_hex,domain_id`` per line.
+def load_trace(path: str | Path) -> list[tuple[int, int]]:
+    """Parse a load trace, one ``ip_hex,vaddr_hex,domain_id`` per line,
+    into (ip, address) pairs: the domain is checked, then dropped.
 
     Blank lines and lines starting with ``#`` are skipped.  Malformed
-    lines, and IPs or addresses outside ``0 <= value < 2**64``, raise
-    ValueError naming the file and line number; a file that is not
-    UTF-8 text raises ValueError naming the file.
+    lines, and values outside ``0 <= value < 2**64``, raise ValueError
+    naming the file and line number; a file that is not UTF-8 text
+    raises ValueError naming the file.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -885,7 +886,10 @@ def load_trace(path: str | Path) -> list[tuple[int, int, int]]:
         if not (0 <= ip < 1 << 64 and 0 <= vaddr < 1 << 64):
             raise ValueError(f"{path}:{lineno}: ip or address outside "
                              f"0 .. 2**64 - 1 in {line!r}")
-        records.append((ip, vaddr, domain_id))
+        if not 0 <= domain_id < 1 << 64:
+            raise ValueError(f"{path}:{lineno}: domain outside "
+                             f"0 .. 2**64 - 1 in {line!r}")
+        records.append((ip, vaddr))
     return records
 
 
@@ -894,9 +898,8 @@ def mitigation_eval(workload=None, flush_period_cycles: int | None = 36_000,
                     cache_config=None) -> MitigationReport:
     """Measure the coverage a periodic table flush costs a workload.
 
-    The workload is a list of (ip, address) loads — tuples with a third
-    domain field, as produced by :func:`load_trace`, are accepted and
-    the domain ignored.  Coverage is the fraction of the
+    The workload is a list of (ip, address) loads, as produced by
+    :func:`load_trace`.  Coverage is the fraction of the
     prefetcher-off miss count that prefetch hits absorb; the report
     compares a flushed run against an unflushed one on the same loads.
     Each load advances the clock by ``cycles_per_load``, which must be
@@ -914,9 +917,7 @@ def mitigation_eval(workload=None, flush_period_cycles: int | None = 36_000,
                       write_ports=write_ports)
     unflushed = (flushed if flush_period_cycles is None
                  else Machine(cache_config=cache_config))
-    if workload is None:
-        workload = synthetic_workload()
-    loads = [(item[0], item[1]) for item in workload]
+    loads = workload if workload is not None else synthetic_workload()
 
     base_cache = CacheModel(cache_config)  # prefetcher off
     for _ip, paddr in loads:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .cache import CacheModel, MinimalEvictionSet
 from .programs import Machine
-from .uarch import LINE_BYTES, PAGE_LINES
+from .uarch import LINE_BYTES, PAGE_LINES, ip_tag
 
 
 @dataclass
@@ -33,8 +33,8 @@ class StrideDetection:
 
 @dataclass(frozen=True)
 class StatusProbe:
-    """Replay coordinates for one trained entry."""
-    tag: int
+    """Replay coordinates for the trained entry of ``ip``'s tag: the
+    address it would load next and its stride in bytes."""
     ip: int
     replay_addr: int
     stride: int
@@ -113,8 +113,9 @@ def prefetcher_status_probe(machine: Machine, probes: list[StatusProbe],
     misses.  Unlike the pure cache observers this does feed the table,
     through ``machine.load``; it leaves the machine's clock alone.
 
-    Tags listed in drop_targets lose their target line between install
-    and timing, modelling an unrelated eviction inside the probe window.
+    Verdicts are keyed by each probe IP's tag.  Tags in drop_targets
+    lose their target line between install and timing, modelling an
+    unrelated eviction inside the probe window.
     """
     cache = machine.cache
     threshold = cache.config.threshold
@@ -123,7 +124,8 @@ def prefetcher_status_probe(machine: Machine, probes: list[StatusProbe],
         target = p.replay_addr + p.stride
         cache.flush_line(target)
         machine.load(p.ip, p.replay_addr)
-        if p.tag in drop_targets:
+        tag = ip_tag(p.ip)
+        if tag in drop_targets:
             cache.flush_line(target)
-        verdict[p.tag] = cache.access(target) < threshold
+        verdict[tag] = cache.access(target) < threshold
     return verdict

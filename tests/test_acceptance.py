@@ -155,7 +155,7 @@ def test_07_attacks_succeed_and_degrade_monotonically_with_noise():
 
     sweep = []
     for p_evict in (0.0, 0.005, 0.01, 0.02):
-        noise = NoiseModel(p_evict=p_evict, seed=3)
+        noise = NoiseModel(p_evict=p_evict)
         sweep.append(run_attack(2, "flush_reload", rounds=200,
                                 noise=noise, seed=3).success_rate)
     monotone = all(a >= b for a, b in zip(sweep, sweep[1:]))

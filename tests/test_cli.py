@@ -11,6 +11,7 @@ import pytest
 
 import afterimage
 from afterimage.cli import emit_csv, main, read_config
+from afterimage.experiments import NoiseModel, run_attack
 
 
 def _lines(path):
@@ -55,6 +56,22 @@ def test_attack_csv_rows_and_summary(tmp_path):
     assert len(data) == 11  # column row + one row per round
     assert all(len(row.split(",")) == 5 for row in data[1:])
     assert lines[-1] == "# success_rate=1.0"
+
+
+def test_attack_rows_match_the_library_run_of_the_same_seed(tmp_path):
+    # the run's --seed alone seeds the noise draws, in the CLI and in
+    # the library alike
+    out = tmp_path / "run.csv"
+    rc = main(["attack", "--variant", "1", "--channel", "prime_probe",
+               "--rounds", "20", "--noise-evict", "0.05", "--noise-load",
+               "1.0", "--next-line-noise", "--seed", "4",
+               "--output", str(out)])
+    assert rc == 0
+    _, data = _split(_lines(out))
+    rows = run_attack(1, "prime_probe", 20,
+                      NoiseModel(0.05, 1.0, next_line_noise=True),
+                      seed=4).rows()
+    assert data[1:] == [",".join(map(str, row.values())) for row in rows]
 
 
 def test_attack_detail_echoed_for_kernel_variant(tmp_path):
@@ -237,6 +254,9 @@ def test_malformed_config_line_exits_2(tmp_path, capsys):
     ("cache_slices=x", "config key cache_slices: cannot parse 'x'"),
     ("cache_threshold=200",
      "threshold must lie strictly between hit and miss latency"),
+    # a latency below one cycle would stall or rewind the clock
+    ("cache_hit_latency=-500", "hit_latency must be at least 1"),
+    ("cache_hit_latency=0", "hit_latency must be at least 1"),
 ])
 def test_bad_cache_config_exits_2(tmp_path, line, message):
     cfg = tmp_path / "cache.cfg"
@@ -490,6 +510,12 @@ _BAD_TRACES = {
     "above_64_bits": (b"# loads\n0x400100,0x10000000000000000,0\n",
                       "{path}:2: ip or address outside 0 .. 2**64 - 1 "
                       "in '0x400100,0x10000000000000000,0'"),
+    "negative_domain": (b"0x400100,0x10000,-7\n",
+                        "{path}:1: domain outside 0 .. 2**64 - 1 "
+                        "in '0x400100,0x10000,-7'"),
+    "domain_above_64_bits": (b"0x400100,0x10000,100000000000000000000000\n",
+                             "{path}:1: domain outside 0 .. 2**64 - 1 in "
+                             "'0x400100,0x10000,100000000000000000000000'"),
     "not_utf8": (b"0x400100,0x10000,0\n\xff\xfe\n",
                  "{path}: not UTF-8 text: 'utf-8' codec can't decode byte "
                  "0xff in position 19: invalid start byte"),

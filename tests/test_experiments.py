@@ -23,6 +23,7 @@ from afterimage.experiments import (
     _SCENARIOS,
     _apply_page_noise,
     _secret_source,
+    _status_probes,
     _victim_steps,
     flush_period_cycles,
     load_trace,
@@ -291,7 +292,7 @@ def test_victim_arms_carry_the_trained_tags_into_the_watched_page():
     def watched(sc, array):
         last = array + (48 - 1) * LINE_BYTES
         return {page_frame(sc.victim.translate(a)) for a in (array, last)} \
-            == {page_frame(sc.page_paddr)}
+            == {page_frame(sc.attacker.translate(sc.page_vaddr))}
 
     for variant in (1, 2):
         sc = _SCENARIOS[variant](Machine(), 0)
@@ -302,6 +303,13 @@ def test_victim_arms_carry_the_trained_tags_into_the_watched_page():
     ip, array = sc.arms[1]
     assert ip_tag(ip) == 0x4B and watched(sc, array)
     assert sc.arms[0] is None
+
+
+def test_status_probes_replay_each_trained_ip_one_stride_past_its_walk():
+    sc = _SCENARIOS[1](Machine(), 0)
+    probes = _status_probes(sc.attacker, sc.training)
+    assert [(p.ip, p.replay_addr, p.stride) for p in probes] == [
+        (0x40003A, 0x10540, 448), (0x4010B4, 0x129C0, 832)]
 
 
 def test_a_loading_arm_draws_one_line_and_a_silent_arm_none():
@@ -363,7 +371,7 @@ def test_next_line_noise_changes_prime_probe_rounds():
     # with a stray line and evictions beside it, the victim's neighbours
     # add candidate pairs; the option must move some rounds
     def rows(next_line):
-        noise = NoiseModel(0.05, 1.0, next_line_noise=next_line, seed=4)
+        noise = NoiseModel(0.05, 1.0, next_line_noise=next_line)
         return run_attack(1, "prime_probe", rounds=20, noise=noise,
                           seed=4).rows()
 
@@ -506,8 +514,7 @@ def test_load_trace_roundtrip(tmp_path):
         "400a4b,20001c0,0\n"
         "0x7fff00f04b, 0x7a0640, 1\n")
     records = load_trace(trace)
-    assert records == [(0x400A4B, 0x20001C0, 0),
-                       (0x7FFF00F04B, 0x7A0640, 1)]
+    assert records == [(0x400A4B, 0x20001C0), (0x7FFF00F04B, 0x7A0640)]
 
 
 def test_load_trace_reports_line_numbers(tmp_path):

@@ -173,16 +173,16 @@ def test_status_probe_tracks_disturbance():
     for i in range(4):
         table.observe_load(None, 0x4010A0, g1 + i * 448)
         table.observe_load(None, 0x4020B4, g2 + i * 832)
-    probes = [StatusProbe(0xA0, 0x4010A0, g1 + 4 * 448, 448),
-              StatusProbe(0xB4, 0x4020B4, g2 + 4 * 832, 832)]
+    probes = [StatusProbe(0x4010A0, g1 + 4 * 448, 448),
+              StatusProbe(0x4020B4, g2 + 4 * 832, 832)]
 
     # idle victim: both entries still trigger
     assert prefetcher_status_probe(m, probes) == {0xA0: True, 0xB4: True}
 
     # victim executes through tag 0xA0 somewhere far away
     table.observe_load(None, 0x7010A0, 0x900000)
-    probes2 = [StatusProbe(0xA0, 0x4010A0, g1 + 6 * 448, 448),
-               StatusProbe(0xB4, 0x4020B4, g2 + 5 * 832, 832)]
+    probes2 = [StatusProbe(0x4010A0, g1 + 6 * 448, 448),
+               StatusProbe(0x4020B4, g2 + 5 * 832, 832)]
     got = prefetcher_status_probe(m, probes2)
     assert got == {0xA0: False, 0xB4: True}
 
@@ -193,5 +193,5 @@ def test_status_probe_after_reset_sees_nothing():
     for i in range(4):
         m.table.observe_load(None, 0x4010A0, g1 + i * 448)
     m.table.reset()
-    probes = [StatusProbe(0xA0, 0x4010A0, g1 + 4 * 448, 448)]
+    probes = [StatusProbe(0x4010A0, g1 + 4 * 448, 448)]
     assert prefetcher_status_probe(m, probes) == {0xA0: False}

@@ -13,9 +13,16 @@ tagged so a later demand hit can be attributed to it.
 
 A line's placement is its ``(slice, set)`` key.  ``access`` places an
 address and hands it to ``access_line``, which holds the one LRU,
-install and prefetch-attribution rule.  Callers that touch the same
-lines over and over, such as prime+probe on a fixed eviction set,
-place them once and call ``walk_set(key, lines)``: it demand-accesses
+install and prefetch-attribution rule.  ``page_keys`` places a whole
+page at once: one fold for the page's first line, XORed with a table
+of the folds of the line offsets 0..63 built once per cache.  That is
+exact only for a page-aligned first line: its six low bits are clear,
+so ``first + i == first ^ i``, and by XOR-linearity the slice of line
+``first + i`` is ``slice(first) ^ slice(i)``.  ``flush_lines`` flushes
+a run of lines within one page through the same keys, and flush+reload
+reloads a page through them.  Callers that touch the same lines over
+and over, such as prime+probe on a fixed eviction set, place them
+once and call ``walk_set(key, lines)``: it demand-accesses
 the lines in order.  When the set is empty it fills it in one step, and
 when the set already holds exactly those lines and none awaits its
 first demand hit, it reorders the set in one step.  An eviction set
@@ -27,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .uarch import LINE_BYTES, LINE_SHIFT, PAGE_LINES
+from .uarch import LINE_BYTES, LINE_SHIFT, PAGE_BYTES, PAGE_LINES
 
 
 class EvictionSetError(ValueError):
@@ -76,6 +83,8 @@ class CacheModel:
         self._slice_bits = self.config.slices.bit_length() - 1
         self._slice_mask = self.config.slices - 1
         self._set_mask = self.config.sets_per_slice - 1
+        # slice of each line offset in a page, for page_keys
+        self._page_slices = [self._slice(i) for i in range(PAGE_LINES)]
         # (slice, set) -> LRU-ordered line indices, most recent last
         self.sets: dict[tuple[int, int], list[int]] = {}
         self._prefetched: set[int] = set()
@@ -101,6 +110,25 @@ class CacheModel:
     def location(self, paddr: int) -> tuple[int, int]:
         li = paddr >> LINE_SHIFT
         return self._slice(li), li & self._set_mask
+
+    def page_keys(self, page_paddr: int) -> list[tuple[int, int]]:
+        """The keys of the 64 lines of the page at ``page_paddr``, in
+        line order, as ``location`` gives them."""
+        if page_paddr % PAGE_BYTES:
+            raise ValueError("page address must be page aligned")
+        return self._run_keys(page_paddr >> LINE_SHIFT, PAGE_LINES)
+
+    def _run_keys(self, li: int, n_lines: int) -> list[tuple[int, int]]:
+        # lines li .. li + n_lines - 1, all in li's page
+        off = li % PAGE_LINES
+        if not 0 < n_lines <= PAGE_LINES - off:
+            raise ValueError(f"a run from line {off} of a page takes 1 to "
+                             f"{PAGE_LINES - off} lines, not {n_lines}")
+        high = self._slice(li - off)
+        set_mask = self._set_mask
+        return [(high ^ s, line & set_mask) for line, s in
+                zip(range(li, li + n_lines),
+                    self._page_slices[off:off + n_lines])]
 
     # -- operations ------------------------------------------------------
 
@@ -166,15 +194,19 @@ class CacheModel:
         ways.append(li)
 
     def flush_line(self, paddr: int) -> None:
-        li = paddr >> LINE_SHIFT
-        ways = self.sets.get(self.location(paddr))
-        if ways and li in ways:
-            ways.remove(li)
-        self._prefetched.discard(li)
+        """Flush the one line at ``paddr``."""
+        self.flush_lines(paddr, 1)
 
-    def flush_lines(self, base: int, n_lines: int) -> None:
-        for i in range(n_lines):
-            self.flush_line(base + i * LINE_BYTES)
+    def flush_lines(self, paddr: int, n_lines: int) -> None:
+        """Flush ``n_lines`` consecutive lines from ``paddr``'s line on;
+        they must all lie in its page."""
+        li = paddr >> LINE_SHIFT
+        sets, prefetched = self.sets, self._prefetched
+        for line, key in enumerate(self._run_keys(li, n_lines), li):
+            ways = sets.get(key)
+            if ways and line in ways:
+                ways.remove(line)
+            prefetched.discard(line)
 
 
 def build_eviction_set(cache: CacheModel, set_index: int, slice_index: int,
@@ -197,9 +229,9 @@ def build_eviction_set(cache: CacheModel, set_index: int, slice_index: int,
 
 def page_eviction_sets(cache: CacheModel,
                        page_paddr: int) -> list[MinimalEvictionSet]:
-    """One eviction set per line of the page, each drawn from the pool
-    ``set_index + k * sets_per_slice`` for ``k`` in 1..4095 (not the
-    line itself).
+    """One eviction set per line of the page at ``page_paddr`` (page
+    aligned), each drawn from the pool ``set_index + k * sets_per_slice``
+    for ``k`` in 1..4095 (not the line itself).
 
     Pool line ``k`` shares the set bits of the page line ``own``, and
     the slice fold is XOR-linear, so it lands in ``own``'s slice
@@ -208,14 +240,13 @@ def page_eviction_sets(cache: CacheModel,
     one search per distinct high part finds the ``k`` of every line
     that shares it.
     """
-    set_mask = cache._set_mask
-    set_bits = set_mask.bit_length()
+    set_bits = cache._set_mask.bit_length()
     offsets: dict[int, list[int]] = {}  # high part -> the k found for it
     out = []
     first = page_paddr >> LINE_SHIFT
-    for own in range(first, first + PAGE_LINES):
-        set_index, high = own & set_mask, own >> set_bits
-        slice_index = cache._slice(own)
+    for own, (slice_index, set_index) in enumerate(
+            cache.page_keys(page_paddr), first):
+        high = own >> set_bits
         ks = offsets.get(high)
         if ks is None:
             pool = ((set_index | k << set_bits) * LINE_BYTES

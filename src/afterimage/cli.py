@@ -22,6 +22,7 @@ cannot be read or written, 2 for usage errors, each reported as one
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields
@@ -45,6 +46,7 @@ from .experiments import (
 from .oracle import run_equivalence_check
 
 MAX_ORACLE_LOADS = 1_000_000  # a stream this long holds about 200 MB of lists
+MAX_ORACLE_SEQUENCES = 100_000  # the report keeps a row per sequence
 
 _CACHE_KEYS = {f"cache_{f.name}": f.name for f in fields(CacheConfig)}
 _REVENG = ("indexing", "confstride", "page", "entries", "replacement")
@@ -249,6 +251,9 @@ def _cmd_oracle(args, cache_config) -> int:
         raise ValueError("sequences and loads must be positive")
     if args.loads > MAX_ORACLE_LOADS:
         raise ValueError(f"loads must not exceed {MAX_ORACLE_LOADS}")
+    if args.sequences > MAX_ORACLE_SEQUENCES:
+        raise ValueError(
+            f"sequences must not exceed {MAX_ORACLE_SEQUENCES}")
     report = run_equivalence_check(n_loads=args.loads,
                                    seeds=range(args.sequences))
     rows = [{"seed": seed, "loads": args.loads, "mismatches": mismatches}
@@ -267,7 +272,10 @@ def _cmd_oracle(args, cache_config) -> int:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  Parsing
+    leaves it as it was, so calls share it."""
     # the oracle's streams are always seeds 0..sequences-1: no --seed
     configured = _Parser(add_help=False)
     configured.add_argument("--config", metavar="FILE",

@@ -11,6 +11,11 @@ simulated protection context its own page mapping; translation is
 identity-plus-offset with explicit per-frame overrides so that shared
 memory can alias one physical page from several domains.
 
+A ``FlushLines`` step flushes its run one frame at a time: per frame,
+``Machine.flush`` makes one TLB access and one keyed cache flush.  That
+leaves the state one TLB access per line would: each access after the
+first hits the frame just accessed, which leaves the LRU order as it is.
+
 Prefetcher and cache state persist across domain switches unless a flush
 is armed: ``flush_on_switch`` wipes the table at every switch, and a
 ``flush_period`` wipes it whenever the clock crosses a period boundary.
@@ -26,7 +31,9 @@ from .cache import CacheConfig, CacheModel
 from .kernels import STRIDE_LIMIT
 from .uarch import (
     LINE_BYTES,
+    LINE_SHIFT,
     PAGE_BYTES,
+    PAGE_LINES,
     PrefetchTable,
     Tlb,
     page_frame,
@@ -133,11 +140,12 @@ class Machine:
             self.prefetch_requests += 1
         return latency
 
-    def flush(self, paddr: int) -> None:
-        """Flush one line; flushing needs the translation, so it warms
-        the TLB."""
+    def flush(self, paddr: int, n_lines: int = 1) -> None:
+        """Flush ``n_lines`` consecutive lines from ``paddr``'s line on,
+        all in its frame; flushing needs the frame's translation, so it
+        warms the TLB once."""
+        self.cache.flush_lines(paddr, n_lines)
         self.tlb.access(page_frame(paddr))
-        self.cache.flush_line(paddr)
 
     def _reset_table(self, times: int = 1) -> None:
         """Reset the table ``times`` times in a row: one wipe does, but
@@ -165,8 +173,14 @@ class Machine:
                 self.clock += self.load(step.ip, paddr)
                 loads.append(paddr)
             elif isinstance(step, FlushLines):
-                for i in range(step.n_lines):
-                    self.flush(domain.translate(step.vaddr + i * LINE_BYTES))
+                # one flush per frame the run touches
+                vaddr, left = step.vaddr, step.n_lines
+                while left > 0:
+                    room = PAGE_LINES - (vaddr >> LINE_SHIFT) % PAGE_LINES
+                    n = min(left, room)
+                    self.flush(domain.translate(vaddr), n)
+                    vaddr += n * LINE_BYTES
+                    left -= n
             else:
                 raise TypeError(f"unknown step {step!r}")
         return loads

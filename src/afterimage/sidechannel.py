@@ -6,6 +6,8 @@ returns one flag per set, set when its time moved by more than the
 cache's latency threshold in either direction.  Flush+Reload walks the
 64 lines of a shared page in Fisher-Yates-shuffled order, returns the
 indices of the lines that hit and keeps all of them resident afterwards.
+It places the page once with ``CacheModel.page_keys`` and reloads each
+line through ``access_line``.
 
 Both observers talk to the cache only, modelling a pointer-chasing,
 serialised measurement loop that the prefetcher cannot learn from; they
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from .cache import CacheModel, MinimalEvictionSet
 from .programs import Machine
-from .uarch import LINE_BYTES, PAGE_LINES, ip_tag
+from .uarch import LINE_SHIFT, PAGE_LINES, ip_tag
 
 
 @dataclass
@@ -63,17 +65,16 @@ def probe(cache: CacheModel, mes_list: list[MinimalEvictionSet],
 
 def flush_reload(cache: CacheModel, page_base: int,
                  rng: random.Random) -> set[int]:
-    """Measure which page lines are cached, in shuffled order; leaves
-    all of them resident."""
+    """Measure which lines of the page at ``page_base`` (page aligned)
+    are cached, in shuffled order; leaves all of them resident."""
+    keys = cache.page_keys(page_base)
+    first = page_base >> LINE_SHIFT
     threshold = cache.config.threshold
     order = list(range(PAGE_LINES))
     rng.shuffle(order)
-    cached = set()
-    for i in order:
-        addr = page_base + i * LINE_BYTES
-        if cache.access(addr) < threshold:
-            cached.add(i)
-    return cached
+    access_line = cache.access_line
+    return {i for i in order
+            if access_line(keys[i], first + i) < threshold}
 
 
 def detect_stride(observed, candidates: list[int]) -> StrideDetection:

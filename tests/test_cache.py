@@ -12,7 +12,7 @@ from afterimage.cache import (
     EvictionSetError,
     build_eviction_set,
 )
-from afterimage.uarch import LINE_BYTES
+from afterimage.uarch import LINE_BYTES, LINE_SHIFT, PAGE_BYTES, PAGE_LINES
 
 
 def same_set_addresses(cache, set_index, slice_index, n, start_line=0):
@@ -131,6 +131,75 @@ def test_slice_fold_is_xor_linear(slices, a, b):
     c = CacheModel(CacheConfig(slices=slices))
     assert (c.location(a ^ b)[0]
             == c.location(a)[0] ^ c.location(b)[0])
+
+
+# slices 1..16, and fewer sets per slice than a page has lines or more
+_GEOMETRY = st.builds(
+    CacheConfig, slices=st.sampled_from([1, 2, 4, 8, 16]),
+    sets_per_slice=st.sampled_from([1, 4, 16, 64, 256, 2048]),
+    associativity=st.sampled_from([1, 4, 16]))
+
+
+@given(config=_GEOMETRY, page=st.integers(0, (1 << 58) - 1))
+@example(config=CacheConfig(slices=16, sets_per_slice=4),
+         page=(1 << 58) - 1)
+def test_page_keys_match_location(config, page):
+    c = CacheModel(config)
+    page_paddr = page * PAGE_BYTES
+    assert c.page_keys(page_paddr) == [
+        c.location(page_paddr + i * LINE_BYTES) for i in range(PAGE_LINES)]
+
+
+@pytest.mark.parametrize("page_paddr", [LINE_BYTES, PAGE_BYTES + 8, -1])
+def test_page_keys_reject_an_unaligned_page(page_paddr):
+    with pytest.raises(ValueError, match="page aligned"):
+        CacheModel().page_keys(page_paddr)
+
+
+def _flush_per_line(c, paddr):
+    """Reference flush of one line, placed by ``location``."""
+    li = paddr >> LINE_SHIFT
+    ways = c.sets.get(c.location(paddr))
+    if ways and li in ways:
+        ways.remove(li)
+    c._prefetched.discard(li)
+
+
+@given(config=_GEOMETRY, page=st.integers(0, (1 << 40) - 1),
+       prior=st.lists(st.tuples(st.sampled_from(["access", "prefetch"]),
+                                st.integers(-8, PAGE_LINES + 8)),
+                      max_size=80),
+       first=st.integers(0, PAGE_LINES - 1), n_lines=st.integers(1, 64),
+       offset=st.integers(0, LINE_BYTES - 1))
+def test_keyed_flush_matches_per_line_flush(config, page, prior, first,
+                                            n_lines, offset):
+    # prior traffic on the page and its neighbours' edges, so that sets
+    # hold the flushed lines among others, in some LRU order
+    c = CacheModel(config)
+    page_paddr = page * PAGE_BYTES + PAGE_BYTES
+    for op, line in prior:
+        addr = page_paddr + line * LINE_BYTES
+        if op == "access":
+            c.access(addr)
+        else:
+            c.install_prefetch(addr)
+    n_lines = min(n_lines, PAGE_LINES - first)
+    paddr = page_paddr + first * LINE_BYTES + offset
+    ref = copy.deepcopy(c)
+    c.flush_lines(paddr, n_lines)
+    for i in range(n_lines):
+        _flush_per_line(ref, paddr + i * LINE_BYTES)
+    assert _counters(c) == _counters(ref)
+
+
+@pytest.mark.parametrize("first, n_lines", [(0, 65), (63, 2), (10, 0)])
+def test_flush_lines_stay_in_one_page(first, n_lines):
+    c = CacheModel()
+    c.access(PAGE_BYTES)
+    before = copy.deepcopy(c.sets)
+    with pytest.raises(ValueError, match="a run from line"):
+        c.flush_lines(PAGE_BYTES + first * LINE_BYTES, n_lines)
+    assert c.sets == before
 
 
 def test_build_eviction_set():

@@ -10,7 +10,13 @@ from pathlib import Path
 import pytest
 
 import afterimage
-from afterimage.cli import emit_csv, main, read_config
+from afterimage.cli import (
+    MAX_ORACLE_SEQUENCES,
+    build_parser,
+    emit_csv,
+    main,
+    read_config,
+)
 from afterimage.experiments import NoiseModel, run_attack
 
 
@@ -228,6 +234,27 @@ def test_missing_subcommand_exits_2(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "reveng" in capsys.readouterr().out
+
+
+def test_parser_built_once_carries_no_state(tmp_path, capsys,
+                                            monkeypatch):
+    # every main call parses with the one parser of the process
+    monkeypatch.delenv("AFTERIMAGE_SEED", raising=False)
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "five.cfg"
+    cfg.write_text("rounds=5\nseed=3\n")
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    base = ["attack", "--variant", "1", "--channel", "status_probe"]
+    assert main(base + ["--config", str(cfg), "--output", str(first)]) == 0
+    assert main(base + ["--output", str(second)]) == 0
+    first_echo, _ = _split(_lines(first))
+    second_echo, _ = _split(_lines(second))
+    assert {"# rounds=5", "# seed=3"} <= set(first_echo)
+    assert {"# rounds=200", "# seed=0"} <= set(second_echo)
+    assert main(["oracle", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert main(["oracle", "--help"]) == 0
+    assert capsys.readouterr().out == help_text
 
 
 def test_unwritable_output_exits_1(tmp_path, capsys):
@@ -589,6 +616,18 @@ def test_oracle_loads_above_ceiling_exit_2(tmp_path):
     assert proc.stderr.splitlines() == [
         "error: loads must not exceed 1000000"]
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("sequences", [MAX_ORACLE_SEQUENCES + 1, 2**64])
+def test_oracle_sequences_above_ceiling_exit_2(tmp_path, capsys, sequences):
+    # rejected before any stream runs: 2**64 used to escape as an
+    # OverflowError from the list of seeds
+    out = tmp_path / "x.csv"
+    assert main(["oracle", "--sequences", str(sequences), "--loads", "1",
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: sequences must not exceed {MAX_ORACLE_SEQUENCES}"]
+    assert not out.exists()
 
 
 def test_cli_import_leaves_numpy_out():

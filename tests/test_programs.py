@@ -1,7 +1,12 @@
 """Domains, program builders and the Machine."""
 
-import pytest
+import copy
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from afterimage.cache import CacheConfig
 from afterimage.programs import (
     Domain,
     FlushLines,
@@ -11,7 +16,14 @@ from afterimage.programs import (
     ip_matching_groups,
     ip_with_tag,
 )
-from afterimage.uarch import PrefetchTable, ip_tag, page_frame
+from afterimage.uarch import (
+    LINE_BYTES,
+    PAGE_BYTES,
+    PAGE_LINES,
+    PrefetchTable,
+    ip_tag,
+    page_frame,
+)
 
 
 def test_domain_translation_and_sharing():
@@ -224,3 +236,51 @@ def test_cross_process_shared_page_carries_the_stride():
     assert m.cache.contains(load)
     assert m.cache.contains(load + 8 * 64)
     assert page_frame(load) == page_frame(shared_phys)
+
+
+_FLUSH_VPAGE = 0x20000  # the frame after it aliases a shared page
+
+
+def _machine_state(m):
+    c = m.cache
+    return (c.sets, c._prefetched, c.demand_accesses, c.demand_misses,
+            c.prefetch_installs, c.useful_prefetch_hits, list(m.tlb.lru),
+            m.clock)
+
+
+@given(prior=st.lists(st.one_of(
+           st.tuples(st.just("load"), st.integers(-8, 3 * PAGE_LINES)),
+           st.tuples(st.just("frame"), st.integers(0, 80))), max_size=80),
+       start=st.integers(0, 2 * PAGE_LINES - 1),
+       n_lines=st.integers(0, 2 * PAGE_LINES),
+       offset=st.integers(0, LINE_BYTES - 1))
+# a run from the private frame into the shared one
+@example(prior=[("load", 62), ("load", 64), ("frame", 3)], start=60,
+         n_lines=8, offset=0)
+def test_flush_step_matches_per_line_flushes(prior, start, n_lines, offset):
+    # a small cache, so that sets hold several page lines in LRU order,
+    # and traffic on other frames, so that the TLB order matters
+    d = Domain("attacker", phys_offset=0x100000000)
+    d.map_shared(_FLUSH_VPAGE + PAGE_BYTES, 0x500000)
+    m = Machine(CacheConfig(slices=4, sets_per_slice=16, associativity=4))
+    for kind, value in prior:
+        if kind == "load":
+            m.run_program(d, [Load(ip_with_tag(0x400000, value % 3),
+                                   _FLUSH_VPAGE + value * LINE_BYTES)])
+        else:
+            m.tlb.access(value)
+    ref = copy.deepcopy(m)
+    vaddr = _FLUSH_VPAGE + start * LINE_BYTES + offset
+    assert m.run_program(d, [FlushLines(vaddr, n_lines)]) == []
+    for i in range(n_lines):
+        paddr = d.translate(vaddr + i * LINE_BYTES)
+        ref.tlb.access(page_frame(paddr))
+        ref.cache.flush_line(paddr)
+    assert _machine_state(m) == _machine_state(ref)
+
+
+def test_machine_flush_stays_in_its_frame():
+    m = Machine()
+    with pytest.raises(ValueError):
+        m.flush(_FLUSH_VPAGE + (PAGE_LINES - 1) * LINE_BYTES, 2)
+    assert list(m.tlb.lru) == []

@@ -1,10 +1,13 @@
 """Observation channels: prime+probe, flush+reload, stride detection."""
 
+import copy
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from afterimage.cache import CacheModel, build_eviction_set
+from afterimage.cache import CacheConfig, CacheModel, build_eviction_set
 from afterimage.programs import Machine
 from afterimage.sidechannel import (
     StatusProbe,
@@ -91,6 +94,47 @@ def test_flush_reload_on_flushed_page_is_empty():
     cache.access(PAGE + 5 * LINE_BYTES)
     cache.flush_lines(PAGE, 64)
     assert flush_reload(cache, PAGE, random.Random(2)) == set()
+
+
+def _cache_state(c):
+    return (c.sets, c._prefetched, c.demand_accesses, c.demand_misses,
+            c.prefetch_installs, c.useful_prefetch_hits)
+
+
+@given(config=st.sampled_from([
+           CacheConfig(slices=2, sets_per_slice=4, associativity=8),
+           CacheConfig(slices=4, sets_per_slice=16, associativity=4)]),
+       prior=st.lists(st.tuples(
+           st.sampled_from(["access", "prefetch", "flush"]),
+           st.integers(-4, 68)), max_size=80),
+       seed=st.integers(0, 1 << 32))
+def test_keyed_reload_matches_per_line_access(config, prior, seed):
+    # a page's lines share sets in these caches, so the reload evicts
+    # lines of its own page and its order matters
+    cache = CacheModel(config)
+    for op, line in prior:
+        addr = PAGE + line * LINE_BYTES
+        if op == "access":
+            cache.access(addr)
+        elif op == "prefetch":
+            cache.install_prefetch(addr)
+        else:
+            cache.flush_line(addr)
+    ref = copy.deepcopy(cache)
+    order = list(range(64))
+    random.Random(seed).shuffle(order)
+    want = {i for i in order
+            if ref.access(PAGE + i * LINE_BYTES) < ref.config.threshold}
+    assert flush_reload(cache, PAGE, random.Random(seed)) == want
+    assert _cache_state(cache) == _cache_state(ref)
+
+
+@pytest.mark.parametrize("base", [PAGE + LINE_BYTES, PAGE + 8, PAGE - 1])
+def test_flush_reload_rejects_an_unaligned_page(base):
+    cache = CacheModel()
+    with pytest.raises(ValueError, match="page aligned"):
+        flush_reload(cache, base, random.Random(0))
+    assert cache.demand_accesses == 0
 
 
 def test_sequential_observer_with_one_ip_poisons_itself():

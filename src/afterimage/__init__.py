@@ -5,6 +5,7 @@ from .experiments import (
     NoiseModel,
     UnsupportedChannelError,
     mitigation_eval,
+    mitigation_sweep,
     rev_conf_stride,
     rev_entries,
     rev_indexing,
@@ -36,6 +37,7 @@ __all__ = [
     "ip_tag",
     "line_index",
     "mitigation_eval",
+    "mitigation_sweep",
     "page_frame",
     "rev_conf_stride",
     "rev_entries",

@@ -1,15 +1,21 @@
 """Sliced, set-associative last-level cache with true LRU per set.
 
 Lines are tracked by their 64-byte line index.  The slice is an XOR-fold
-of the line index (a stand-in for the undocumented physical hash), the
-set is its low bits.  The fold is XOR-linear: the slice of ``a ^ b`` is
-the slice of ``a`` XOR the slice of ``b``.  ``page_eviction_sets``
-relies on this to find the sets of a whole page's lines with one search
-per distinct high part.  Timing is whole-line and two-valued: a
-configured hit latency and miss latency, with a decision threshold
-strictly between them.  ``install_prefetch`` takes the byte address the
-prefetch table returned; the install bypasses latency accounting but is
-tagged so a later demand hit can be attributed to it.
+of the line index (a stand-in for the undocumented physical hash): the
+XOR of its chunks of ``s`` bits, for ``2**s`` slices.  Bit ``j`` of the
+fold is the parity of the index's bits ``j``, ``j + s``, ``j + 2s``,
+..., so each cache keeps one mask of those positions per slice bit.
+The masks span a 64-bit address's line index in whole chunks, and a
+wider index first folds its bits above them back in, so the fold is
+exact at any width.  The set is the index's low bits.  The fold is
+XOR-linear: the slice of ``a ^ b`` is the slice of ``a`` XOR the slice
+of ``b``.  ``page_eviction_sets`` relies on this to find the sets of a
+whole page's lines with one search per distinct high part.  Timing is
+whole-line and two-valued: a configured hit latency and miss latency,
+with a decision threshold strictly between them.  ``install_prefetch``
+takes the byte address the prefetch table returned; the install
+bypasses latency accounting but is tagged so a later demand hit can be
+attributed to it.
 
 A line's placement is its ``(slice, set)`` key.  ``access`` places an
 address and hands it to ``access_line``, which holds the one LRU,
@@ -80,8 +86,15 @@ class MinimalEvictionSet:
 class CacheModel:
     def __init__(self, config: CacheConfig | None = None):
         self.config = config or CacheConfig()
-        self._slice_bits = self.config.slices.bit_length() - 1
-        self._slice_mask = self.config.slices - 1
+        # one (positions mask, slice bit) pair per slice bit, for _slice;
+        # ones has bits 0, s, 2s, ... below width, a multiple of s
+        s = self.config.slices.bit_length() - 1
+        width = 64 - LINE_SHIFT
+        if s:
+            width += -width % s
+        ones = ((1 << width) - 1) // ((1 << s) - 1) if s else 0
+        self._fold_masks = [(ones << j, 1 << j) for j in range(s)]
+        self._fold_limit = 1 << width
         self._set_mask = self.config.sets_per_slice - 1
         # slice of each line offset in a page, for page_keys
         self._page_slices = [self._slice(i) for i in range(PAGE_LINES)]
@@ -96,16 +109,17 @@ class CacheModel:
     # -- placement -------------------------------------------------------
 
     def _slice(self, li: int) -> int:
-        # XOR of all slice-bit-wide chunks of li: fold halves of
-        # doubling width until one chunk holds them all
-        s = self._slice_bits
-        if s == 0:
-            return 0
-        h, width = li, li.bit_length()
-        while s < width:
-            h ^= h >> s
-            s <<= 1
-        return h & self._slice_mask
+        # each slice bit is the parity of li's bits under its mask
+        limit = self._fold_limit
+        while li >= limit:
+            # the mask width is a multiple of the slice width, so the
+            # bits above the masks fold onto the same slice bits
+            li = (li & (limit - 1)) ^ (li >> (limit.bit_length() - 1))
+        h = 0
+        for mask, bit in self._fold_masks:
+            if (li & mask).bit_count() & 1:
+                h ^= bit
+        return h
 
     def location(self, paddr: int) -> tuple[int, int]:
         li = paddr >> LINE_SHIFT

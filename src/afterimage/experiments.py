@@ -16,8 +16,10 @@ who trains, where the victim runs, what each arm of its secret-dependent
 branch loads, which page is watched and how a detected stride decodes
 to a bit; one round loop, ``_score_rounds``, then trains, draws the
 secret bit, runs that arm, observes through the chosen channel and
-scores each round for every variant.  ``mitigation_eval`` measures
-what periodically clearing the table costs in prefetch coverage.
+scores each round for every variant.  ``mitigation_sweep`` measures
+what periodically clearing the table costs in prefetch coverage, at one
+or more flush periods and port counts; ``mitigation_eval`` is its
+one-point case.
 """
 
 from __future__ import annotations
@@ -871,7 +873,8 @@ def load_trace(path: str | Path) -> list[tuple[int, int]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [p.strip() for p in line.split(",")]
+        # int() ignores the whitespace around each field
+        parts = line.split(",")
         if len(parts) != 3:
             raise ValueError(
                 f"{path}:{lineno}: expected ip_hex,vaddr_hex,domain_id, "
@@ -893,55 +896,77 @@ def load_trace(path: str | Path) -> list[tuple[int, int]]:
     return records
 
 
-def mitigation_eval(workload=None, flush_period_cycles: int | None = 36_000,
-                    write_ports: int = 1, cycles_per_load: int = 10,
-                    cache_config=None) -> MitigationReport:
-    """Measure the coverage a periodic table flush costs a workload.
+def mitigation_sweep(workload=None, points=((36_000, 1),),
+                     cycles_per_load: int = 10,
+                     cache_config=None) -> list[MitigationReport]:
+    """Measure the coverage a periodic table flush costs a workload, at
+    each ``(flush period, write ports)`` point.
 
     The workload is a list of (ip, address) loads, as produced by
     :func:`load_trace`.  Coverage is the fraction of the
-    prefetcher-off miss count that prefetch hits absorb; the report
+    prefetcher-off miss count that prefetch hits absorb; each report
     compares a flushed run against an unflushed one on the same loads.
     Each load advances the clock by ``cycles_per_load``, which must be
     at least 1: a clock that stands still never flushes.  A period of
     None (or infinity) disables flushing.
+
+    Only the flushed run depends on the point, so the sweep makes one
+    pass over the loads.  It places each load once
+    (``CacheModel.location``) and hands that placement to the
+    prefetcher-off cache, to the unflushed machine and to the machine
+    of each point with a period.  A point with no period never resets,
+    so its report reads the unflushed run.  Every point is checked
+    before the first load runs.
     """
     if cycles_per_load < 1:
         raise ValueError("cycles_per_load must be >= 1")
-    if flush_period_cycles == math.inf:
-        flush_period_cycles = None
-    # building the flushed machine checks the ports and the period; with
-    # no period it never resets, so its replay is the unflushed one
-    flushed = Machine(cache_config=cache_config,
-                      flush_period=flush_period_cycles,
-                      write_ports=write_ports)
-    unflushed = (flushed if flush_period_cycles is None
-                 else Machine(cache_config=cache_config))
+    # building a point's machine checks its ports and its period
+    flushed = [Machine(cache_config=cache_config,
+                       flush_period=None if period == math.inf else period,
+                       write_ports=ports)
+               for period, ports in points]
     loads = workload if workload is not None else synthetic_workload()
 
     base_cache = CacheModel(cache_config)  # prefetcher off
-    for _ip, paddr in loads:
-        base_cache.access(paddr)
-    baseline_misses = base_cache.demand_misses
-    for machine in dict.fromkeys((unflushed, flushed)):  # each one once
-        for ip, paddr in loads:
-            machine.load(ip, paddr)
+    unflushed = Machine(cache_config=cache_config)
+    runs = [unflushed] + [m for m in flushed if m.flush_period is not None]
+    location, access_line = base_cache.location, base_cache.access_line
+    for ip, paddr in loads:
+        key = location(paddr)
+        access_line(key, paddr >> LINE_SHIFT)
+        for machine in runs:
+            machine.load(ip, paddr, key)
             machine.clock += cycles_per_load
+    baseline_misses = base_cache.demand_misses
 
     def coverage(cache: CacheModel) -> float:
         if baseline_misses == 0:
             return 0.0
         return cache.useful_prefetch_hits / baseline_misses
 
-    return MitigationReport(
-        flush_period=flush_period_cycles,
-        write_ports=write_ports,
-        loads=len(loads),
-        flushes=flushed.flush_count,
-        reset_cycles=flushed.reset_cycles,
-        baseline_misses=baseline_misses,
-        prefetch_requests=flushed.prefetch_requests,
-        useful_prefetches=flushed.cache.useful_prefetch_hits,
-        coverage=coverage(flushed.cache),
-        coverage_no_flush=coverage(unflushed.cache),
-    )
+    reports = []
+    for machine in flushed:
+        run = unflushed if machine.flush_period is None else machine
+        reports.append(MitigationReport(
+            flush_period=machine.flush_period,
+            write_ports=machine.write_ports,
+            loads=len(loads),
+            flushes=run.flush_count,
+            reset_cycles=run.reset_cycles,
+            baseline_misses=baseline_misses,
+            prefetch_requests=run.prefetch_requests,
+            useful_prefetches=run.cache.useful_prefetch_hits,
+            coverage=coverage(run.cache),
+            coverage_no_flush=coverage(unflushed.cache),
+        ))
+    return reports
+
+
+def mitigation_eval(workload=None, flush_period_cycles: int | None = 36_000,
+                    write_ports: int = 1, cycles_per_load: int = 10,
+                    cache_config=None) -> MitigationReport:
+    """The one-point :func:`mitigation_sweep`."""
+    [report] = mitigation_sweep(workload,
+                                [(flush_period_cycles, write_ports)],
+                                cycles_per_load, cache_config)
+    return report

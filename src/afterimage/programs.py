@@ -119,12 +119,16 @@ class Machine:
 
     # -- the load path ---------------------------------------------------
 
-    def load(self, ip: int, paddr: int) -> int:
+    def load(self, ip: int, paddr: int,
+             key: tuple[int, int] | None = None) -> int:
         """Run one demand load and return its latency.
 
         This is the one load path: the periodic flush clock, the table,
         the cache access, then the prefetch install if the table asked
         for one.  The caller decides what the latency costs on the clock.
+        A caller that has placed ``paddr`` already, with
+        ``CacheModel.location`` on a cache of the same geometry, passes
+        that key and the access does not place it again.
         """
         if self._next_flush is not None and self.clock >= self._next_flush:
             # each reset owed back to back ends (period - cost) cycles
@@ -134,7 +138,8 @@ class Machine:
             self._reset_table(owed)
             self._next_flush += owed * self.flush_period
         target = self.table.observe_load(self.tlb, ip, paddr)
-        latency = self.cache.access(paddr)
+        latency = (self.cache.access(paddr) if key is None
+                   else self.cache.access_line(key, paddr >> LINE_SHIFT))
         if target is not None:
             self.cache.install_prefetch(target)
             self.prefetch_requests += 1

@@ -132,7 +132,10 @@ class PrefetchTable:
     def observe_load(self, tlb: Tlb | None, full_ip: Address,
                      paddr: Address) -> Address | None:
         """Feed one demand load; returns its prefetch target or None."""
-        lru, capacity = (None, 0) if tlb is None else (tlb.lru, tlb.capacity)
+        if tlb is None:
+            lru = capacity = None
+        else:
+            lru, capacity = tlb.lru, tlb.capacity
         emitted, target, _slot = kernels.table_step(
             ip_tag(full_ip), paddr, self.tags, self.last, self.stride,
             self.conf, self.mru, self.owner, lru, capacity)

@@ -14,7 +14,7 @@ import time
 from afterimage.cache import CacheModel, build_eviction_set
 from afterimage.experiments import (
     NoiseModel,
-    mitigation_eval,
+    mitigation_sweep,
     rev_conf_stride,
     rev_entries,
     rev_indexing,
@@ -177,8 +177,8 @@ def test_08_context_switch_flush_blocks_cross_domain_variants():
 def test_09_flush_overhead_is_bounded_and_reset_cost_exact():
     deltas = {}
     exact = True
-    for ports in (1, 2, 4):
-        report = mitigation_eval(write_ports=ports)
+    reports = mitigation_sweep(points=[(36_000, ports) for ports in (1, 2, 4)])
+    for ports, report in zip((1, 2, 4), reports):
         deltas[ports] = report.coverage_delta
         exact &= report.reset_cycles == report.flushes * math.ceil(24 / ports)
     ok = exact and all(delta <= 0.02 for delta in deltas.values())

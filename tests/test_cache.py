@@ -115,8 +115,14 @@ def chunk_fold(li, bits):
     return h
 
 
+# the parity masks span the 58-bit line index of a 64-bit address,
+# rounded up to whole slice-width chunks (60 bits for slices=8, whose
+# chunks are 3 bits wide); addresses up to 2**200 reach well past them
 @given(slices=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
-       paddr=st.integers(0, 1 << 64))
+       paddr=st.integers(0, 1 << 200))
+@example(slices=8, paddr=(1 << 200) - 1)
+@example(slices=8, paddr=0b101 << (6 + 60))
+@example(slices=4, paddr=(1 << 64) - 1)
 def test_slice_fold_matches_chunk_loop(slices, paddr):
     c = CacheModel(CacheConfig(slices=slices))
     bits = slices.bit_length() - 1
@@ -125,7 +131,8 @@ def test_slice_fold_matches_chunk_loop(slices, paddr):
 
 
 @given(slices=st.integers(0, 12).map(lambda e: 1 << e),
-       a=st.integers(0, 1 << 64), b=st.integers(0, 1 << 64))
+       a=st.integers(0, 1 << 200), b=st.integers(0, 1 << 200))
+@example(slices=8, a=(1 << 130) + 7 << 6, b=(1 << 61) + 1 << 6)
 def test_slice_fold_is_xor_linear(slices, a, b):
     # eviction-set search derives one line's set from another's by this
     c = CacheModel(CacheConfig(slices=slices))

@@ -28,6 +28,7 @@ from afterimage.experiments import (
     flush_period_cycles,
     load_trace,
     mitigation_eval,
+    mitigation_sweep,
     rev_conf_stride,
     rev_entries,
     rev_indexing,
@@ -431,31 +432,81 @@ def test_mitigated_kernel_search_comes_up_empty():
 
 
 @pytest.fixture(scope="module")
-def default_mitigation():
-    # the default run replays 144,000 loads three times; the tests that
-    # take it only read its report
-    return mitigation_eval()
+def default_sweep():
+    # the default workload (144,000 loads) at the default period and
+    # 1, 2 and 4 ports; the tests that take it only read its reports
+    return mitigation_sweep(points=[(36_000, ports) for ports in (1, 2, 4)])
 
 
-def test_mitigation_reset_cost_identity(default_mitigation):
-    for ports in (1, 2, 4):
-        report = (default_mitigation if ports == 1
-                  else mitigation_eval(write_ports=ports))
+def test_mitigation_reset_cost_identity(default_sweep):
+    for ports, report in zip((1, 2, 4), default_sweep):
+        assert report.write_ports == ports
         assert report.reset_cycles == report.flushes * math.ceil(24 / ports)
         assert report.flushes > 0
 
 
-def test_mitigation_coverage_delta_is_small(default_mitigation):
-    report = default_mitigation
+def test_mitigation_coverage_delta_is_small(default_sweep):
+    report = default_sweep[0]
     assert report.coverage_no_flush > 0.7
     assert 0.0 <= report.coverage_delta <= 0.02
 
 
 def test_mitigation_without_flushing_costs_nothing():
-    for period in (None, math.inf):
-        report = mitigation_eval(flush_period_cycles=period)
+    for report in mitigation_sweep(points=[(None, 1), (math.inf, 1)]):
         assert report.flushes == 0
         assert report.coverage_delta == 0.0
+
+
+def _reference_report(loads, period, ports, cycles_per_load):
+    """One point priced on its own: three fresh runs, each load placed
+    by the cache it goes to."""
+    base = CacheModel()
+    for _ip, paddr in loads:
+        base.access(paddr)
+    runs = []
+    for machine in (Machine(), Machine(flush_period=period,
+                                       write_ports=ports)):
+        for ip, paddr in loads:
+            machine.load(ip, paddr)
+            machine.clock += cycles_per_load
+        runs.append(machine)
+    unflushed, flushed = runs
+    misses = base.demand_misses
+    return MitigationReport(
+        flush_period=period, write_ports=ports, loads=len(loads),
+        flushes=flushed.flush_count, reset_cycles=flushed.reset_cycles,
+        baseline_misses=misses,
+        prefetch_requests=flushed.prefetch_requests,
+        useful_prefetches=flushed.cache.useful_prefetch_hits,
+        coverage=flushed.cache.useful_prefetch_hits / misses,
+        coverage_no_flush=unflushed.cache.useful_prefetch_hits / misses)
+
+
+def test_sweep_reports_match_points_priced_alone():
+    loads = synthetic_workload(n_loads=3_000, n_ips=6)
+    points = [(None, 3), (400, 1), (400, 8), (2_000, 2), (25, 1)]
+    reports = mitigation_sweep(loads, points, cycles_per_load=3)
+    assert reports == [_reference_report(loads, period, ports, 3)
+                       for period, ports in points]
+    assert reports[0] == mitigation_eval(loads, None, 3, 3)
+    assert len({r.flushes for r in reports}) == len(points)
+
+
+class _Unreplayable(list):
+    def __iter__(self):
+        raise AssertionError("the workload was replayed")
+
+
+@pytest.mark.parametrize("points, cycles_per_load", [
+    ([(36_000, 1), (36_000, 0)], 10),
+    ([(None, 1), (10, 1)], 10),
+    ([(36_000, 1), (math.nan, 2)], 10),
+    ([(36_000, 1)], 0),
+])
+def test_sweep_checks_every_point_before_any_run(points, cycles_per_load):
+    with pytest.raises(ValueError):
+        mitigation_sweep(_Unreplayable(synthetic_workload(n_loads=8)),
+                         points, cycles_per_load)
 
 
 def test_mitigation_rejects_impossible_period():
@@ -478,8 +529,8 @@ def test_only_plus_inf_disables_flushing():
             mitigation_eval(loads, flush_period_cycles=period)
 
 
-def test_mitigation_report_rows(default_mitigation):
-    report = default_mitigation
+def test_mitigation_report_rows(default_sweep):
+    report = default_sweep[0]
     (row,) = report.rows()
     assert row["flushes"] == report.flushes
     assert row["coverage_delta"] == f"{report.coverage_delta:.6f}"
@@ -524,6 +575,10 @@ def test_load_trace_reports_line_numbers(tmp_path):
         load_trace(trace)
     trace.write_text("400a4b,20001c0\n")
     with pytest.raises(ValueError, match="bad.txt:1"):
+        load_trace(trace)
+    # int() takes no U+001F around a field, though str.strip() would
+    trace.write_text("400a4b,\x1f20001c0,0\n")
+    with pytest.raises(ValueError, match="bad.txt:1: malformed field"):
         load_trace(trace)
 
 

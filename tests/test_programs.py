@@ -184,8 +184,8 @@ def test_flush_clock_owes_the_resets_of_a_loop(cycles_per_load, period,
 
 
 def test_machine_without_a_period_never_resets_whatever_its_ports():
-    # mitigation_eval replays a workload once when it has no period, on
-    # the machine built with the ports: it must end as a plain Machine
+    # a mitigation point with no period takes the sweep's unflushed run,
+    # made on a plain Machine: one built with its ports must end alike
     machines = Machine(flush_period=None, write_ports=2), Machine()
     for m in machines:
         for i in range(3000):

@@ -26,13 +26,15 @@ exact only for a page-aligned first line: its six low bits are clear,
 so ``first + i == first ^ i``, and by XOR-linearity the slice of line
 ``first + i`` is ``slice(first) ^ slice(i)``.  ``flush_lines`` flushes
 a run of lines within one page through the same keys, and flush+reload
-reloads a page through them.  Callers that touch the same lines over
-and over, such as prime+probe on a fixed eviction set, place them
-once and call ``walk_set(key, lines)``: it demand-accesses
-the lines in order.  When the set is empty it fills it in one step, and
-when the set already holds exactly those lines and none awaits its
-first demand hit, it reorders the set in one step.  An eviction set
-holds its members as line indices, ready for ``walk_set``.
+reloads a page through them.  Prime+probe places its eviction sets once
+and hands each pass over them to one ``walk_sets(keys, walks)`` call,
+which demand-accesses each walk's lines in order, walk after walk.  A
+walk onto an empty set fills it in one step.  When the set holds exactly
+the walked lines and none awaits its first demand hit, every access hits
+and the set is rewritten in walk order in one step; the set is first
+compared with the walk and its reverse, the orders prime+probe leave it
+in.  An eviction set holds its members as line indices, ready for
+``walk_sets``.
 """
 
 from __future__ import annotations
@@ -168,28 +170,35 @@ class CacheModel:
         self._install(ways, li)
         return self.config.miss_latency
 
-    def walk_set(self, key: tuple[int, int], lines: list[int]) -> int:
-        """Demand-access ``lines``, all placed at ``key``, in order;
-        returns the summed latency."""
-        ways = self.sets.get(key)
-        n = len(lines)
-        if not ways:
-            if 0 < n <= self.config.associativity and len(set(lines)) == n:
-                # every access misses into a free way, so the walk
-                # leaves the set in walk order and evicts nothing
-                self.sets[key] = list(lines)
+    def walk_sets(self, keys: list[tuple[int, int]],
+                  walks: list[list[int]]) -> list[int]:
+        """Demand-access each walk's lines, all placed at its key, in
+        order, walk after walk; returns each walk's summed latency."""
+        sets, prefetched, config = self.sets, self._prefetched, self.config
+        times = []
+        for key, lines in zip(keys, walks):
+            ways = sets.get(key)
+            n = len(lines)
+            if not ways:
+                if 0 < n <= config.associativity and len(set(lines)) == n:
+                    # every access misses into a free way, so the walk
+                    # leaves the set in walk order and evicts nothing
+                    sets[key] = list(lines)
+                    self.demand_accesses += n
+                    self.demand_misses += n
+                    times.append(n * config.miss_latency)
+                    continue
+            elif (len(ways) == n and (ways == lines or ways[::-1] == lines
+                                      or set(ways) == set(lines))
+                    and prefetched.isdisjoint(lines)):
+                # every access hits and moves its line to the end, so
+                # the walk leaves the set in walk order
+                ways[:] = lines
                 self.demand_accesses += n
-                self.demand_misses += n
-                return n * self.config.miss_latency
-        elif (len(ways) == n and (ways == lines or set(ways) == set(lines))
-                and self._prefetched.isdisjoint(lines)):
-            # every access hits and moves its line to the end, so the
-            # walk leaves the set in walk order
-            ways[:] = lines
-            self.demand_accesses += n
-            return n * self.config.hit_latency
-        access_line = self.access_line
-        return sum(access_line(key, li) for li in lines)
+                times.append(n * config.hit_latency)
+                continue
+            times.append(sum(self.access_line(key, li) for li in lines))
+        return times
 
     def install_prefetch(self, paddr: int) -> None:
         """Place a prefetched line without latency accounting."""

@@ -45,6 +45,7 @@ from .experiments import (
 )
 from .oracle import run_equivalence_check
 
+MAX_ATTACK_ROUNDS = 1_000_000  # the report keeps a row per round
 MAX_ORACLE_LOADS = 1_000_000  # a stream this long holds about 200 MB of lists
 MAX_ORACLE_SEQUENCES = 100_000  # the report keeps a row per sequence
 
@@ -219,6 +220,8 @@ def _cmd_reveng(args, cache_config) -> int:
 def _cmd_attack(args, cache_config) -> int:
     if args.variant is None or args.channel is None:
         raise ValueError("attack needs --variant and --channel")
+    if args.rounds > MAX_ATTACK_ROUNDS:
+        raise ValueError(f"rounds must not exceed {MAX_ATTACK_ROUNDS}")
     args.seed = _seed(args)
     noise = NoiseModel(p_evict=args.noise_evict, p_extra_load=args.noise_load,
                        next_line_noise=args.next_line_noise)

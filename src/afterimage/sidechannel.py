@@ -44,9 +44,10 @@ class StatusProbe:
 
 def prime(cache: CacheModel, mes_list: list[MinimalEvictionSet]) -> list[int]:
     """Fill every eviction set, then return its steady hit baseline time."""
-    for mes in mes_list:
-        cache.walk_set(mes.key, mes.lines)
-    return [cache.walk_set(mes.key, mes.lines) for mes in mes_list]
+    keys = [mes.key for mes in mes_list]
+    walks = [mes.lines for mes in mes_list]
+    cache.walk_sets(keys, walks)
+    return cache.walk_sets(keys, walks)
 
 
 def probe(cache: CacheModel, mes_list: list[MinimalEvictionSet],
@@ -59,8 +60,9 @@ def probe(cache: CacheModel, mes_list: list[MinimalEvictionSet],
     read the whole set as missing.
     """
     threshold = cache.config.threshold
-    return [abs(cache.walk_set(mes.key, mes.lines[::-1]) - b) > threshold
-            for mes, b in zip(mes_list, baseline)]
+    times = cache.walk_sets([mes.key for mes in mes_list],
+                            [mes.lines[::-1] for mes in mes_list])
+    return [abs(t - b) > threshold for t, b in zip(times, baseline)]
 
 
 def flush_reload(cache: CacheModel, page_base: int,

@@ -247,16 +247,19 @@ _TINY = CacheConfig(slices=2, sets_per_slice=4, associativity=4)
 
 
 def _walk_pools():
-    """Eight lines sharing one (slice, set) and four placed elsewhere."""
+    """Two (slice, set) keys, each with the eight lines placed there."""
     c = CacheModel(_TINY)
-    key = c.location(0)
-    same = [li for li in range(64) if c.location(li * LINE_BYTES) == key]
-    other = [li for li in range(64) if c.location(li * LINE_BYTES) != key]
-    return key, same[:8], other[:4]
+    pools = {}
+    for li in range(128):
+        pools.setdefault(c.location(li * LINE_BYTES), []).append(li)
+    return [(key, lines[:8]) for key, lines in list(pools.items())[:2]]
 
 
-_KEY, _SAME, _OTHER = _walk_pools()
+_POOLS = _walk_pools()
+_KEY, _SAME = _POOLS[0]
 _MEMBERS = _SAME[:4]
+# each pool line -> the four lines that fill its set exactly
+_MEMBERS_OF = {li: same[:4] for _, same in _POOLS for li in same}
 
 
 def _counters(c):
@@ -264,22 +267,37 @@ def _counters(c):
             c.prefetch_installs, c.useful_prefetch_hits)
 
 
+def _walks(key, same):
+    members = same[:4]
+    return st.tuples(st.just(key), st.one_of(
+        st.just(members), st.just(members[::-1]),
+        st.permutations(members),
+        st.lists(st.sampled_from(members), unique=True),
+        # more lines than ways, or a repeated line
+        st.lists(st.sampled_from(same), max_size=10)))
+
+
 @given(prior=st.lists(st.tuples(
            st.sampled_from(["access", "prefetch", "flush", "prime"]),
-           st.sampled_from(_SAME + _OTHER)), max_size=24),
-       order=st.sampled_from(["forward", "reversed", "partial", "any"]),
-       partial=st.lists(st.sampled_from(_MEMBERS), unique=True),
-       any_lines=st.lists(st.sampled_from(_SAME), max_size=10))
-# the set holds exactly the walked lines, one of them not yet demanded
-@example(prior=[("prime", 0), ("flush", _MEMBERS[1]),
-                ("prefetch", _MEMBERS[1])], order="forward", partial=[],
-         any_lines=[])
+           st.sampled_from(sorted(_MEMBERS_OF))), max_size=24),
+       walks=st.lists(st.one_of(*(_walks(k, s) for k, s in _POOLS)),
+                      max_size=4))
+# the set holds exactly the walked lines in walk order (or its reverse),
+# the last not yet demanded: neither order check may skip the prefetch
+@example(prior=[("prime", _MEMBERS[0]), ("flush", _MEMBERS[-1]),
+                ("prefetch", _MEMBERS[-1])], walks=[(_KEY, _MEMBERS)])
+@example(prior=[("prime", _MEMBERS[0]), ("flush", _MEMBERS[-1]),
+                ("prefetch", _MEMBERS[-1])], walks=[(_KEY, _MEMBERS[::-1])])
+@example(prior=[("prime", _MEMBERS[0]), ("flush", _MEMBERS[1]),
+                ("prefetch", _MEMBERS[1])], walks=[(_KEY, _MEMBERS)])
 # walks onto an empty set: none, more lines than ways, a repeated line
-@example(prior=[], order="partial", partial=[], any_lines=[])
-@example(prior=[], order="any", partial=[], any_lines=_SAME[:5])
-@example(prior=[], order="any", partial=[],
-         any_lines=[_SAME[0], _SAME[1], _SAME[0]])
-def test_walk_set_matches_per_line_access(prior, order, partial, any_lines):
+@example(prior=[], walks=[(_KEY, [])])
+@example(prior=[], walks=[(_KEY, _SAME[:5])])
+@example(prior=[], walks=[(_KEY, [_SAME[0], _SAME[1], _SAME[0]])])
+# prime+probe on one key: fill, timed walk, reversed walk
+@example(prior=[], walks=[(_KEY, _MEMBERS), (_KEY, _MEMBERS),
+                          (_KEY, _MEMBERS[::-1])])
+def test_walk_sets_match_per_line_access(prior, walks):
     c = CacheModel(_TINY)
     for op, li in prior:
         if op == "access":
@@ -288,12 +306,12 @@ def test_walk_set_matches_per_line_access(prior, order, partial, any_lines):
             c.install_prefetch(li * LINE_BYTES)
         elif op == "flush":
             c.flush_line(li * LINE_BYTES)
-        else:  # fill the set with exactly the walked lines
-            for m in _MEMBERS:
+        else:  # fill the set with exactly its four members
+            for m in _MEMBERS_OF[li]:
                 c.access(m * LINE_BYTES)
-    walk = {"forward": _MEMBERS, "reversed": _MEMBERS[::-1],
-            "partial": partial, "any": any_lines}[order]
     ref = copy.deepcopy(c)
-    want = sum(ref.access(li * LINE_BYTES) for li in walk)
-    assert c.walk_set(_KEY, list(walk)) == want
+    want = [sum(ref.access(li * LINE_BYTES) for li in lines)
+            for _, lines in walks]
+    assert c.walk_sets([key for key, _ in walks],
+                       [list(lines) for _, lines in walks]) == want
     assert _counters(c) == _counters(ref)

@@ -11,6 +11,7 @@ import pytest
 
 import afterimage
 from afterimage.cli import (
+    MAX_ATTACK_ROUNDS,
     MAX_ORACLE_SEQUENCES,
     build_parser,
     emit_csv,
@@ -627,6 +628,17 @@ def test_oracle_sequences_above_ceiling_exit_2(tmp_path, capsys, sequences):
                  "--output", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: sequences must not exceed {MAX_ORACLE_SEQUENCES}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rounds", [MAX_ATTACK_ROUNDS + 1, 2**64])
+def test_attack_rounds_above_ceiling_exit_2(tmp_path, capsys, rounds):
+    # rejected before any round runs: 2**64 rounds used to run for ever
+    out = tmp_path / "x.csv"
+    assert main(["attack", "--variant", "1", "--channel", "prime_probe",
+                 "--rounds", str(rounds), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: rounds must not exceed {MAX_ATTACK_ROUNDS}"]
     assert not out.exists()
 
 

@@ -4,10 +4,15 @@ import copy
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afterimage.cache import CacheConfig, CacheModel, build_eviction_set
+from afterimage.cache import (
+    CacheConfig,
+    CacheModel,
+    build_eviction_set,
+    page_eviction_sets,
+)
 from afterimage.programs import Machine
 from afterimage.sidechannel import (
     StatusProbe,
@@ -17,7 +22,14 @@ from afterimage.sidechannel import (
     prime,
     probe,
 )
-from afterimage.uarch import LINE_BYTES, PrefetchTable, Tlb, page_frame
+from afterimage.uarch import (
+    LINE_BYTES,
+    LINE_SHIFT,
+    PAGE_LINES,
+    PrefetchTable,
+    Tlb,
+    page_frame,
+)
 
 PAGE = 0x600000  # maps to sets 24576 % 2048 = 0 .. 63, one per line
 
@@ -127,6 +139,62 @@ def test_keyed_reload_matches_per_line_access(config, prior, seed):
             if ref.access(PAGE + i * LINE_BYTES) < ref.config.threshold}
     assert flush_reload(cache, PAGE, random.Random(seed)) == want
     assert _cache_state(cache) == _cache_state(ref)
+
+
+def _walk_per_line(cache, mes_list, reverse):
+    """Reference walk: each set's time, one ``access_line`` per member."""
+    return [sum(cache.access_line(mes.key, li)
+                for li in (mes.lines[::-1] if reverse else mes.lines))
+            for mes in mes_list]
+
+
+def _disturb(cache, mes_list, op, line, member):
+    """One disturbance between prime and probe: ``line`` picks a page
+    line, which lands in the set its eviction set monitors."""
+    paddr = PAGE + line * LINE_BYTES
+    if op == "victim":
+        cache.access(paddr)
+    elif op == "prefetch":
+        cache.install_prefetch(paddr)
+    elif op == "flush":
+        cache.flush_line(paddr)
+    elif op == "noise":  # as the probe noise: kick the first member out
+        cache.flush_line(mes_list[line].lines[0] << LINE_SHIFT)
+    else:  # a member comes back as a prefetch no demand has used yet
+        addr = mes_list[line].lines[member] << LINE_SHIFT
+        cache.flush_line(addr)
+        cache.install_prefetch(addr)
+
+
+@pytest.mark.parametrize("config", [
+    CacheConfig(),
+    # 16 sets per slice: some page lines share a key, so two eviction
+    # sets walk the same set within one prime or probe
+    CacheConfig(slices=2, sets_per_slice=16)])
+@settings(max_examples=25, deadline=None)
+@given(rounds=st.lists(st.lists(st.tuples(
+           st.sampled_from(["victim", "prefetch", "flush", "noise",
+                            "refetch"]),
+           st.integers(0, PAGE_LINES - 1), st.integers(0, 15)),
+           max_size=8), min_size=1, max_size=4))
+def test_prime_probe_rounds_match_per_line_walks(config, rounds):
+    cache = CacheModel(config)
+    mes_list = page_eviction_sets(cache, PAGE)
+    if config.sets_per_slice < PAGE_LINES:
+        assert len({mes.key for mes in mes_list}) < len(mes_list)
+    ref = copy.deepcopy(cache)
+    threshold = cache.config.threshold
+    for ops in rounds:
+        _walk_per_line(ref, mes_list, False)  # the fill walk
+        baseline = prime(cache, mes_list)
+        assert baseline == _walk_per_line(ref, mes_list, False)
+        for op in ops:
+            _disturb(cache, mes_list, *op)
+            _disturb(ref, mes_list, *op)
+        times = _walk_per_line(ref, mes_list, True)
+        assert probe(cache, mes_list, baseline) == [
+            abs(t - b) > threshold for t, b in zip(times, baseline)]
+        assert _cache_state(cache) == _cache_state(ref)
 
 
 @pytest.mark.parametrize("base", [PAGE + LINE_BYTES, PAGE + 8, PAGE - 1])

@@ -14,12 +14,13 @@ victim, a cross-process victim reached through a shared page, and a
 kernel syscall reached through shared memory.  A scenario builder says
 who trains, where the victim runs, what each arm of its secret-dependent
 branch loads, which page is watched and how a detected stride decodes
-to a bit; one round loop, ``_score_rounds``, then trains, draws the
-secret bit, runs that arm, observes through the chosen channel and
-scores each round for every variant.  ``mitigation_sweep`` measures
-what periodically clearing the table costs in prefetch coverage, at one
-or more flush periods and port counts; ``mitigation_eval`` is its
-one-point case.
+to a bit.  Each channel is one observer, built once per attack from the
+machine, the scenario and the noise: ``arm()`` runs before the victim,
+and ``read(rng, victim_loads)`` after it applies the channel's noise and
+returns a ``StrideDetection``.  Scored and tag-search rounds alike run
+train, arm, victim, read.  ``mitigation_sweep`` prices periodic table
+clearing in prefetch coverage at one or more (flush period, write
+ports) points; ``mitigation_eval`` is its one-point case.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .cache import CacheModel, MinimalEvictionSet, page_eviction_sets
+from .cache import CacheModel, page_eviction_sets
 from .programs import (
     Domain,
     FlushLines,
@@ -45,14 +46,14 @@ from .programs import (
 )
 from .sidechannel import (
     StatusProbe,
+    StrideDetection,
     detect_stride,
     flush_reload,
     prefetcher_status_probe,
     prime,
     probe,
 )
-from .uarch import (LINE_BYTES, LINE_SHIFT, PAGE_BYTES, PAGE_LINES, ip_tag,
-                    page_frame)
+from .uarch import LINE_BYTES, LINE_SHIFT, PAGE_BYTES, PAGE_LINES, page_frame
 
 #: Clock used to convert flush periods given in microseconds.
 DEFAULT_CLOCK_GHZ = 3.6
@@ -73,8 +74,8 @@ def flush_period_cycles(period_us: float,
         return None
     cycles = period_us * 1000.0 * ghz
     if cycles == math.inf:
-        raise ValueError(f"flush period {period_us} us overflows the "
-                         "cycle count")
+        raise ValueError(f"flush period {period_us} us at {ghz} GHz "
+                         "overflows the cycle count")
     return round(cycles)
 
 
@@ -138,16 +139,6 @@ def _apply_page_noise(cache: CacheModel, noise: NoiseModel,
     for ln in range(PAGE_LINES):
         if rng.random() < noise.p_evict:
             cache.flush_line(page_paddr + ln * LINE_BYTES)
-
-
-def _apply_probe_noise(cache: CacheModel, noise: NoiseModel,
-                       rng: random.Random,
-                       mes_list: list[MinimalEvictionSet]) -> None:
-    """Unrelated traffic landing in monitored sets: kicks one member
-    out of an eviction set, which the probe then reads as a hit."""
-    for mes in mes_list:
-        if rng.random() < noise.p_evict:
-            cache.flush_line(mes.lines[0] << LINE_SHIFT)
 
 
 # --------------------------------------------------------------------------
@@ -518,13 +509,6 @@ class UnsupportedChannelError(ValueError):
     """Raised for a variant/channel pairing that has no measurement."""
 
 
-ATTACK_CHANNELS = {
-    1: ("prime_probe", "flush_reload", "status_probe"),
-    2: ("flush_reload",),
-    3: ("flush_reload",),
-}
-
-
 @dataclass(frozen=True)
 class RoundRecord:
     """One transmitted bit and what the observer made of it."""
@@ -591,6 +575,7 @@ _TWO_SIDED = {_STRIDE_IF: 1, _STRIDE_ELSE: 0}
 _VICTIM_CODE = 0x700000
 _KERNEL_CODE = 0x7FFF00F000  # fixed: kernel text is not randomized here
 _ARRAY_LINES = 48  # the victim's array; each load picks one of its lines
+_Observer = tuple[Callable[[], object], Callable[..., StrideDetection]]
 
 
 def _two_arms(array: int) -> dict[int, tuple[int, int]]:
@@ -650,31 +635,27 @@ def _user_kernel(machine: Machine, seed: int) -> _Scenario:
             0: None}
     groups = ip_matching_groups(n_groups=20, group_size=24,
                                 stride_lines=stride, iterations=3)
-    flush_prog = [FlushLines(shared_paddr, PAGE_LINES)]
+    sc = _Scenario(user, [], shared_paddr, kernel, arms, {stride: 1, None: 0})
 
     # Each group gets a few tries: a failed probe's own load allocates
     # an entry right where the next training pass recycles slots, so
     # the first pass over a matching group can lose the one entry that
     # matters.  A repeat finds the table mostly trained and keeps it.
+    # The search forces the loading arm with known inputs and no noise.
+    observer = _flush_reload(machine, sc, NoiseModel())
     search_rng = random.Random(seed * 7919 + 13)
     matched = None
     for g, group_prog in enumerate(groups):
-        for _attempt in range(3):
-            machine.run_program(user, group_prog)
-            machine.run_program(user, flush_prog)
-            # the search forces the loading arm with known inputs
-            machine.run_program(kernel, _victim_steps(arms[1], search_rng))
-            observed = flush_reload(machine.cache, shared_paddr, search_rng)
-            if detect_stride(observed, [stride]).detected == stride:
-                matched = g
-                break
-        if matched is not None:
+        sc.training = group_prog
+        if any(_run_round(machine, sc, observer, 1, search_rng).detected
+               == stride for _attempt in range(3)):
+            matched = g
             break
     # nothing matched (e.g. table flushed on every switch): carry on
     # with an arbitrary group so the scored rounds still run honestly
-    group_prog = groups[matched if matched is not None else 0]
-    return _Scenario(user, group_prog, shared_paddr, kernel, arms,
-                     {stride: 1, None: 0}, detail={"matched_group": matched})
+    sc.training = groups[matched or 0]
+    sc.detail["matched_group"] = matched
+    return sc
 
 
 _SCENARIOS = {1: _same_space, 2: _cross_process, 3: _user_kernel}
@@ -711,57 +692,88 @@ def _status_probes(domain: Domain, training: list[Step]) -> list[StatusProbe]:
             for ip, (*_, prev, last) in walks.items()]
 
 
+def _flush_reload(machine: Machine, sc: _Scenario,
+                  noise: NoiseModel) -> _Observer:
+    """Flush the page before the victim runs; disturb it, then reload."""
+    cache, page = machine.cache, sc.attacker.translate(sc.page_vaddr)
+    strides = [s for s in sc.decode if s is not None]
+    flush_prog = [FlushLines(sc.page_vaddr, PAGE_LINES)]
+
+    def read(rng: random.Random, victim_loads: list[int]) -> StrideDetection:
+        _apply_page_noise(cache, noise, rng, page, victim_loads)
+        return detect_stride(flush_reload(cache, page, rng), strides)
+    return lambda: machine.run_program(sc.attacker, flush_prog), read
+
+
+def _prime_probe(machine: Machine, sc: _Scenario,
+                 noise: NoiseModel) -> _Observer:
+    """Prime one eviction set per page line; after the page noise, stray
+    traffic may evict one member per set (read as a hit), then probe."""
+    cache, page = machine.cache, sc.attacker.translate(sc.page_vaddr)
+    strides = [s for s in sc.decode if s is not None]
+    mes_list = page_eviction_sets(cache, page)
+    baseline: list[int] = []
+
+    def arm() -> None:
+        baseline[:] = prime(cache, mes_list)
+
+    def read(rng: random.Random, victim_loads: list[int]) -> StrideDetection:
+        _apply_page_noise(cache, noise, rng, page, victim_loads)
+        for mes in mes_list:
+            if rng.random() < noise.p_evict:
+                cache.flush_line(mes.lines[0] << LINE_SHIFT)
+        evicted = probe(cache, mes_list, baseline)
+        return detect_stride({ln for ln, hit in enumerate(evicted) if hit},
+                             strides)
+    return arm, read
+
+
+def _status_probe(machine: Machine, sc: _Scenario,
+                  noise: NoiseModel) -> _Observer:
+    """Read the table: the victim's load retrained its arm's entry, so
+    that stride died.  ``detected`` only when exactly one stride died."""
+    probes = _status_probes(sc.attacker, sc.training)
+
+    def read(rng: random.Random, victim_loads: list[int]) -> StrideDetection:
+        alive = prefetcher_status_probe(
+            machine, probes, [rng.random() < noise.p_evict for _ in probes])
+        dead = sorted({p.stride // LINE_BYTES
+                       for p, ok in zip(probes, alive) if not ok})
+        return StrideDetection(dict.fromkeys(dead, 1),
+                               dead[0] if len(dead) == 1 else None,
+                               len(dead) > 1, dead)
+    return lambda: None, read
+
+
+_OBSERVERS = {"prime_probe": _prime_probe, "flush_reload": _flush_reload,
+              "status_probe": _status_probe}
+# variants 2 and 3 leak through a shared page, which only reloads can read
+ATTACK_CHANNELS = {1: tuple(_OBSERVERS), 2: ("flush_reload",),
+                   3: ("flush_reload",)}
+
+
+def _run_round(machine: Machine, sc: _Scenario, observer: _Observer,
+               bit: int, rng: random.Random) -> StrideDetection:
+    """Train, arm, run the victim's arm for ``bit`` and read, per round."""
+    arm, read = observer
+    machine.run_program(sc.attacker, sc.training)
+    arm()
+    # a silent arm runs no step, but entering the domain still counts
+    return read(rng, machine.run_program(
+        sc.victim, _victim_steps(sc.arms[bit], rng)))
+
+
 def _score_rounds(machine: Machine, sc: _Scenario, channel: str,
                   rounds: int, noise: NoiseModel, seed: int,
                   bits: Iterator[int]) -> list[RoundRecord]:
-    """Train, let the victim run the arm of the round's secret bit,
-    observe the page and decode, per round.
-
-    Flush+reload empties the page before the victim runs; prime+probe
-    primes one eviction set per page line instead.  Both then see the
-    page noise.  The status probe reads the table, not the page.
-    """
-    cache = machine.cache
-    page_paddr = sc.attacker.translate(sc.page_vaddr)
-    flush_prog = [FlushLines(sc.page_vaddr, PAGE_LINES)]
-    strides = [s for s in sc.decode if s is not None]
-    if channel == "prime_probe":
-        mes_list = page_eviction_sets(cache, page_paddr)
-    elif channel == "status_probe":
-        probes = _status_probes(sc.attacker, sc.training)
+    """Run each round through the channel's observer and decode it."""
+    observer = _OBSERVERS[channel](machine, sc, noise)
     records = []
-    for i in range(rounds):
-        rng = _round_rng(seed, i)
-        machine.run_program(sc.attacker, sc.training)
-        if channel == "flush_reload":
-            machine.run_program(sc.attacker, flush_prog)
-        elif channel == "prime_probe":
-            baseline = prime(cache, mes_list)
-        truth = next(bits)
-        # a silent arm runs no step, but entering the domain still counts
-        victim_loads = machine.run_program(
-            sc.victim, _victim_steps(sc.arms[truth], rng))
-
-        if channel == "status_probe":
-            # the victim's load retrained the entry of the arm it took
-            dropped = {ip_tag(p.ip) for p in probes
-                       if rng.random() < noise.p_evict}
-            alive = prefetcher_status_probe(machine, probes,
-                                            drop_targets=dropped)
-            dead = [p.stride // LINE_BYTES for p in probes
-                    if not alive[ip_tag(p.ip)]]
-            detected = dead[0] if len(dead) == 1 else None
-        else:
-            _apply_page_noise(cache, noise, rng, page_paddr, victim_loads)
-            if channel == "prime_probe":
-                _apply_probe_noise(cache, noise, rng, mes_list)
-                evicted = probe(cache, mes_list, baseline)
-                observed = {ln for ln, hit in enumerate(evicted) if hit}
-            else:
-                observed = flush_reload(cache, page_paddr, rng)
-            detected = detect_stride(observed, strides).detected
-        inferred = sc.decode.get(detected)
-        records.append(RoundRecord(i, truth, detected, inferred))
+    for i, truth in zip(range(rounds), bits):
+        detected = _run_round(machine, sc, observer, truth,
+                              _round_rng(seed, i)).detected
+        records.append(RoundRecord(i, truth, detected,
+                                   sc.decode.get(detected)))
     return records
 
 

@@ -1,18 +1,18 @@
 """Cache observation channels and stride inference.
 
-Prime+Probe works on per-line eviction sets: prime fills each set and
-returns its hit baseline time, one per set; probe re-walks the sets and
-returns one flag per set, set when its time moved by more than the
-cache's latency threshold in either direction.  Flush+Reload walks the
-64 lines of a shared page in Fisher-Yates-shuffled order, returns the
-indices of the lines that hit and keeps all of them resident afterwards.
-It places the page once with ``CacheModel.page_keys`` and reloads each
-line through ``access_line``.
-
-Both observers talk to the cache only, modelling a pointer-chasing,
-serialised measurement loop that the prefetcher cannot learn from; they
-never touch the table.  The status probe is the exception: it replays
-trained loads through the machine's load path on purpose.
+Every channel is read in one protocol, arm before the victim runs and
+read after it; ``experiments`` builds one observer per channel on these
+functions.  Prime+Probe works on per-line eviction sets: prime (its arm)
+fills each set and returns its hit baseline time, one per set; probe
+re-walks the sets and returns one flag per set, set when its time moved
+by more than the cache's latency threshold in either direction.
+Flush+Reload's arm flushes the page; ``flush_reload`` places it once
+(``CacheModel.page_keys``), reloads its 64 lines in shuffled order,
+returns the indices of the lines that hit and leaves all of them cached.
+Prime, probe and reload touch the cache only, modelling a serialised
+pointer-chasing loop the prefetcher cannot learn from.  The status probe
+has no arm: it replays trained loads through the machine's load path on
+purpose and returns one alive flag per probe.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .cache import CacheModel, MinimalEvictionSet
 from .programs import Machine
-from .uarch import LINE_SHIFT, PAGE_LINES, ip_tag
+from .uarch import LINE_SHIFT, PAGE_LINES
 
 
 @dataclass
@@ -106,9 +106,8 @@ def detect_stride(observed, candidates: list[int]) -> StrideDetection:
 
 
 def prefetcher_status_probe(machine: Machine, probes: list[StatusProbe],
-                            drop_targets: frozenset | set = frozenset(),
-                            ) -> dict[int, bool]:
-    """Check which trained entries still trigger.
+                            drops: list[bool] | None = None) -> list[bool]:
+    """Check which trained entries still trigger, one flag per probe.
 
     Replays each trained IP once at its expected next address and times
     the single line the old stride would fetch.  An entry whose stride
@@ -116,19 +115,17 @@ def prefetcher_status_probe(machine: Machine, probes: list[StatusProbe],
     misses.  Unlike the pure cache observers this does feed the table,
     through ``machine.load``; it leaves the machine's clock alone.
 
-    Verdicts are keyed by each probe IP's tag.  Tags in drop_targets
-    lose their target line between install and timing, modelling an
-    unrelated eviction inside the probe window.
+    A probe whose ``drops`` flag is set loses its target line before
+    the timing: an unrelated eviction inside the probe window.
     """
     cache = machine.cache
     threshold = cache.config.threshold
-    verdict = {}
-    for p in probes:
+    alive = []
+    for i, p in enumerate(probes):
         target = p.replay_addr + p.stride
         cache.flush_line(target)
         machine.load(p.ip, p.replay_addr)
-        tag = ip_tag(p.ip)
-        if tag in drop_targets:
+        if drops and drops[i]:
             cache.flush_line(target)
-        verdict[tag] = cache.access(target) < threshold
-    return verdict
+        alive.append(cache.access(target) < threshold)
+    return alive

@@ -472,7 +472,11 @@ def test_mitigate_nonpositive_cycles_per_load_exits_2(tmp_path, capsys,
     ("--period-us=-inf", "flush period must be >= 0 us, got -inf"),
     ("--period-us=nan", "flush period must be >= 0 us, got nan"),
     ("--period-us=-1", "flush period must be >= 0 us, got -1.0"),
-    ("--period-us=1e306", "flush period 1e+306 us overflows the cycle count"),
+    ("--period-us=1e306",
+     "flush period 1e+306 us at 3.6 GHz overflows the cycle count"),
+    # the default period overflows only at this clock: name both
+    ("--clock-ghz=1e308",
+     "flush period 10.0 us at 1e+308 GHz overflows the cycle count"),
 ])
 def test_mitigate_bad_clock_or_period_exits_2(tmp_path, capsys, flag,
                                               message):

@@ -37,12 +37,18 @@ _GEOMETRY = ("cache_slices=8\n"
              "cache_sets_per_slice=1024\n"
              "cache_associativity=8\n")
 
+# a tiny cache: the page's 64 lines share 32 sets of 4 ways
+_SMALL_GEOMETRY = ("cache_slices=2\n"
+                   "cache_sets_per_slice=16\n"
+                   "cache_associativity=4\n")
+
 
 def _write_inputs() -> None:
     """Write the files the cases name by relative path: the load trace
-    and the cache geometry config."""
+    and the cache geometry configs."""
     Path("trace.txt").write_text(_trace())
     Path("geometry.cfg").write_text(_GEOMETRY)
+    Path("small.cfg").write_text(_SMALL_GEOMETRY)
 
 
 def _attack(variant, channel, *extra):
@@ -125,6 +131,12 @@ CASES = {
                 "--noise-load", "1.0", "--next-line-noise"),
         {"out.csv":
          "ab1704c2dfa1facf06cc93c3357382123312f36198e8d48e78d537919d76c193"}),
+    # the tag search and the scored rounds reload a page whose lines
+    # share sets
+    "v3_small_geometry": (
+        _attack(3, "flush_reload", "--config", "small.cfg"),
+        {"out.csv":
+         "8f5f1fdd948ae4cde24a4d1ffd0e580082c95c5093d85de2afbe5f400b6768a3"}),
 }
 
 

@@ -1,5 +1,6 @@
 """Tests for the reverse-engineering benches, attacks and mitigation."""
 
+import collections
 import itertools
 import math
 import random
@@ -14,12 +15,14 @@ from afterimage.cache import (
     build_eviction_set,
     page_eviction_sets,
 )
+from afterimage import experiments
 from afterimage.experiments import (
     ATTACK_CHANNELS,
     MitigationReport,
     NoiseModel,
     SurvivalResult,
     UnsupportedChannelError,
+    _OBSERVERS,
     _SCENARIOS,
     _apply_page_noise,
     _secret_source,
@@ -311,6 +314,75 @@ def test_status_probes_replay_each_trained_ip_one_stride_past_its_walk():
     probes = _status_probes(sc.attacker, sc.training)
     assert [(p.ip, p.replay_addr, p.stride) for p in probes] == [
         (0x40003A, 0x10540, 448), (0x4010B4, 0x129C0, 832)]
+
+
+class _Draws:
+    """A stand-in rng whose random() returns the given values in turn."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_status_observer_reads_its_detection_from_the_dead_strides():
+    def status_round(bit, noise, rng):
+        machine = Machine()
+        sc = _SCENARIOS[1](machine, 0)
+        arm, read = _OBSERVERS["status_probe"](machine, sc, noise)
+        machine.run_program(sc.attacker, sc.training)
+        arm()
+        victim_loads = []
+        if bit is not None:
+            victim_loads = machine.run_program(
+                sc.victim, _victim_steps(sc.arms[bit], random.Random(1)))
+        return read(rng, victim_loads)
+
+    # nothing disturbed: every trained entry still fetches
+    quiet = status_round(None, NoiseModel(), random.Random(0))
+    assert (quiet.support, quiet.detected, quiet.ambiguous,
+            quiet.ranked) == ({}, None, False, [])
+    # the victim's if arm retrains the stride-7 entry; the else arm 13
+    for bit, stride in ((1, 7), (0, 13)):
+        got = status_round(bit, NoiseModel(), random.Random(0))
+        assert (got.support, got.detected, got.ambiguous) == (
+            {stride: 1}, stride, False)
+    # a drop flag on the else probe kills a second entry: ambiguous
+    both = status_round(1, NoiseModel(p_evict=0.5), _Draws(0.9, 0.1))
+    assert (both.support, both.detected, both.ambiguous, both.ranked) == (
+        {7: 1, 13: 1}, None, True, [7, 13])
+
+
+@pytest.mark.parametrize("variant, channel", [
+    (variant, channel) for variant, channels in ATTACK_CHANNELS.items()
+    for channel in channels])
+def test_every_pair_reaches_its_sidechannel_functions(variant, channel,
+                                                      monkeypatch):
+    # tracing wraps these names where experiments looks them up, so an
+    # observer that bypasses them would escape its span
+    calls = collections.Counter()
+
+    def counting(name):
+        fn = getattr(experiments, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("prime", "probe", "flush_reload",
+                 "prefetcher_status_probe", "detect_stride"):
+        monkeypatch.setattr(experiments, name, counting(name))
+    run_attack(variant, channel, rounds=2, seed=1)
+    if channel == "prime_probe":
+        assert calls["prime"] == calls["probe"] == 2
+    elif channel == "flush_reload":
+        # variant 3's tag search reloads the page before the rounds
+        assert calls["flush_reload"] >= 2
+    else:
+        assert calls["prefetcher_status_probe"] == 2
+        assert calls["detect_stride"] == 0
 
 
 def test_a_loading_arm_draws_one_line_and_a_silent_arm_none():

@@ -289,14 +289,14 @@ def test_status_probe_tracks_disturbance():
               StatusProbe(0x4020B4, g2 + 4 * 832, 832)]
 
     # idle victim: both entries still trigger
-    assert prefetcher_status_probe(m, probes) == {0xA0: True, 0xB4: True}
+    assert prefetcher_status_probe(m, probes) == [True, True]
 
     # victim executes through tag 0xA0 somewhere far away
     table.observe_load(None, 0x7010A0, 0x900000)
     probes2 = [StatusProbe(0x4010A0, g1 + 6 * 448, 448),
                StatusProbe(0x4020B4, g2 + 5 * 832, 832)]
     got = prefetcher_status_probe(m, probes2)
-    assert got == {0xA0: False, 0xB4: True}
+    assert got == [False, True]
 
 
 def test_status_probe_after_reset_sees_nothing():
@@ -306,4 +306,4 @@ def test_status_probe_after_reset_sees_nothing():
         m.table.observe_load(None, 0x4010A0, g1 + i * 448)
     m.table.reset()
     probes = [StatusProbe(0x4010A0, g1 + 4 * 448, 448)]
-    assert prefetcher_status_probe(m, probes) == {0xA0: False}
+    assert prefetcher_status_probe(m, probes) == [False]

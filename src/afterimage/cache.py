@@ -25,16 +25,21 @@ of the folds of the line offsets 0..63 built once per cache.  That is
 exact only for a page-aligned first line: its six low bits are clear,
 so ``first + i == first ^ i``, and by XOR-linearity the slice of line
 ``first + i`` is ``slice(first) ^ slice(i)``.  ``flush_lines`` flushes
-a run of lines within one page through the same keys, and flush+reload
-reloads a page through them.  Prime+probe places its eviction sets once
-and hands each pass over them to one ``walk_sets(keys, walks)`` call,
-which demand-accesses each walk's lines in order, walk after walk.  A
-walk onto an empty set fills it in one step.  When the set holds exactly
-the walked lines and none awaits its first demand hit, every access hits
-and the set is rewritten in walk order in one step; the set is first
-compared with the walk and its reverse, the orders prime+probe leave it
-in.  An eviction set holds its members as line indices, ready for
-``walk_sets``.
+a run of lines within one page, placed by ``_run_keys`` or through keys
+the caller placed once.  Flush+reload places its page once per attack
+and hands each reload to one ``access_page(keys, first, order)`` call.
+It has two fast paths, the two cases a flushed page meets: a line whose
+set is empty misses into it, and a line that is already its set's most
+recent one and awaits no first demand hit is a hit that moves nothing.
+Every other line goes to ``access_line``.  Prime+probe places its
+eviction sets once and hands each pass over them to one
+``walk_sets(keys, walks)`` call, which demand-accesses each walk's
+lines in order, walk after walk.  A walk onto an empty set fills it in
+one step.  When the set holds exactly the walked lines and none awaits
+its first demand hit, every access hits and the set is rewritten in
+walk order in one step; the set is first compared with the walk and
+its reverse, the orders prime+probe leave it in.  An eviction set holds
+its members as line indices, ready for ``walk_sets``.
 """
 
 from __future__ import annotations
@@ -170,6 +175,32 @@ class CacheModel:
         self._install(ways, li)
         return self.config.miss_latency
 
+    def access_page(self, keys: list[tuple[int, int]], first: int,
+                    order: list[int]) -> list[int]:
+        """Demand-access line ``first + i``, placed at ``keys[i]``, for
+        each ``i`` in ``order``; returns the latencies in that order."""
+        sets, prefetched = self.sets, self._prefetched
+        hit, miss = self.config.hit_latency, self.config.miss_latency
+        times = []
+        hits = misses = 0
+        for i in order:
+            key, li = keys[i], first + i
+            ways = sets.get(key)
+            if not ways:
+                # the line misses into a free way and evicts nothing
+                sets[key] = [li]
+                misses += 1
+                times.append(miss)
+            elif ways[-1] == li and li not in prefetched:
+                # a hit on the most recent line leaves the order as it is
+                hits += 1
+                times.append(hit)
+            else:
+                times.append(self.access_line(key, li))
+        self.demand_accesses += hits + misses
+        self.demand_misses += misses
+        return times
+
     def walk_sets(self, keys: list[tuple[int, int]],
                   walks: list[list[int]]) -> list[int]:
         """Demand-access each walk's lines, all placed at its key, in
@@ -220,12 +251,17 @@ class CacheModel:
         """Flush the one line at ``paddr``."""
         self.flush_lines(paddr, 1)
 
-    def flush_lines(self, paddr: int, n_lines: int) -> None:
+    def flush_lines(self, paddr: int, n_lines: int,
+                    keys: list[tuple[int, int]] | None = None) -> None:
         """Flush ``n_lines`` consecutive lines from ``paddr``'s line on;
-        they must all lie in its page."""
+        they must all lie in its page.  A caller that has placed the run
+        already passes its keys, as ``page_keys`` gives them for a whole
+        page, and the lines are not placed again."""
         li = paddr >> LINE_SHIFT
+        if keys is None:
+            keys = self._run_keys(li, n_lines)
         sets, prefetched = self.sets, self._prefetched
-        for line, key in enumerate(self._run_keys(li, n_lines), li):
+        for line, key in enumerate(keys, li):
             ways = sets.get(key)
             if ways and line in ways:
                 ways.remove(line)

@@ -18,7 +18,9 @@ to a bit.  Each channel is one observer, built once per attack from the
 machine, the scenario and the noise: ``arm()`` runs before the victim,
 and ``read(rng, victim_loads)`` after it applies the channel's noise and
 returns a ``StrideDetection``.  Scored and tag-search rounds alike run
-train, arm, victim, read.  ``mitigation_sweep`` prices periodic table
+train, arm, victim, read; the attacker's training program is placed
+once per attack (once per group in the tag search) and the victim's
+one load once per round.  ``mitigation_sweep`` prices periodic table
 clearing in prefetch coverage at one or more (flush period, write
 ports) points; ``mitigation_eval`` is its one-point case.
 """
@@ -35,10 +37,9 @@ from typing import Callable, Iterator
 from .cache import CacheModel, page_eviction_sets
 from .programs import (
     Domain,
-    FlushLines,
     Load,
     Machine,
-    Step,
+    Placed,
     build_gadget,
     ip_matching_groups,
     ip_with_tag,
@@ -559,7 +560,7 @@ class _Scenario:
     """
 
     attacker: Domain
-    training: list[Step]
+    training: list[Load]
     page_vaddr: int
     victim: Domain
     arms: dict[int, tuple[int, int] | None]
@@ -646,9 +647,10 @@ def _user_kernel(machine: Machine, seed: int) -> _Scenario:
     search_rng = random.Random(seed * 7919 + 13)
     matched = None
     for g, group_prog in enumerate(groups):
-        sc.training = group_prog
-        if any(_run_round(machine, sc, observer, 1, search_rng).detected
-               == stride for _attempt in range(3)):
+        training = machine.place(user, group_prog)
+        if any(_run_round(machine, sc, training, observer, 1,
+                          search_rng).detected == stride
+               for _attempt in range(3)):
             matched = g
             break
     # nothing matched (e.g. table flushed on every switch): carry on
@@ -673,7 +675,7 @@ def _secret_source(seed: int, flush_on_switch: bool) -> Iterator[int]:
 
 
 def _victim_steps(arm: tuple[int, int] | None,
-                  rng: random.Random) -> list[Step]:
+                  rng: random.Random) -> list[Load]:
     """One arm of the victim's branch: a load from its IP of a random
     line of its array, or nothing for an arm that makes no load."""
     if arm is None:
@@ -682,7 +684,7 @@ def _victim_steps(arm: tuple[int, int] | None,
     return [Load(ip, array + rng.randrange(_ARRAY_LINES) * LINE_BYTES)]
 
 
-def _status_probes(domain: Domain, training: list[Step]) -> list[StatusProbe]:
+def _status_probes(domain: Domain, training: list[Load]) -> list[StatusProbe]:
     """Replay each IP the training program loads from, in the order of
     its first load, one stride past its last load in ``domain``."""
     walks: dict[int, list[int]] = {}
@@ -694,35 +696,41 @@ def _status_probes(domain: Domain, training: list[Step]) -> list[StatusProbe]:
 
 def _flush_reload(machine: Machine, sc: _Scenario,
                   noise: NoiseModel) -> _Observer:
-    """Flush the page before the victim runs; disturb it, then reload."""
+    """Flush the page before the victim runs; disturb it, then reload.
+    The page is placed once: the flush and every reload use its keys."""
     cache, page = machine.cache, sc.attacker.translate(sc.page_vaddr)
+    keys = cache.page_keys(page)
     strides = [s for s in sc.decode if s is not None]
-    flush_prog = [FlushLines(sc.page_vaddr, PAGE_LINES)]
 
     def read(rng: random.Random, victim_loads: list[int]) -> StrideDetection:
         _apply_page_noise(cache, noise, rng, page, victim_loads)
-        return detect_stride(flush_reload(cache, page, rng), strides)
-    return lambda: machine.run_program(sc.attacker, flush_prog), read
+        return detect_stride(flush_reload(cache, page, keys, rng), strides)
+    # the training just ran in the attacker's domain: no switch to make
+    return lambda: machine.flush(page, PAGE_LINES, keys), read
 
 
 def _prime_probe(machine: Machine, sc: _Scenario,
                  noise: NoiseModel) -> _Observer:
     """Prime one eviction set per page line; after the page noise, stray
-    traffic may evict one member per set (read as a hit), then probe."""
+    traffic may evict one member per set (read as a hit), then probe.
+    The sets' keys and walks, both ways, are listed once per attack."""
     cache, page = machine.cache, sc.attacker.translate(sc.page_vaddr)
     strides = [s for s in sc.decode if s is not None]
     mes_list = page_eviction_sets(cache, page)
+    keys = [mes.key for mes in mes_list]
+    walks = [mes.lines for mes in mes_list]
+    reversed_walks = [lines[::-1] for lines in walks]
     baseline: list[int] = []
 
     def arm() -> None:
-        baseline[:] = prime(cache, mes_list)
+        baseline[:] = prime(cache, keys, walks)
 
     def read(rng: random.Random, victim_loads: list[int]) -> StrideDetection:
         _apply_page_noise(cache, noise, rng, page, victim_loads)
-        for mes in mes_list:
+        for lines in walks:
             if rng.random() < noise.p_evict:
-                cache.flush_line(mes.lines[0] << LINE_SHIFT)
-        evicted = probe(cache, mes_list, baseline)
+                cache.flush_line(lines[0] << LINE_SHIFT)
+        evicted = probe(cache, keys, reversed_walks, baseline)
         return detect_stride({ln for ln, hit in enumerate(evicted) if hit},
                              strides)
     return arm, read
@@ -752,15 +760,20 @@ ATTACK_CHANNELS = {1: tuple(_OBSERVERS), 2: ("flush_reload",),
                    3: ("flush_reload",)}
 
 
-def _run_round(machine: Machine, sc: _Scenario, observer: _Observer,
-               bit: int, rng: random.Random) -> StrideDetection:
-    """Train, arm, run the victim's arm for ``bit`` and read, per round."""
+def _run_round(machine: Machine, sc: _Scenario, training: list[Placed],
+               observer: _Observer, bit: int,
+               rng: random.Random) -> StrideDetection:
+    """Train with the placed ``training``, arm, run the victim's arm for
+    ``bit`` and read, per round."""
     arm, read = observer
-    machine.run_program(sc.attacker, sc.training)
+    machine.run_program(sc.attacker, training)
     arm()
-    # a silent arm runs no step, but entering the domain still counts
-    return read(rng, machine.run_program(
-        sc.victim, _victim_steps(sc.arms[bit], rng)))
+    # the victim's line is drawn anew each round, so placing it apart
+    # would cost the location call its access makes; a silent arm runs
+    # no step, but entering the domain still counts
+    victim = [(step.ip, sc.victim.translate(step.vaddr), None)
+              for step in _victim_steps(sc.arms[bit], rng)]
+    return read(rng, machine.run_program(sc.victim, victim))
 
 
 def _score_rounds(machine: Machine, sc: _Scenario, channel: str,
@@ -768,9 +781,10 @@ def _score_rounds(machine: Machine, sc: _Scenario, channel: str,
                   bits: Iterator[int]) -> list[RoundRecord]:
     """Run each round through the channel's observer and decode it."""
     observer = _OBSERVERS[channel](machine, sc, noise)
+    training = machine.place(sc.attacker, sc.training)
     records = []
     for i, truth in zip(range(rounds), bits):
-        detected = _run_round(machine, sc, observer, truth,
+        detected = _run_round(machine, sc, training, observer, truth,
                               _round_rng(seed, i)).detected
         records.append(RoundRecord(i, truth, detected,
                                    sc.decode.get(detected)))

@@ -1,20 +1,21 @@
 """Straight-line victim/attacker programs and their execution.
 
-A program is a flat list of steps (loads and line flushes) run by a
-Machine that owns the prefetcher table, the TLB and the cache and keeps
-a cycle clock fed by load latencies.  The Machine keeps no log: a run
-returns the physical addresses of the demand loads it made, and
-everything else is read from the state it leaves.  Every demand load in
-the simulator, whether a program step, a bench load, a status probe or a
-replayed trace, goes through ``Machine.load``.  Domains give each
-simulated protection context its own page mapping; translation is
-identity-plus-offset with explicit per-frame overrides so that shared
-memory can alias one physical page from several domains.
-
-A ``FlushLines`` step flushes its run one frame at a time: per frame,
-``Machine.flush`` makes one TLB access and one keyed cache flush.  That
-leaves the state one TLB access per line would: each access after the
-first hits the frame just accessed, which leaves the LRU order as it is.
+A program is a flat list of ``Load`` steps.  ``Machine.run_program``
+runs placed loads, ``(ip, paddr, key)`` triples as ``Machine.load``
+takes them.  ``Machine.place`` translates a program in a domain and
+places each load's line once, so a program that runs every round is
+placed once; a key of None leaves the placement to the access.  The
+Machine owns the prefetcher table, the TLB and the cache and keeps a
+cycle clock fed by load latencies.  It keeps no log: a run returns the
+physical addresses of the demand loads it made, and everything else is
+read from the state it leaves.  Every demand load in the simulator,
+whether a program step, a bench load, a status probe or a replayed
+trace, goes through ``Machine.load``.  ``Machine.flush`` flushes a run
+of lines within one frame, with one TLB access for the frame and one
+keyed cache flush.  Domains give each simulated protection context its
+own page mapping; translation is identity-plus-offset with explicit
+per-frame overrides so that shared memory can alias one physical page
+from several domains.
 
 Prefetcher and cache state persist across domain switches unless a flush
 is armed: ``flush_on_switch`` wipes the table at every switch, and a
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Union
 
 from .cache import CacheConfig, CacheModel
 from .kernels import STRIDE_LIMIT
@@ -33,7 +33,6 @@ from .uarch import (
     LINE_BYTES,
     LINE_SHIFT,
     PAGE_BYTES,
-    PAGE_LINES,
     PrefetchTable,
     Tlb,
     page_frame,
@@ -50,13 +49,9 @@ class Load:
     vaddr: int
 
 
-@dataclass(frozen=True)
-class FlushLines:
-    vaddr: int
-    n_lines: int = 1
-
-
-Step = Union[Load, FlushLines]
+#: A load ready to run, as ``Machine.load`` takes it: its ip, physical
+#: address and cache key, or None for a key the access finds itself.
+Placed = tuple[int, int, tuple[int, int] | None]
 
 
 class Domain:
@@ -85,7 +80,7 @@ class Domain:
 
 
 class Machine:
-    """Runs step lists against one table/TLB/cache triple.
+    """Runs placed programs against one table/TLB/cache triple.
 
     The cache is built from ``cache_config`` (None for the default
     geometry).  ``flush_on_switch`` clears the table whenever a program
@@ -145,11 +140,13 @@ class Machine:
             self.prefetch_requests += 1
         return latency
 
-    def flush(self, paddr: int, n_lines: int = 1) -> None:
+    def flush(self, paddr: int, n_lines: int = 1,
+              keys: list[tuple[int, int]] | None = None) -> None:
         """Flush ``n_lines`` consecutive lines from ``paddr``'s line on,
         all in its frame; flushing needs the frame's translation, so it
-        warms the TLB once."""
-        self.cache.flush_lines(paddr, n_lines)
+        warms the TLB once.  ``keys`` are the lines' placements, as
+        ``CacheModel.flush_lines`` takes them."""
+        self.cache.flush_lines(paddr, n_lines, keys)
         self.tlb.access(page_frame(paddr))
 
     def _reset_table(self, times: int = 1) -> None:
@@ -162,32 +159,31 @@ class Machine:
 
     # -- execution -------------------------------------------------------
 
-    def run_program(self, domain: Domain, steps: list[Step]) -> list[int]:
-        """Run a step list in a domain and return the physical addresses
-        of its demand loads, in order.  Entering a new domain flushes
-        the table first when ``flush_on_switch`` is set, even for an
-        empty list."""
+    def place(self, domain: Domain, loads: list[Load]) -> list[Placed]:
+        """Translate each load in ``domain`` and place it in the cache,
+        ready for ``run_program`` in that domain.  This pays off for a
+        program that runs many times; a load that runs once can carry a
+        None key instead and be placed by its access."""
+        location = self.cache.location
+        placed = []
+        for step in loads:
+            paddr = domain.translate(step.vaddr)
+            placed.append((step.ip, paddr, location(paddr)))
+        return placed
+
+    def run_program(self, domain: Domain, placed: list[Placed]) -> list[int]:
+        """Run placed loads in a domain and return their physical
+        addresses, in order.  Entering a new domain flushes the table
+        first when ``flush_on_switch`` is set, even for an empty list."""
         if (self.flush_on_switch and self.current_domain is not None
                 and domain.name != self.current_domain):
             self._reset_table()
         self.current_domain = domain.name
+        load = self.load
         loads: list[int] = []
-        for step in steps:
-            if isinstance(step, Load):
-                paddr = domain.translate(step.vaddr)
-                self.clock += self.load(step.ip, paddr)
-                loads.append(paddr)
-            elif isinstance(step, FlushLines):
-                # one flush per frame the run touches
-                vaddr, left = step.vaddr, step.n_lines
-                while left > 0:
-                    room = PAGE_LINES - (vaddr >> LINE_SHIFT) % PAGE_LINES
-                    n = min(left, room)
-                    self.flush(domain.translate(vaddr), n)
-                    vaddr += n * LINE_BYTES
-                    left -= n
-            else:
-                raise TypeError(f"unknown step {step!r}")
+        for ip, paddr, key in placed:
+            self.clock += load(ip, paddr, key)
+            loads.append(paddr)
         return loads
 
 
@@ -203,7 +199,7 @@ def stride_bytes(stride_lines: int) -> int:
 
 def build_gadget(if_tag: int, else_tag: int, stride_if: int, stride_else: int,
                  iterations: int = 3, code_base: int = 0x400000,
-                 array_if: int = 0x10000, array_else: int = 0x12000) -> list[Step]:
+                 array_if: int = 0x10000, array_else: int = 0x12000) -> list[Load]:
     """Training gadget: two load IPs walking distinct strides (in lines)."""
     if if_tag == else_tag:
         raise ValueError("if/else tags must differ")
@@ -214,7 +210,7 @@ def build_gadget(if_tag: int, else_tag: int, stride_if: int, stride_else: int,
                       stacklevel=2)
     ip_if = ip_with_tag(code_base, if_tag)
     ip_else = ip_with_tag(code_base + 0x1000, else_tag)
-    steps: list[Step] = []
+    steps: list[Load] = []
     for i in range(iterations):
         steps.append(Load(ip_if, array_if + i * sb_if))
         steps.append(Load(ip_else, array_else + i * sb_else))
@@ -223,7 +219,7 @@ def build_gadget(if_tag: int, else_tag: int, stride_if: int, stride_else: int,
 
 def ip_matching_groups(n_groups: int = 20, group_size: int = 24,
                        stride_lines: int = 11,
-                       iterations: int = 3) -> list[list[Step]]:
+                       iterations: int = 3) -> list[list[Load]]:
     """Training programs whose tags jointly cover the whole 8-bit space.
 
     Group g holds group_size loads with distinct low-byte tags, each
@@ -241,7 +237,7 @@ def ip_matching_groups(n_groups: int = 20, group_size: int = 24,
     code_base, data_base = 0x400000, 0x40000000
     groups = []
     for g in range(n_groups):
-        steps: list[Step] = []
+        steps: list[Load] = []
         tags = [(g * group_size + j) % 256 for j in range(group_size)]
         for j, tag in enumerate(tags):
             page = data_base + (g * group_size + j) * PAGE_BYTES

@@ -2,17 +2,19 @@
 
 Every channel is read in one protocol, arm before the victim runs and
 read after it; ``experiments`` builds one observer per channel on these
-functions.  Prime+Probe works on per-line eviction sets: prime (its arm)
-fills each set and returns its hit baseline time, one per set; probe
-re-walks the sets and returns one flag per set, set when its time moved
-by more than the cache's latency threshold in either direction.
-Flush+Reload's arm flushes the page; ``flush_reload`` places it once
-(``CacheModel.page_keys``), reloads its 64 lines in shuffled order,
-returns the indices of the lines that hit and leaves all of them cached.
-Prime, probe and reload touch the cache only, modelling a serialised
-pointer-chasing loop the prefetcher cannot learn from.  The status probe
-has no arm: it replays trained loads through the machine's load path on
-purpose and returns one alive flag per probe.
+functions and places what they walk once per attack.  Prime+Probe works
+on per-line eviction sets, given as their keys and member walks: prime
+(its arm) fills each set and returns its hit baseline time, one per
+set; probe re-walks the sets in reverse and returns one flag per set,
+set when its time moved by more than the cache's latency threshold in
+either direction.  Flush+Reload's arm flushes the page through its
+``CacheModel.page_keys``; ``flush_reload`` reloads its 64 lines through
+the same keys in shuffled order, in one ``CacheModel.access_page``
+call, returns the indices of the lines that hit and leaves all of them
+cached.  Prime, probe and reload touch the cache only, modelling a
+serialised pointer-chasing loop the prefetcher cannot learn from.  The
+status probe has no arm: it replays trained loads through the machine's
+load path on purpose and returns one alive flag per probe.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cache import CacheModel, MinimalEvictionSet
+from .cache import CacheModel
 from .programs import Machine
-from .uarch import LINE_SHIFT, PAGE_LINES
+from .uarch import LINE_SHIFT, PAGE_BYTES, PAGE_LINES
 
 
 @dataclass
@@ -42,41 +44,40 @@ class StatusProbe:
     stride: int
 
 
-def prime(cache: CacheModel, mes_list: list[MinimalEvictionSet]) -> list[int]:
-    """Fill every eviction set, then return its steady hit baseline time."""
-    keys = [mes.key for mes in mes_list]
-    walks = [mes.lines for mes in mes_list]
+def prime(cache: CacheModel, keys: list[tuple[int, int]],
+          walks: list[list[int]]) -> list[int]:
+    """Fill every eviction set, its members ``walks[i]`` placed at
+    ``keys[i]``, then return its steady hit baseline time."""
     cache.walk_sets(keys, walks)
     return cache.walk_sets(keys, walks)
 
 
-def probe(cache: CacheModel, mes_list: list[MinimalEvictionSet],
-          baseline: list[int]) -> list[bool]:
-    """Re-walk the sets; a set is evicted iff |time - baseline| exceeds
-    the cache's threshold.
+def probe(cache: CacheModel, keys: list[tuple[int, int]],
+          reversed_walks: list[list[int]], baseline: list[int]) -> list[bool]:
+    """Re-walk the sets, each in the reverse of its prime walk; a set is
+    evicted iff |time - baseline| exceeds the cache's threshold.
 
     The walk reverses the prime order: under true LRU a same-order probe
     would evict its own next element after a single victim insertion and
     read the whole set as missing.
     """
     threshold = cache.config.threshold
-    times = cache.walk_sets([mes.key for mes in mes_list],
-                            [mes.lines[::-1] for mes in mes_list])
+    times = cache.walk_sets(keys, reversed_walks)
     return [abs(t - b) > threshold for t, b in zip(times, baseline)]
 
 
 def flush_reload(cache: CacheModel, page_base: int,
-                 rng: random.Random) -> set[int]:
-    """Measure which lines of the page at ``page_base`` (page aligned)
-    are cached, in shuffled order; leaves all of them resident."""
-    keys = cache.page_keys(page_base)
-    first = page_base >> LINE_SHIFT
+                 keys: list[tuple[int, int]], rng: random.Random) -> set[int]:
+    """Measure which lines of the page at ``page_base`` (page aligned),
+    placed at ``keys`` as ``CacheModel.page_keys`` gives them, are
+    cached, in shuffled order; leaves all of them resident."""
+    if page_base % PAGE_BYTES:
+        raise ValueError("page address must be page aligned")
     threshold = cache.config.threshold
     order = list(range(PAGE_LINES))
     rng.shuffle(order)
-    access_line = cache.access_line
-    return {i for i in order
-            if access_line(keys[i], first + i) < threshold}
+    times = cache.access_page(keys, page_base >> LINE_SHIFT, order)
+    return {i for i, t in zip(order, times) if t < threshold}
 
 
 def detect_stride(observed, candidates: list[int]) -> StrideDetection:

@@ -202,10 +202,11 @@ def test_10_observers_alone_leave_the_prefetcher_untouched():
         mes_list.append(build_eviction_set(
             cache, set_index, slice_index,
             (0x800000 + k * 64 for k in range(1 << 20))))
-    baseline = prime(cache, mes_list)
-    probe(cache, mes_list, baseline)
+    keys = [mes.key for mes in mes_list]
+    baseline = prime(cache, keys, [mes.lines for mes in mes_list])
+    probe(cache, keys, [mes.lines[::-1] for mes in mes_list], baseline)
     cache.flush_lines(page, 64)
-    flush_reload(cache, page, random.Random(0))
+    flush_reload(cache, page, cache.page_keys(page), random.Random(0))
 
     after = table.state_hash()
     ok = before == after

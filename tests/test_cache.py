@@ -246,16 +246,18 @@ def test_eviction_set_displaces_a_victim_line():
 _TINY = CacheConfig(slices=2, sets_per_slice=4, associativity=4)
 
 
-def _walk_pools():
-    """Two (slice, set) keys, each with the eight lines placed there."""
+def _pools(n_lines):
+    """Each _TINY (slice, set) key -> the lines below ``n_lines`` placed
+    there."""
     c = CacheModel(_TINY)
     pools = {}
-    for li in range(128):
+    for li in range(n_lines):
         pools.setdefault(c.location(li * LINE_BYTES), []).append(li)
-    return [(key, lines[:8]) for key, lines in list(pools.items())[:2]]
+    return pools
 
 
-_POOLS = _walk_pools()
+# two keys, each with the eight lines placed there
+_POOLS = [(key, lines[:8]) for key, lines in list(_pools(128).items())[:2]]
 _KEY, _SAME = _POOLS[0]
 _MEMBERS = _SAME[:4]
 # each pool line -> the four lines that fill its set exactly
@@ -314,4 +316,43 @@ def test_walk_sets_match_per_line_access(prior, walks):
             for _, lines in walks]
     assert c.walk_sets([key for key, _ in walks],
                        [list(lines) for _, lines in walks]) == want
+    assert _counters(c) == _counters(ref)
+
+
+# each line of the first three pages -> four lines that fill its set
+_FILL_OF = {li: same[:4] for same in _pools(3 * PAGE_LINES).values()
+            for li in same}
+_RELOAD_FIRST = PAGE_LINES  # the reloaded page: lines 64..127
+
+
+@given(prior=st.lists(st.tuples(
+           st.sampled_from(["access", "prefetch", "flush", "fill"]),
+           st.integers(0, 3 * PAGE_LINES - 1)), max_size=80),
+       order=st.one_of(st.permutations(range(PAGE_LINES)),
+                       st.lists(st.integers(0, PAGE_LINES - 1),
+                                max_size=80)))
+# the page flushed, then a victim line, its prefetch and a line whose
+# set is full of other lines
+@example(prior=[("flush", li) for li in range(64, 128)] + [
+             ("access", 70), ("prefetch", 77), ("fill", 130)],
+         order=list(range(PAGE_LINES)))
+# the same line twice: a hit on the MRU, unless a prefetch waits on it
+@example(prior=[("prefetch", 64)], order=[0, 0, 0])
+def test_access_page_matches_per_line_access(prior, order):
+    # eight sets hold the page's 64 lines, so its lines evict each other
+    c = CacheModel(_TINY)
+    for op, li in prior:
+        if op == "access":
+            c.access(li * LINE_BYTES)
+        elif op == "prefetch":
+            c.install_prefetch(li * LINE_BYTES)
+        elif op == "flush":
+            c.flush_line(li * LINE_BYTES)
+        else:  # fill the line's set with four lines
+            for m in _FILL_OF[li]:
+                c.access(m * LINE_BYTES)
+    ref = copy.deepcopy(c)
+    keys = c.page_keys(_RELOAD_FIRST * LINE_BYTES)
+    want = [ref.access_line(keys[i], _RELOAD_FIRST + i) for i in order]
+    assert c.access_page(keys, _RELOAD_FIRST, list(order)) == want
     assert _counters(c) == _counters(ref)

@@ -137,6 +137,13 @@ CASES = {
         _attack(3, "flush_reload", "--config", "small.cfg"),
         {"out.csv":
          "8f5f1fdd948ae4cde24a4d1ffd0e580082c95c5093d85de2afbe5f400b6768a3"}),
+    # page noise and the next line land on a page whose lines share sets,
+    # so the reload meets hits below the MRU and prefetched lines
+    "v1_flush_reload_small_geometry": (
+        _attack(1, "flush_reload", "--config", "small.cfg",
+                "--noise-load", "1.0", "--next-line-noise"),
+        {"out.csv":
+         "33e2cec6ba1fd5e5ff128ee421c0f33afeea313c7b230dd78f733d4f180e5ed4"}),
 }
 
 

@@ -331,12 +331,13 @@ def test_status_observer_reads_its_detection_from_the_dead_strides():
         machine = Machine()
         sc = _SCENARIOS[1](machine, 0)
         arm, read = _OBSERVERS["status_probe"](machine, sc, noise)
-        machine.run_program(sc.attacker, sc.training)
+        machine.run_program(sc.attacker,
+                            machine.place(sc.attacker, sc.training))
         arm()
         victim_loads = []
         if bit is not None:
-            victim_loads = machine.run_program(
-                sc.victim, _victim_steps(sc.arms[bit], random.Random(1)))
+            victim_loads = machine.run_program(sc.victim, machine.place(
+                sc.victim, _victim_steps(sc.arms[bit], random.Random(1))))
         return read(rng, victim_loads)
 
     # nothing disturbed: every trained entry still fetches

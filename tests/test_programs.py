@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from afterimage.cache import CacheConfig
 from afterimage.programs import (
     Domain,
-    FlushLines,
     Load,
     Machine,
     build_gadget,
@@ -46,10 +45,15 @@ def test_gadget_builder_validation():
         build_gadget(0xA0, 0xB4, 7, 7)
 
 
+def _run(m, domain, loads):
+    """Place ``loads`` in ``domain`` and run them."""
+    return m.run_program(domain, m.place(domain, loads))
+
+
 def test_gadget_trains_both_entries():
     m = Machine()
     prog = build_gadget(0xA0, 0xB4, 7, 13, iterations=3)
-    m.run_program(Domain("a"), prog)
+    _run(m, Domain("a"), prog)
     assert m.table.entry_for(0xA0).confidence == 2
     assert m.table.entry_for(0xA0).stride == 7 * 64
     assert m.table.entry_for(0xB4).confidence == 2
@@ -58,7 +62,7 @@ def test_gadget_trains_both_entries():
 
 def test_short_gadget_stays_below_trigger():
     m = Machine()
-    m.run_program(Domain("a"), build_gadget(0xA0, 0xB4, 7, 13, iterations=2))
+    _run(m, Domain("a"), build_gadget(0xA0, 0xB4, 7, 13, iterations=2))
     assert m.table.entry_for(0xA0).confidence == 1
     assert m.table.entry_for(0xB4).confidence == 1
 
@@ -81,7 +85,7 @@ def test_ip_matching_groups_cover_tag_space():
 def test_group_training_triggers_matching_tag():
     groups = ip_matching_groups(20, 24, stride_lines=11)
     m = Machine()
-    m.run_program(Domain("u"), groups[3])
+    _run(m, Domain("u"), groups[3])
     tags = {ip_tag(s.ip) for s in groups[3]}
     assert tags == {(3 * 24 + j) % 256 for j in range(24)}
     for tag in tags:
@@ -92,7 +96,7 @@ def test_group_training_triggers_matching_tag():
 def test_state_persists_across_switches_by_default():
     a, b = Domain("a", phys_offset=0), Domain("b", phys_offset=0x100000000)
     m = Machine()
-    m.run_program(a, build_gadget(0xA0, 0xB4, 7, 13))
+    _run(m, a, build_gadget(0xA0, 0xB4, 7, 13))
     h, clock = m.table.state_hash(), m.clock
     assert m.run_program(b, []) == []
     assert m.table.state_hash() == h
@@ -103,7 +107,7 @@ def test_state_persists_across_switches_by_default():
 def test_flush_on_switch_wipes_the_table():
     a, b = Domain("a"), Domain("b", phys_offset=0x100000000)
     m = Machine(flush_on_switch=True)
-    m.run_program(a, build_gadget(0xA0, 0xB4, 7, 13))
+    _run(m, a, build_gadget(0xA0, 0xB4, 7, 13))
     assert m.table.occupancy() == 2
     clock = m.clock
     assert m.run_program(b, []) == []
@@ -204,15 +208,36 @@ def test_machine_without_a_period_never_resets_whatever_its_ports():
 
 def test_clock_tracks_latencies():
     m = Machine()
-    loads = m.run_program(Domain("a"), [Load(0x400000, 0x1000),
-                                        Load(0x400100, 0x1000)])
+    loads = _run(m, Domain("a"), [Load(0x400000, 0x1000),
+                                  Load(0x400100, 0x1000)])
     assert loads == [0x1000, 0x1000]
     assert m.clock == 200 + 40
 
 
+def test_placed_loads_run_as_their_unplaced_loads():
+    # placing translates in the domain and keys the line as location does
+    d = Domain("a", phys_offset=0x100000000)
+    d.map_shared(0x20000, 0x500000)
+    prog = build_gadget(0xA0, 0xB4, 7, 13, array_if=0x1F000,
+                        array_else=0x20000)
+    m = Machine()
+    placed = m.place(d, prog)
+    assert placed == [(s.ip, d.translate(s.vaddr),
+                       m.cache.location(d.translate(s.vaddr))) for s in prog]
+    ref = Machine()
+    for ip, paddr, _key in placed:
+        ref.clock += ref.load(ip, paddr)
+    assert m.run_program(d, placed) == [paddr for _, paddr, _ in placed]
+    assert _machine_state(m) == _machine_state(ref)
+    assert vars(m.table) == vars(ref.table)
+
+
 def test_unknown_step_is_rejected():
+    # run_program takes placed loads only
     with pytest.raises(TypeError):
         Machine().run_program(Domain("a"), [0x1000])
+    with pytest.raises(TypeError):
+        Machine().run_program(Domain("a"), [Load(0x400000, 0x1000)])
 
 
 def test_cross_process_shared_page_carries_the_stride():
@@ -224,11 +249,11 @@ def test_cross_process_shared_page_carries_the_stride():
     victim.map_shared(0x30000, shared_phys)
 
     m = Machine()
-    m.run_program(attacker, build_gadget(0xA0, 0xB4, 8, 13))
-    assert m.run_program(attacker, [FlushLines(0x20000, 64)]) == []
+    _run(m, attacker, build_gadget(0xA0, 0xB4, 8, 13))
+    m.flush(attacker.translate(0x20000), PAGE_LINES)
     requests, installs = m.prefetch_requests, m.cache.prefetch_installs
-    [load] = m.run_program(victim, [Load(ip_with_tag(0x700000, 0xA0),
-                                         0x30000 + 20 * 64)])
+    [load] = _run(m, victim, [Load(ip_with_tag(0x700000, 0xA0),
+                                   0x30000 + 20 * 64)])
 
     # the victim's one load fired the stride trained in the other process
     assert m.prefetch_requests == requests + 1
@@ -252,12 +277,14 @@ def _machine_state(m):
            st.tuples(st.just("load"), st.integers(-8, 3 * PAGE_LINES)),
            st.tuples(st.just("frame"), st.integers(0, 80))), max_size=80),
        start=st.integers(0, 2 * PAGE_LINES - 1),
-       n_lines=st.integers(0, 2 * PAGE_LINES),
-       offset=st.integers(0, LINE_BYTES - 1))
-# a run from the private frame into the shared one
-@example(prior=[("load", 62), ("load", 64), ("frame", 3)], start=60,
-         n_lines=8, offset=0)
-def test_flush_step_matches_per_line_flushes(prior, start, n_lines, offset):
+       n_lines=st.integers(1, PAGE_LINES),
+       offset=st.integers(0, LINE_BYTES - 1),
+       keyed=st.booleans())
+# a run to the end of the shared frame, flushed through its page keys
+@example(prior=[("load", 62), ("load", 64), ("frame", 3)], start=64,
+         n_lines=64, offset=0, keyed=True)
+def test_flush_step_matches_per_line_flushes(prior, start, n_lines, offset,
+                                             keyed):
     # a small cache, so that sets hold several page lines in LRU order,
     # and traffic on other frames, so that the TLB order matters
     d = Domain("attacker", phys_offset=0x100000000)
@@ -265,17 +292,23 @@ def test_flush_step_matches_per_line_flushes(prior, start, n_lines, offset):
     m = Machine(CacheConfig(slices=4, sets_per_slice=16, associativity=4))
     for kind, value in prior:
         if kind == "load":
-            m.run_program(d, [Load(ip_with_tag(0x400000, value % 3),
-                                   _FLUSH_VPAGE + value * LINE_BYTES)])
+            _run(m, d, [Load(ip_with_tag(0x400000, value % 3),
+                             _FLUSH_VPAGE + value * LINE_BYTES)])
         else:
             m.tlb.access(value)
     ref = copy.deepcopy(m)
-    vaddr = _FLUSH_VPAGE + start * LINE_BYTES + offset
-    assert m.run_program(d, [FlushLines(vaddr, n_lines)]) == []
+    # the run stays in the frame of its first line
+    n_lines = min(n_lines, PAGE_LINES - start % PAGE_LINES)
+    paddr = d.translate(_FLUSH_VPAGE + start * LINE_BYTES + offset)
+    keys = None
+    if keyed:
+        page = paddr - paddr % PAGE_BYTES
+        first = start % PAGE_LINES
+        keys = m.cache.page_keys(page)[first:first + n_lines]
+    m.flush(paddr, n_lines, keys)
     for i in range(n_lines):
-        paddr = d.translate(vaddr + i * LINE_BYTES)
         ref.tlb.access(page_frame(paddr))
-        ref.cache.flush_line(paddr)
+        ref.cache.flush_line(paddr + i * LINE_BYTES)
     assert _machine_state(m) == _machine_state(ref)
 
 

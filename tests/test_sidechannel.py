@@ -43,18 +43,32 @@ def build_page_sets(cache, page_base, n_lines=16):
     return out
 
 
+def _prime(cache, sets):
+    return prime(cache, [mes.key for mes in sets],
+                 [mes.lines for mes in sets])
+
+
+def _probe(cache, sets, baseline):
+    return probe(cache, [mes.key for mes in sets],
+                 [mes.lines[::-1] for mes in sets], baseline)
+
+
+def _reload(cache, page, rng):
+    return flush_reload(cache, page, cache.page_keys(page), rng)
+
+
 def test_prime_baseline_is_all_hits():
     cache = CacheModel()
     sets = build_page_sets(cache, PAGE, 4)
-    assert prime(cache, sets) == [16 * 40] * 4
+    assert _prime(cache, sets) == [16 * 40] * 4
 
 
 def test_probe_without_victim_sees_nothing():
     cache = CacheModel()
     sets = build_page_sets(cache, PAGE, 6)
-    baseline = prime(cache, sets)
+    baseline = _prime(cache, sets)
     misses = cache.demand_misses
-    assert probe(cache, sets, baseline) == [False] * 6
+    assert _probe(cache, sets, baseline) == [False] * 6
     # every probe access hits, so each set's time equals its baseline
     assert cache.demand_misses == misses
 
@@ -63,13 +77,13 @@ def test_probe_without_victim_sees_nothing():
 def test_prime_and_probe_counters_and_lru_order(n):
     cache = CacheModel()
     sets = build_page_sets(cache, PAGE, n)
-    baseline = prime(cache, sets)
+    baseline = _prime(cache, sets)
     # the fill walk misses once per member, the timed walk only hits
     assert cache.demand_accesses == 2 * 16 * n
     assert cache.demand_misses == 16 * n
     for mes in sets:
         assert cache.sets[mes.key] == mes.lines
-    probe(cache, sets, baseline)
+    _probe(cache, sets, baseline)
     assert cache.demand_accesses == 3 * 16 * n
     assert cache.demand_misses == 16 * n
     for mes in sets:
@@ -79,11 +93,11 @@ def test_prime_and_probe_counters_and_lru_order(n):
 def test_probe_flags_victim_touched_sets():
     cache = CacheModel()
     sets = build_page_sets(cache, PAGE, 16)
-    baseline = prime(cache, sets)
+    baseline = _prime(cache, sets)
     cache.access(PAGE + 3 * LINE_BYTES)  # victim line
     cache.access(PAGE + 10 * LINE_BYTES)  # prefetch target, say
     misses = cache.demand_misses
-    evicted = probe(cache, sets, baseline)
+    evicted = _probe(cache, sets, baseline)
     assert [i for i, e in enumerate(evicted) if e] == [3, 10]
     # one displaced member turns one hit into a miss in each touched set:
     # |delta| = 160 > 120
@@ -96,16 +110,16 @@ def test_flush_reload_reports_exactly_the_cached_lines():
     cache.flush_lines(PAGE, 64)
     cache.access(PAGE + 12 * LINE_BYTES)
     cache.access(PAGE + 25 * LINE_BYTES)
-    assert flush_reload(cache, PAGE, rng) == {12, 25}
+    assert _reload(cache, PAGE, rng) == {12, 25}
     # reload leaves the whole page resident
-    assert flush_reload(cache, PAGE, rng) == set(range(64))
+    assert _reload(cache, PAGE, rng) == set(range(64))
 
 
 def test_flush_reload_on_flushed_page_is_empty():
     cache = CacheModel()
     cache.access(PAGE + 5 * LINE_BYTES)
     cache.flush_lines(PAGE, 64)
-    assert flush_reload(cache, PAGE, random.Random(2)) == set()
+    assert _reload(cache, PAGE, random.Random(2)) == set()
 
 
 def _cache_state(c):
@@ -137,7 +151,7 @@ def test_keyed_reload_matches_per_line_access(config, prior, seed):
     random.Random(seed).shuffle(order)
     want = {i for i in order
             if ref.access(PAGE + i * LINE_BYTES) < ref.config.threshold}
-    assert flush_reload(cache, PAGE, random.Random(seed)) == want
+    assert _reload(cache, PAGE, random.Random(seed)) == want
     assert _cache_state(cache) == _cache_state(ref)
 
 
@@ -186,13 +200,13 @@ def test_prime_probe_rounds_match_per_line_walks(config, rounds):
     threshold = cache.config.threshold
     for ops in rounds:
         _walk_per_line(ref, mes_list, False)  # the fill walk
-        baseline = prime(cache, mes_list)
+        baseline = _prime(cache, mes_list)
         assert baseline == _walk_per_line(ref, mes_list, False)
         for op in ops:
             _disturb(cache, mes_list, *op)
             _disturb(ref, mes_list, *op)
         times = _walk_per_line(ref, mes_list, True)
-        assert probe(cache, mes_list, baseline) == [
+        assert _probe(cache, mes_list, baseline) == [
             abs(t - b) > threshold for t, b in zip(times, baseline)]
         assert _cache_state(cache) == _cache_state(ref)
 
@@ -201,7 +215,7 @@ def test_prime_probe_rounds_match_per_line_walks(config, rounds):
 def test_flush_reload_rejects_an_unaligned_page(base):
     cache = CacheModel()
     with pytest.raises(ValueError, match="page aligned"):
-        flush_reload(cache, base, random.Random(0))
+        flush_reload(cache, base, cache.page_keys(PAGE), random.Random(0))
     assert cache.demand_accesses == 0
 
 
@@ -239,10 +253,10 @@ def test_observers_never_touch_the_table():
         table.observe_load(tlb, 0x4010A0, PAGE + i * 448)
     h = table.state_hash()
     sets = build_page_sets(cache, PAGE, 8)
-    baseline = prime(cache, sets)
-    probe(cache, sets, baseline)
+    baseline = _prime(cache, sets)
+    _probe(cache, sets, baseline)
     cache.flush_lines(PAGE, 64)
-    flush_reload(cache, PAGE, random.Random(4))
+    _reload(cache, PAGE, random.Random(4))
     assert table.state_hash() == h
 
 

@@ -46,7 +46,7 @@ from .experiments import (
 from .oracle import run_equivalence_check
 
 MAX_ATTACK_ROUNDS = 1_000_000  # the report keeps a row per round
-MAX_ORACLE_LOADS = 1_000_000  # a stream this long holds about 200 MB of lists
+MAX_ORACLE_LOADS = 1_000_000  # bounds run time: --loads may be up to 2**80
 MAX_ORACLE_SEQUENCES = 100_000  # the report keeps a row per sequence
 
 _CACHE_KEYS = {f"cache_{f.name}": f.name for f in fields(CacheConfig)}

@@ -140,9 +140,10 @@ def test_slice_fold_is_xor_linear(slices, a, b):
             == c.location(a)[0] ^ c.location(b)[0])
 
 
-# slices 1..16, and fewer sets per slice than a page has lines or more
+# slices 1..64, up to a slice chunk as wide as a page's line offset,
+# and fewer sets per slice than a page has lines or more
 _GEOMETRY = st.builds(
-    CacheConfig, slices=st.sampled_from([1, 2, 4, 8, 16]),
+    CacheConfig, slices=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
     sets_per_slice=st.sampled_from([1, 4, 16, 64, 256, 2048]),
     associativity=st.sampled_from([1, 4, 16]))
 
@@ -260,6 +261,8 @@ def _pools(n_lines):
 _POOLS = [(key, lines[:8]) for key, lines in list(_pools(128).items())[:2]]
 _KEY, _SAME = _POOLS[0]
 _MEMBERS = _SAME[:4]
+_KEY2, _SAME2 = _POOLS[1]
+_MEMBERS2 = _SAME2[:4]
 # each pool line -> the four lines that fill its set exactly
 _MEMBERS_OF = {li: same[:4] for _, same in _POOLS for li in same}
 
@@ -292,6 +295,21 @@ def _walks(key, same):
                 ("prefetch", _MEMBERS[-1])], walks=[(_KEY, _MEMBERS[::-1])])
 @example(prior=[("prime", _MEMBERS[0]), ("flush", _MEMBERS[1]),
                 ("prefetch", _MEMBERS[1])], walks=[(_KEY, _MEMBERS)])
+# more unused prefetches than walks: the walk tests its own lines
+@example(prior=[("prime", _MEMBERS[0]), ("flush", _MEMBERS[-1]),
+                ("prefetch", _MEMBERS[-1]), ("prefetch", _MEMBERS2[0])],
+         walks=[(_KEY, _MEMBERS)])
+# every set holds its walk in walk order, but one walked line is an
+# unused prefetch: the whole pass may not count it all as hits
+@example(prior=[("prime", _MEMBERS[0]), ("prime", _MEMBERS2[0]),
+                ("flush", _MEMBERS2[-1]), ("prefetch", _MEMBERS2[-1])],
+         walks=[(_KEY, _MEMBERS), (_KEY2, _MEMBERS2)])
+# one key twice: the same walk (all hits, counted twice), then a walk
+# of other lines while the set holds the second walk
+@example(prior=[("prime", _MEMBERS[0])],
+         walks=[(_KEY, _MEMBERS), (_KEY, _MEMBERS)])
+@example(prior=[("access", li) for li in _SAME[4:]],
+         walks=[(_KEY, _MEMBERS), (_KEY, _SAME[4:])])
 # walks onto an empty set: none, more lines than ways, a repeated line
 @example(prior=[], walks=[(_KEY, [])])
 @example(prior=[], walks=[(_KEY, _SAME[:5])])

@@ -39,14 +39,11 @@ one step.  When the set holds exactly the walked lines and none awaits
 its first demand hit, every access hits and the set is rewritten in
 walk order in one step; the set is first compared with the walk and
 its reverse, the orders prime+probe leave it in.  Whether a walk meets
-an unused prefetch is settled once per call: while there are no more
-unused prefetches than walks, each is placed and its key marked, and a
-walk on an unmarked key meets none, since all its lines sit at its key
-and walking only clears prefetch flags; with more, each walk tests its
-own lines.  A pass with no walked key marked in which every set already
-equals its walk, as prime's timed walk finds them, is all hits and
-moves nothing, so it only counts.  An eviction set holds its members as
-line indices, ready for ``walk_sets``.
+an unused prefetch is settled once per call: each unused prefetch is
+placed and its key marked, and a walk on an unmarked key meets none,
+since all its lines sit at its key and walking only clears prefetch
+flags.  An eviction set holds its members as line indices, ready for
+``walk_sets``.
 """
 
 from __future__ import annotations
@@ -110,12 +107,8 @@ class CacheModel:
         self._fold_masks = [(ones << j, 1 << j) for j in range(s)]
         self._fold_limit = 1 << width
         self._set_mask = self.config.sets_per_slice - 1
-        # slice of each line offset in a page, for page_keys: by
-        # XOR-linearity, the XOR of the folds of the offset's set bits
-        self._page_slices = [0]
-        for b in range(PAGE_LINES.bit_length() - 1):
-            fold = self._slice(1 << b)
-            self._page_slices += [h ^ fold for h in self._page_slices]
+        # slice of each line offset in a page, for page_keys
+        self._page_slices = [self._slice(i) for i in range(PAGE_LINES)]
         # (slice, set) -> LRU-ordered line indices, most recent last
         self.sets: dict[tuple[int, int], list[int]] = {}
         self._prefetched: set[int] = set()
@@ -219,17 +212,9 @@ class CacheModel:
         sets, prefetched, config = self.sets, self._prefetched, self.config
         hit, miss = config.hit_latency, config.miss_latency
         # a walk on a key that places none of the unused prefetches
-        # found now meets none of them; placing costs a fold each, so
-        # they are placed only while they are no more than the walks
-        few = len(prefetched) <= len(walks)
-        marked = ({self.location(li << LINE_SHIFT) for li in prefetched}
-                  if few else set())
-        if (few and marked.isdisjoint(keys)
-                and list(map(sets.get, keys)) == walks):
-            # each set holds its walk in walk order: every access hits
-            # and moves its line to the end, so nothing moves
-            self.demand_accesses += sum(map(len, walks))
-            return [len(lines) * hit for lines in walks]
+        # meets none of them: all its lines sit at its key, and walking
+        # only clears prefetch flags
+        marked = {self.location(li << LINE_SHIFT) for li in prefetched}
         access_line = self.access_line
         accesses = misses = 0
         times = []
@@ -247,8 +232,7 @@ class CacheModel:
                     continue
             elif (len(ways) == n and (ways == lines or ways[::-1] == lines
                                       or set(ways) == set(lines))
-                    and (key not in marked if few
-                         else prefetched.isdisjoint(lines))):
+                    and key not in marked):
                 # every access hits and moves its line to the end, so
                 # the walk leaves the set in walk order
                 ways[:] = lines
@@ -332,21 +316,20 @@ def page_eviction_sets(cache: CacheModel,
     that shares it.
     """
     set_bits = cache._set_mask.bit_length()
-    # high part -> the k found for it, each as k << set_bits
-    offsets: dict[int, list[int]] = {}
+    offsets: dict[int, list[int]] = {}  # high part -> the k found for it
     out = []
     first = page_paddr >> LINE_SHIFT
     for own, (slice_index, set_index) in enumerate(
             cache.page_keys(page_paddr), first):
         high = own >> set_bits
-        shifted = offsets.get(high)
-        if shifted is None:
+        ks = offsets.get(high)
+        if ks is None:
             pool = ((set_index | k << set_bits) * LINE_BYTES
                     for k in range(1, 4096) if k != high)
             mes = build_eviction_set(cache, set_index, slice_index, pool)
-            offsets[high] = [li ^ set_index for li in mes.lines]
+            offsets[high] = [li >> set_bits for li in mes.lines]
         else:
             mes = MinimalEvictionSet(set_index, slice_index,
-                                     [set_index | s for s in shifted])
+                                     [set_index | k << set_bits for k in ks])
         out.append(mes)
     return out

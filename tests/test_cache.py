@@ -295,12 +295,13 @@ def _walks(key, same):
                 ("prefetch", _MEMBERS[-1])], walks=[(_KEY, _MEMBERS[::-1])])
 @example(prior=[("prime", _MEMBERS[0]), ("flush", _MEMBERS[1]),
                 ("prefetch", _MEMBERS[1])], walks=[(_KEY, _MEMBERS)])
-# more unused prefetches than walks: the walk tests its own lines
+# more unused prefetches than walks, one of them on the walked set,
+# which its mark must keep off the all-hit step
 @example(prior=[("prime", _MEMBERS[0]), ("flush", _MEMBERS[-1]),
                 ("prefetch", _MEMBERS[-1]), ("prefetch", _MEMBERS2[0])],
          walks=[(_KEY, _MEMBERS)])
 # every set holds its walk in walk order, but one walked line is an
-# unused prefetch: the whole pass may not count it all as hits
+# unused prefetch: that set's walk may not count as all hits
 @example(prior=[("prime", _MEMBERS[0]), ("prime", _MEMBERS2[0]),
                 ("flush", _MEMBERS2[-1]), ("prefetch", _MEMBERS2[-1])],
          walks=[(_KEY, _MEMBERS), (_KEY2, _MEMBERS2)])

@@ -622,6 +622,7 @@ def _user_kernel(machine: Machine, seed: int) -> _Scenario:
     IP whose low byte collides with the handler's load: it trains
     groups of 24 tag-consecutive streams and checks after a forced
     syscall whether the trained stride appeared on the shared page.
+    Each group is built and placed only when the search reaches it.
     Scored rounds then retrain the matching group before every call.
     The syscall loads only when the bit is set, so no stride reads 0.
     """
@@ -647,6 +648,8 @@ def _user_kernel(machine: Machine, seed: int) -> _Scenario:
     search_rng = random.Random(seed * 7919 + 13)
     matched = None
     for g, group_prog in enumerate(groups):
+        if g == 0:
+            first = group_prog
         training = machine.place(user, group_prog)
         if any(_run_round(machine, sc, training, observer, 1,
                           search_rng).detected == stride
@@ -654,8 +657,8 @@ def _user_kernel(machine: Machine, seed: int) -> _Scenario:
             matched = g
             break
     # nothing matched (e.g. table flushed on every switch): carry on
-    # with an arbitrary group so the scored rounds still run honestly
-    sc.training = groups[matched or 0]
+    # with group 0 so the scored rounds still run honestly
+    sc.training = first if matched is None else group_prog
     sc.detail["matched_group"] = matched
     return sc
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 from .cache import CacheConfig, CacheModel
 from .kernels import STRIDE_LIMIT
@@ -219,7 +220,7 @@ def build_gadget(if_tag: int, else_tag: int, stride_if: int, stride_else: int,
 
 def ip_matching_groups(n_groups: int = 20, group_size: int = 24,
                        stride_lines: int = 11,
-                       iterations: int = 3) -> list[list[Load]]:
+                       iterations: int = 3) -> Iterator[list[Load]]:
     """Training programs whose tags jointly cover the whole 8-bit space.
 
     Group g holds group_size loads with distinct low-byte tags, each
@@ -230,20 +231,26 @@ def ip_matching_groups(n_groups: int = 20, group_size: int = 24,
     slot of an earlier one.  Interleaving single loads instead would
     let those evictions land between a member's accesses and no entry
     would ever finish training.
+
+    The arguments are checked at the call; the groups are then built
+    one at a time, in order, as the caller iterates, so a search that
+    stops early never builds the rest.
     """
     if n_groups * group_size < 256:
         raise ValueError("groups cannot cover all 256 tags")
     sb = stride_bytes(stride_lines)
+    return (_matching_group(g, group_size, sb, iterations)
+            for g in range(n_groups))
+
+
+def _matching_group(g: int, group_size: int, sb: int,
+                    iterations: int) -> list[Load]:
+    """Group g of ``ip_matching_groups``, with its stride in bytes."""
     code_base, data_base = 0x400000, 0x40000000
-    groups = []
-    for g in range(n_groups):
-        steps: list[Load] = []
-        tags = [(g * group_size + j) % 256 for j in range(group_size)]
-        for j, tag in enumerate(tags):
-            page = data_base + (g * group_size + j) * PAGE_BYTES
-            for i in range(iterations):
-                steps.append(Load(ip_with_tag(code_base + g * 0x10000, tag),
-                                  page + i * sb))
-        groups.append(steps)
-    return groups
+    steps: list[Load] = []
+    for j in range(group_size):
+        ip = ip_with_tag(code_base + g * 0x10000, (g * group_size + j) % 256)
+        page = data_base + (g * group_size + j) * PAGE_BYTES
+        steps.extend(Load(ip, page + i * sb) for i in range(iterations))
+    return steps
 

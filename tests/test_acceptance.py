@@ -14,7 +14,6 @@ import time
 from afterimage.cache import CacheModel, build_eviction_set
 from afterimage.experiments import (
     NoiseModel,
-    mitigation_sweep,
     rev_conf_stride,
     rev_entries,
     rev_indexing,
@@ -174,11 +173,10 @@ def test_08_context_switch_flush_blocks_cross_domain_variants():
                   f"flushed user-to-kernel rate {rates[3]} (bound 0.05)")
 
 
-def test_09_flush_overhead_is_bounded_and_reset_cost_exact():
+def test_09_flush_overhead_is_bounded_and_reset_cost_exact(default_sweep):
     deltas = {}
     exact = True
-    reports = mitigation_sweep(points=[(36_000, ports) for ports in (1, 2, 4)])
-    for ports, report in zip((1, 2, 4), reports):
+    for ports, report in zip((1, 2, 4), default_sweep):
         deltas[ports] = report.coverage_delta
         exact &= report.reset_cycles == report.flushes * math.ceil(24 / ports)
     ok = exact and all(delta <= 0.02 for delta in deltas.values())

@@ -15,7 +15,7 @@ from afterimage.cache import (
     build_eviction_set,
     page_eviction_sets,
 )
-from afterimage import experiments
+from afterimage import experiments, programs
 from afterimage.experiments import (
     ATTACK_CHANNELS,
     MitigationReport,
@@ -504,11 +504,42 @@ def test_mitigated_kernel_search_comes_up_empty():
     assert outcome.detail["matched_group"] is None
 
 
-@pytest.fixture(scope="module")
-def default_sweep():
-    # the default workload (144,000 loads) at the default period and
-    # 1, 2 and 4 ports; the tests that take it only read its reports
-    return mitigation_sweep(points=[(36_000, ports) for ports in (1, 2, 4)])
+@pytest.fixture
+def search_log(monkeypatch):
+    """The v3 tag groups built, by index, and every program placed."""
+    built, placed = {}, []
+    build, place = programs._matching_group, Machine.place
+
+    def logged_build(g, *args):
+        built[g] = build(g, *args)
+        return built[g]
+
+    def logged_place(machine, domain, loads):
+        placed.append(loads)
+        return place(machine, domain, loads)
+
+    monkeypatch.setattr(programs, "_matching_group", logged_build)
+    monkeypatch.setattr(Machine, "place", logged_place)
+    return built, placed
+
+
+def test_kernel_search_builds_only_the_groups_it_tries(search_log):
+    built, placed = search_log
+    outcome = run_attack(3, "flush_reload", rounds=2, seed=4)
+    assert outcome.detail["matched_group"] == 3
+    assert list(built) == [0, 1, 2, 3]
+    # the scored rounds train on the group the search stopped at
+    assert placed[-1] is built[3]
+
+
+def test_empty_kernel_search_builds_every_group_and_trains_group_0(
+        search_log):
+    built, placed = search_log
+    outcome = run_attack(3, "flush_reload", rounds=2, seed=4,
+                         flush_on_switch=True)
+    assert outcome.detail["matched_group"] is None
+    assert list(built) == list(range(20))
+    assert placed[-1] is built[0]
 
 
 def test_mitigation_reset_cost_identity(default_sweep):

@@ -68,7 +68,7 @@ def test_short_gadget_stays_below_trigger():
 
 
 def test_ip_matching_groups_cover_tag_space():
-    groups = ip_matching_groups(20, 24)
+    groups = list(ip_matching_groups(20, 24))
     assert len(groups) == 20
     covered = {ip_tag(s.ip) for g in groups for s in g}
     assert covered == set(range(256))
@@ -78,12 +78,13 @@ def test_ip_matching_groups_cover_tag_space():
     assert tags == set(range(24))
     frames = {s.vaddr >> 12 for s in g0}
     assert len(frames) == 24
+    # checked at the call, before any group is asked for
     with pytest.raises(ValueError):
         ip_matching_groups(10, 24)
 
 
 def test_group_training_triggers_matching_tag():
-    groups = ip_matching_groups(20, 24, stride_lines=11)
+    groups = list(ip_matching_groups(20, 24, stride_lines=11))
     m = Machine()
     _run(m, Domain("u"), groups[3])
     tags = {ip_tag(s.ip) for s in groups[3]}

@@ -21,12 +21,13 @@ A line's placement is its ``(slice, set)`` key.  ``access`` places an
 address and hands it to ``access_line``, which holds the one LRU,
 install and prefetch-attribution rule.  ``page_keys`` places a whole
 page at once: one fold for the page's first line, XORed with a table
-of the folds of the line offsets 0..63 built once per cache.  That is
-exact only for a page-aligned first line: its six low bits are clear,
-so ``first + i == first ^ i``, and by XOR-linearity the slice of line
-``first + i`` is ``slice(first) ^ slice(i)``.  ``flush_lines`` flushes
-a run of lines within one page, placed by ``_run_keys`` or through keys
-the caller placed once.  Flush+reload places its page once per attack
+of the folds of the line offsets 0..63 built once per cache from six
+folds, one per offset bit, by the same XOR-linearity.  That is exact
+only for a page-aligned first line: its six low bits are clear, so
+``first + i == first ^ i``, and the slice of line ``first + i`` is
+``slice(first) ^ slice(i)``.  ``flush_lines`` flushes a run of lines
+within one page, placed by ``_run_keys`` or through keys the caller
+placed once.  Flush+reload places its page once per attack
 and hands each reload to one ``access_page(keys, first, order)`` call.
 It has two fast paths, the two cases a flushed page meets: a line whose
 set is empty misses into it, and a line that is already its set's most
@@ -36,14 +37,16 @@ eviction sets once and hands each pass over them to one
 ``walk_sets(keys, walks)`` call, which demand-accesses each walk's
 lines in order, walk after walk.  A walk onto an empty set fills it in
 one step.  When the set holds exactly the walked lines and none awaits
-its first demand hit, every access hits and the set is rewritten in
-walk order in one step; the set is first compared with the walk and
-its reverse, the orders prime+probe leave it in.  Whether a walk meets
-an unused prefetch is settled once per call: each unused prefetch is
-placed and its key marked, and a walk on an unmarked key meets none,
-since all its lines sit at its key and walking only clears prefetch
-flags.  An eviction set holds its members as line indices, ready for
-``walk_sets``.
+its first demand hit, every access hits and leaves the set in walk
+order.  Prime+probe leaves a set in walk order or reversed, so the set
+is compared with the walk, then reversed in place and compared again;
+only when both differ is the walk copied over a set with the same
+lines, and a set with other lines is reversed back for the per-line
+rule.  Whether a walk meets an unused prefetch is settled once per
+call: each unused prefetch is placed and its key marked, and a walk on
+an unmarked key meets none, since all its lines sit at its key and
+walking only clears prefetch flags.  An eviction set holds its members
+as line indices, ready for ``walk_sets``.
 """
 
 from __future__ import annotations
@@ -107,8 +110,13 @@ class CacheModel:
         self._fold_masks = [(ones << j, 1 << j) for j in range(s)]
         self._fold_limit = 1 << width
         self._set_mask = self.config.sets_per_slice - 1
-        # slice of each line offset in a page, for page_keys
-        self._page_slices = [self._slice(i) for i in range(PAGE_LINES)]
+        # slice of each line offset in a page, for page_keys: by
+        # XOR-linearity, the XOR of the slices of the offset's bits
+        page_slices = [0]
+        for b in range(PAGE_LINES.bit_length() - 1):
+            bit_slice = self._slice(1 << b)
+            page_slices += [h ^ bit_slice for h in page_slices]
+        self._page_slices = page_slices
         # (slice, set) -> LRU-ordered line indices, most recent last
         self.sets: dict[tuple[int, int], list[int]] = {}
         self._prefetched: set[int] = set()
@@ -230,15 +238,25 @@ class CacheModel:
                     misses += n
                     times.append(n * miss)
                     continue
-            elif (len(ways) == n and (ways == lines or ways[::-1] == lines
-                                      or set(ways) == set(lines))
-                    and key not in marked):
-                # every access hits and moves its line to the end, so
-                # the walk leaves the set in walk order
-                ways[:] = lines
-                accesses += n
-                times.append(n * hit)
-                continue
+            elif len(ways) == n and key not in marked:
+                # when the set holds exactly the walked lines, every
+                # access hits and moves its line to the end, so the walk
+                # leaves the set in walk order.  Prime+probe leaves it in
+                # walk order or reversed: reverse it in place, and copy
+                # the walk over it only when neither order matches
+                all_hit = True
+                if ways != lines:
+                    ways.reverse()
+                    if ways != lines:
+                        all_hit = set(ways) == set(lines)
+                        if all_hit:
+                            ways[:] = lines
+                        else:
+                            ways.reverse()  # LRU order, for the rule below
+                if all_hit:
+                    accesses += n
+                    times.append(n * hit)
+                    continue
             t = 0
             for li in lines:
                 t += access_line(key, li)
@@ -316,20 +334,21 @@ def page_eviction_sets(cache: CacheModel,
     that shares it.
     """
     set_bits = cache._set_mask.bit_length()
-    offsets: dict[int, list[int]] = {}  # high part -> the k found for it
+    # high part -> the found members' bits above the set index
+    member_highs: dict[int, list[int]] = {}
     out = []
     first = page_paddr >> LINE_SHIFT
     for own, (slice_index, set_index) in enumerate(
             cache.page_keys(page_paddr), first):
         high = own >> set_bits
-        ks = offsets.get(high)
-        if ks is None:
+        highs = member_highs.get(high)
+        if highs is None:
             pool = ((set_index | k << set_bits) * LINE_BYTES
                     for k in range(1, 4096) if k != high)
             mes = build_eviction_set(cache, set_index, slice_index, pool)
-            offsets[high] = [li >> set_bits for li in mes.lines]
+            member_highs[high] = [li ^ set_index for li in mes.lines]
         else:
             mes = MinimalEvictionSet(set_index, slice_index,
-                                     [set_index | k << set_bits for k in ks])
+                                     [set_index | h for h in highs])
         out.append(mes)
     return out

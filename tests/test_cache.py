@@ -318,6 +318,10 @@ def _walks(key, same):
 # prime+probe on one key: fill, timed walk, reversed walk
 @example(prior=[], walks=[(_KEY, _MEMBERS), (_KEY, _MEMBERS),
                           (_KEY, _MEMBERS[::-1])])
+# a full set and a walk of its length that is neither order nor a
+# permutation of it: the set reversed for the order test must be
+# restored before the per-line rule
+@example(prior=[], walks=[(_KEY, _MEMBERS), (_KEY, [_MEMBERS[0]] * 4)])
 def test_walk_sets_match_per_line_access(prior, walks):
     c = CacheModel(_TINY)
     for op, li in prior:

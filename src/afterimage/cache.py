@@ -25,15 +25,20 @@ of the folds of the line offsets 0..63 built once per cache from six
 folds, one per offset bit, by the same XOR-linearity.  That is exact
 only for a page-aligned first line: its six low bits are clear, so
 ``first + i == first ^ i``, and the slice of line ``first + i`` is
-``slice(first) ^ slice(i)``.  ``flush_lines`` flushes a run of lines
-within one page, placed by ``_run_keys`` or through keys the caller
-placed once.  Flush+reload places its page once per attack
-and hands each reload to one ``access_page(keys, first, order)`` call.
-It has two fast paths, the two cases a flushed page meets: a line whose
-set is empty misses into it, and a line that is already its set's most
-recent one and awaits no first demand hit is a hit that moves nothing.
-Every other line goes to ``access_line``.  Prime+probe places its
-eviction sets once and hands each pass over them to one
+``slice(first) ^ slice(i)``.  A prefetch target is placed from the
+load that asked for it when the caller passes that load's key and line
+index: a target in the load's page has the load's slice XOR the folds
+of both lines' offsets, and the target's low bits as its set.  A
+target in the next page, or one whose load came unplaced, is placed by
+``location``.  ``flush_lines`` flushes a run of lines within one page,
+placed by ``_run_keys`` or through keys the caller placed once.
+Flush+reload places its page once per attack and hands each reload to
+one ``access_page(keys, first, order)`` call.  It has two fast paths,
+the two cases a flushed page meets: a line whose set is empty misses
+into it, and a line that is already its set's most recent one and
+awaits no first demand hit is a hit that moves nothing.  Every other
+line goes to ``access_line``.  Prime+probe places its eviction sets
+once and hands each pass over them to one
 ``walk_sets(keys, walks)`` call, which demand-accesses each walk's
 lines in order, walk after walk.  A walk onto an empty set fills it in
 one step.  When the set holds exactly the walked lines and none awaits
@@ -265,10 +270,23 @@ class CacheModel:
         self.demand_misses += misses
         return times
 
-    def install_prefetch(self, paddr: int) -> None:
-        """Place a prefetched line without latency accounting."""
+    def install_prefetch(self, paddr: int,
+                         load_key: tuple[int, int] | None = None,
+                         load_li: int = 0) -> None:
+        """Place a prefetched line without latency accounting.  A caller
+        that has placed the load that asked for it, line ``load_li`` at
+        ``load_key``, passes both, and a target in that line's page is
+        placed from them without a fold of its own."""
         li = paddr >> LINE_SHIFT
-        ways = self.sets.setdefault(self.location(paddr), [])
+        if load_key is not None and 0 <= li ^ load_li < PAGE_LINES:
+            # both lines share their page's fold, so their slices differ
+            # by the folds of their offsets in the page
+            page_slices = self._page_slices
+            key = (load_key[0] ^ page_slices[load_li % PAGE_LINES]
+                   ^ page_slices[li % PAGE_LINES], li & self._set_mask)
+        else:
+            key = self.location(paddr)
+        ways = self.sets.setdefault(key, [])
         if li in ways:
             return
         self.prefetch_installs += 1

@@ -137,8 +137,9 @@ def _apply_page_noise(cache: CacheModel, noise: NoiseModel,
     extra_line = rng.randrange(PAGE_LINES)
     if extra_u < noise.p_extra_load:
         cache.access(page_paddr + extra_line * LINE_BYTES)
+    draw, p_evict = rng.random, noise.p_evict
     for ln in range(PAGE_LINES):
-        if rng.random() < noise.p_evict:
+        if draw() < p_evict:
             cache.flush_line(page_paddr + ln * LINE_BYTES)
 
 

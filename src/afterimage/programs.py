@@ -124,7 +124,8 @@ class Machine:
         for one.  The caller decides what the latency costs on the clock.
         A caller that has placed ``paddr`` already, with
         ``CacheModel.location`` on a cache of the same geometry, passes
-        that key and the access does not place it again.
+        that key: the access does not place it again, and a prefetch
+        target in its page is placed from it.
         """
         if self._next_flush is not None and self.clock >= self._next_flush:
             # each reset owed back to back ends (period - cost) cycles
@@ -134,10 +135,11 @@ class Machine:
             self._reset_table(owed)
             self._next_flush += owed * self.flush_period
         target = self.table.observe_load(self.tlb, ip, paddr)
+        li = paddr >> LINE_SHIFT
         latency = (self.cache.access(paddr) if key is None
-                   else self.cache.access_line(key, paddr >> LINE_SHIFT))
+                   else self.cache.access_line(key, li))
         if target is not None:
-            self.cache.install_prefetch(target)
+            self.cache.install_prefetch(target, key, li)
             self.prefetch_requests += 1
         return latency
 

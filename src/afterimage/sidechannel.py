@@ -11,10 +11,13 @@ either direction.  Flush+Reload's arm flushes the page through its
 ``CacheModel.page_keys``; ``flush_reload`` reloads its 64 lines through
 the same keys in shuffled order, in one ``CacheModel.access_page``
 call, returns the indices of the lines that hit and leaves all of them
-cached.  Prime, probe and reload touch the cache only, modelling a
-serialised pointer-chasing loop the prefetcher cannot learn from.  The
-status probe has no arm: it replays trained loads through the machine's
-load path on purpose and returns one alive flag per probe.
+cached.  It draws the order inline with the ``getrandbits`` calls
+that ``random.Random.shuffle`` makes, so the order and the generator's
+later state are those ``rng.shuffle`` leaves.  Prime, probe and reload
+touch the cache only, modelling a serialised pointer-chasing loop the
+prefetcher cannot learn from.  The status probe has no arm: it replays
+trained loads through the machine's load path on purpose and returns
+one alive flag per probe.
 """
 
 from __future__ import annotations
@@ -66,6 +69,14 @@ def probe(cache: CacheModel, keys: list[tuple[int, int]],
     return [abs(t - b) > threshold for t, b in zip(times, baseline)]
 
 
+# (i, i + 1, bits) for each swap of random.Random.shuffle on a page's
+# lines: the Fisher-Yates loop runs i from 63 down to 1 and draws j
+# below i + 1 as getrandbits(bits), bits = (i + 1).bit_length(),
+# drawing again while j > i
+_SHUFFLE_STEPS = tuple((i, i + 1, (i + 1).bit_length())
+                       for i in range(PAGE_LINES - 1, 0, -1))
+
+
 def flush_reload(cache: CacheModel, page_base: int,
                  keys: list[tuple[int, int]], rng: random.Random) -> set[int]:
     """Measure which lines of the page at ``page_base`` (page aligned),
@@ -75,7 +86,12 @@ def flush_reload(cache: CacheModel, page_base: int,
         raise ValueError("page address must be page aligned")
     threshold = cache.config.threshold
     order = list(range(PAGE_LINES))
-    rng.shuffle(order)
+    getrandbits = rng.getrandbits
+    for i, n, bits in _SHUFFLE_STEPS:
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        order[i], order[j] = order[j], order[i]
     times = cache.access_page(keys, page_base >> LINE_SHIFT, order)
     return {i for i, t in zip(order, times) if t < threshold}
 

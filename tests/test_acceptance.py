@@ -161,7 +161,7 @@ def test_07_attacks_succeed_and_degrade_monotonically_with_noise():
     elapsed = time.perf_counter() - start
     ok = clean and monotone and sweep[2] >= 0.90 and elapsed < 30.0
     _check(7, ok, f"zero-noise rates {sorted(rates.values())}, eviction "
-                  f"sweep {sweep}, {elapsed:.1f}s (budget 30s)")
+                  f"sweep {sweep}, {elapsed:.3f}s (budget 30s)")
 
 
 def test_08_context_switch_flush_blocks_cross_domain_variants():

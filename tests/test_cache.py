@@ -158,6 +158,41 @@ def test_page_keys_match_location(config, page):
         c.location(page_paddr + i * LINE_BYTES) for i in range(PAGE_LINES)]
 
 
+@given(config=_GEOMETRY, page=st.integers(0, (1 << 40) - 1),
+       prior=st.lists(st.tuples(st.sampled_from(["access", "prefetch"]),
+                                st.integers(-8, 2 * PAGE_LINES + 8)),
+                      max_size=40),
+       load=st.integers(0, PAGE_LINES - 1),
+       target=st.integers(0, 2 * PAGE_LINES - 1),
+       offset=st.integers(0, LINE_BYTES - 1))
+# a target in the next page, and the last line prefetching the next
+# page's first
+@example(config=CacheConfig(slices=4, sets_per_slice=16), page=5,
+         prior=[], load=10, target=PAGE_LINES + 20, offset=0)
+@example(config=CacheConfig(slices=8, sets_per_slice=4), page=7,
+         prior=[("access", PAGE_LINES)], load=PAGE_LINES - 1,
+         target=PAGE_LINES, offset=8)
+def test_keyed_prefetch_matches_placed_prefetch(config, page, prior, load,
+                                                target, offset):
+    # prior traffic on the load's page, the next one and their edges,
+    # so that the target may be cached already or its set full
+    c = CacheModel(config)
+    page_paddr = page * PAGE_BYTES
+    for op, line in prior:
+        addr = page_paddr + line * LINE_BYTES
+        if op == "access":
+            c.access(addr)
+        else:
+            c.install_prefetch(addr)
+    ref = copy.deepcopy(c)
+    load_paddr = page_paddr + load * LINE_BYTES + offset
+    target_paddr = page_paddr + target * LINE_BYTES + offset
+    c.install_prefetch(target_paddr, c.location(load_paddr),
+                       load_paddr >> LINE_SHIFT)
+    ref.install_prefetch(target_paddr)
+    assert _counters(c) == _counters(ref)
+
+
 @pytest.mark.parametrize("page_paddr", [LINE_BYTES, PAGE_BYTES + 8, -1])
 def test_page_keys_reject_an_unaligned_page(page_paddr):
     with pytest.raises(ValueError, match="page aligned"):

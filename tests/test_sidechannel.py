@@ -4,7 +4,7 @@ import copy
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afterimage.cache import (
@@ -153,6 +153,29 @@ def test_keyed_reload_matches_per_line_access(config, prior, seed):
             if ref.access(PAGE + i * LINE_BYTES) < ref.config.threshold}
     assert _reload(cache, PAGE, random.Random(seed)) == want
     assert _cache_state(cache) == _cache_state(ref)
+
+
+class _OrderRecorder(CacheModel):
+    """A cache that keeps the order of its last ``access_page`` call."""
+
+    def access_page(self, keys, first, order):
+        self.order = list(order)
+        return super().access_page(keys, first, order)
+
+
+@given(seed=st.integers(0, 1 << 64))
+@example(seed=0)
+def test_reload_order_draws_as_shuffle(seed):
+    # the inline order is random.shuffle's, drawn with the same
+    # getrandbits calls, so the generator ends where a shuffle leaves it
+    ref = random.Random(seed)
+    want = list(range(PAGE_LINES))
+    ref.shuffle(want)
+    cache = _OrderRecorder()
+    rng = random.Random(seed)
+    _reload(cache, PAGE, rng)
+    assert cache.order == want
+    assert rng.getstate() == ref.getstate()
 
 
 def _walk_per_line(cache, mes_list, reverse):

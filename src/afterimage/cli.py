@@ -8,11 +8,11 @@ fuzzes the table against the literal update-recipe transcription.
 
 Every option can also come from a ``--config`` file of ``key=value``
 lines, parsed as flags placed before the explicit ones, which win.  A
-key must name an option of the subcommand or a ``cache_*`` geometry
-field (not for oracle).  ``AFTERIMAGE_SEED`` seeds runs that specify
-nothing else.  Output files echo the full effective configuration as
-``# key=value`` header comments and are byte-identical for identical
-inputs.
+key must name an option of the subcommand; the cache geometry is the
+six ``--cache-*`` options (not for oracle).  ``AFTERIMAGE_SEED`` seeds
+runs that specify nothing else.  Output files echo the full effective
+configuration as ``# key=value`` header comments and are
+byte-identical for identical inputs.
 
 Exit codes: 0 on success, 1 when results fail verification or a file
 cannot be read or written, 2 for usage errors, each reported as one
@@ -49,7 +49,6 @@ MAX_ATTACK_ROUNDS = 1_000_000  # the report keeps a row per round
 MAX_ORACLE_LOADS = 1_000_000  # bounds run time: --loads may be up to 2**80
 MAX_ORACLE_SEQUENCES = 100_000  # the report keeps a row per sequence
 
-_CACHE_KEYS = {f"cache_{f.name}": f.name for f in fields(CacheConfig)}
 _REVENG = ("indexing", "confstride", "page", "entries", "replacement")
 
 
@@ -98,10 +97,10 @@ def _to_bool(key: str, text: str) -> bool:
 
 
 def _config_flags(config: dict, parsed: dict) -> list[str]:
-    """Spell the config file's entries, except the ``cache_*`` keys, as
-    flags: a switch (an option whose value is a bool) as its bare flag
-    when true and as nothing when false, any other key as
-    ``--key=value``, so that the parser checks it like a flag."""
+    """Spell the config file's entries as flags: a switch (an option
+    whose value is a bool) as its bare flag when true and as nothing
+    when false, any other key as ``--key=value``, so that the parser
+    checks it like a flag."""
     flags = []
     for key, value in config.items():
         if key == "config":
@@ -109,7 +108,7 @@ def _config_flags(config: dict, parsed: dict) -> list[str]:
         flag = "--" + key.replace("_", "-")
         if isinstance(parsed.get(key), bool):
             flags += [flag] if _to_bool(key, value) else []
-        elif key not in _CACHE_KEYS:
+        else:
             flags.append(f"{flag}={value}")
     return flags
 
@@ -128,22 +127,10 @@ def _seed(args) -> int:
             f"AFTERIMAGE_SEED must be an integer, got {raw!r}") from None
 
 
-def _cache_config(config: dict) -> CacheConfig | None:
-    overrides = {}
-    for key, fieldname in _CACHE_KEYS.items():
-        if key in config:
-            try:
-                overrides[fieldname] = int(config[key])
-            except ValueError:
-                raise ValueError(f"config key {key}: cannot parse "
-                                 f"{config[key]!r}") from None
-    return CacheConfig(**overrides) if overrides else None
-
-
-def _cache_echo(cache_config: CacheConfig | None) -> dict:
-    effective = cache_config if cache_config is not None else CacheConfig()
-    return {key: getattr(effective, fieldname)
-            for key, fieldname in _CACHE_KEYS.items()}
+def _cache_config(args) -> CacheConfig:
+    """The cache geometry of the ``--cache-*`` options."""
+    return CacheConfig(**{f.name: getattr(args, f"cache_{f.name}")
+                          for f in fields(CacheConfig)})
 
 
 def _echo(args, *drop: str) -> dict:
@@ -194,7 +181,8 @@ def _reveng_runs(name, seed, cache_config):
     return [({}, "", bench(cache_config=cache_config))]
 
 
-def _cmd_reveng(args, cache_config) -> int:
+def _cmd_reveng(args) -> int:
+    cache_config = _cache_config(args)
     args.seed = _seed(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -207,8 +195,7 @@ def _cmd_reveng(args, cache_config) -> int:
             rows += [{**row_prefix, **row} for row in result.rows()]
             problems += [f"{name}: {problem_prefix}{problem}"
                          for problem in result.verify()]
-        echo = {**_echo(args, "which", "out_dir"), "experiment": name,
-                **_cache_echo(cache_config)}
+        echo = {**_echo(args, "which", "out_dir"), "experiment": name}
         emit_csv(out_dir / f"reveng_{name}.csv", rows, echo)
     if problems:
         for problem in problems:
@@ -217,7 +204,8 @@ def _cmd_reveng(args, cache_config) -> int:
     return 0
 
 
-def _cmd_attack(args, cache_config) -> int:
+def _cmd_attack(args) -> int:
+    cache_config = _cache_config(args)
     if args.variant is None or args.channel is None:
         raise ValueError("attack needs --variant and --channel")
     if args.rounds > MAX_ATTACK_ROUNDS:
@@ -229,27 +217,26 @@ def _cmd_attack(args, cache_config) -> int:
                          args.seed, args.flush_on_switch, cache_config)
     output = (args.output if args.output is not None
               else f"attack_v{args.variant}_{args.channel}.csv")
-    echo = {**_echo(args), **_cache_echo(cache_config), **outcome.detail}
+    echo = {**_echo(args), **outcome.detail}
     emit_csv(output, outcome.rows(), echo,
              success_rate=outcome.success_rate)
     return 0
 
 
-def _cmd_mitigate(args, cache_config) -> int:
+def _cmd_mitigate(args) -> int:
+    cache_config = _cache_config(args)
     period = flush_period_cycles(args.period_us, args.clock_ghz)
     workload = load_trace(args.trace) if args.trace else None
     report = mitigation_eval(workload, period, args.write_ports,
                              args.cycles_per_load, cache_config)
     # the replay draws nothing at random: --seed is accepted only for
     # callers that pass it anyway (perfbench's stream_replay), not echoed
-    echo = {**_echo(args, "seed"), **_cache_echo(cache_config)}
+    echo = _echo(args, "seed")
     emit_csv(args.output, report.rows(), echo)
     return 0
 
 
-def _cmd_oracle(args, cache_config) -> int:
-    if cache_config is not None:
-        raise ValueError("oracle models no cache: drop the cache_* keys")
+def _cmd_oracle(args) -> int:
     if args.sequences < 1 or args.loads < 1:
         raise ValueError("sequences and loads must be positive")
     if args.loads > MAX_ORACLE_LOADS:
@@ -286,6 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False, parents=[configured])
     common.add_argument("--seed", type=int, default=None,
                         help="run seed (default: AFTERIMAGE_SEED or 0)")
+    for f in fields(CacheConfig):
+        common.add_argument(f"--cache-{f.name.replace('_', '-')}", type=int,
+                            default=f.default, metavar="N",
+                            help=f"CacheConfig.{f.name} (default %(default)s)")
 
     parser = _Parser(prog="afterimage",
                      description="Stride-prefetcher side-channel simulator")
@@ -361,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
             # the file's entries go before the explicit flags, which win
             args = parser.parse_args(
                 argv[:1] + _config_flags(config, vars(args)) + argv[1:])
-        return _HANDLERS[args.command](args, _cache_config(config))
+        return _HANDLERS[args.command](args)
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2
     except ValueError as exc:

@@ -279,7 +279,7 @@ def test_malformed_config_line_exits_2(tmp_path, capsys):
     ("cache_associativity=0", "associativity must be a power of two"),
     ("cache_associativity=3", "associativity must be a power of two"),
     ("cache_associativity=-4", "associativity must be a power of two"),
-    ("cache_slices=x", "config key cache_slices: cannot parse 'x'"),
+    ("cache_slices=x", "argument --cache-slices: invalid int value: 'x'"),
     ("cache_threshold=200",
      "threshold must lie strictly between hit and miss latency"),
     # a latency below one cycle would stall or rewind the clock

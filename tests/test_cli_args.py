@@ -28,11 +28,15 @@ _ARGV = {
     "oracle": ["oracle", "--sequences", "1", "--loads", "200"],
 }
 
+# the cache geometry options of attack and mitigate
+_CACHE = ["--cache-slices", "--cache-sets-per-slice", "--cache-associativity",
+          "--cache-hit-latency", "--cache-miss-latency", "--cache-threshold"]
+
 # the numeric options of each subcommand
 _SLOTS = {
-    "attack": ["--rounds", "--noise-evict", "--noise-load"],
+    "attack": ["--rounds", "--noise-evict", "--noise-load", *_CACHE],
     "mitigate": ["--period-us", "--clock-ghz", "--write-ports",
-                 "--cycles-per-load"],
+                 "--cycles-per-load", *_CACHE],
     "oracle": ["--loads", "--sequences"],
 }
 
@@ -97,6 +101,11 @@ def _run(argv: list[str]) -> tuple[int, str, list[str], dict | None]:
 @example(case=("mitigate", [("--cycles-per-load", str(2**64), True),
                             ("--period-us", "0.5", False)]))
 @example(case=("oracle", [("--loads", "٣", True)]))
+# powers of two that random draws seldom hit: a CSV, and on prime+probe
+# one "pool exhausted" line each
+@example(case=("attack", [("--cache-sets-per-slice", str(2**64), False)]))
+@example(case=("attack", [("--cache-associativity", str(2**64), True)]))
+@example(case=("attack", [("--cache-slices", str(2**64), False)]))
 def test_any_argument_value_ends_in_a_csv_or_one_error_line(case):
     command, entries = case
     argv = list(_ARGV[command])

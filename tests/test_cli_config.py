@@ -107,8 +107,7 @@ def test_any_config_file_ends_in_a_csv_or_one_error_line(command, entries,
     ("mitigate", "flush_on_switch=false",
      "unrecognized arguments: --flush-on-switch=false"),
     ("oracle", "seed=7", "unrecognized arguments: --seed=7"),
-    ("oracle", "cache_slices=8",
-     "oracle models no cache: drop the cache_* keys"),
+    ("oracle", "cache_slices=8", "unrecognized arguments: --cache-slices=8"),
 ])
 def test_config_key_errors_exit_2_with_one_line(command, line, message):
     rc, stderr, wrote = _run(command, f"{line}\n".encode())

@@ -122,6 +122,13 @@ CASES = {
                 "--noise-evict", "0.05"),
         {"out.csv":
          "b531a4a84af123b53c5751f4cd714a598a4cc1a60bc1c12f12b1e3229fd5e6ae"}),
+    # the same geometry as flags, which win over every entry of small.cfg
+    "v1_prime_probe_geometry_flags": (
+        _attack(1, "prime_probe", "--config", "small.cfg",
+                "--cache-slices", "8", "--cache-sets-per-slice", "1024",
+                "--cache-associativity", "8", "--noise-evict", "0.05"),
+        {"out.csv":
+         "b531a4a84af123b53c5751f4cd714a598a4cc1a60bc1c12f12b1e3229fd5e6ae"}),
     "v1_flush_on_switch": (
         _attack(1, "flush_reload", "--flush-on-switch"),
         {"out.csv":

@@ -30,11 +30,11 @@ load that asked for it when the caller passes that load's key and line
 index: a target in the load's page has the load's slice XOR the folds
 of both lines' offsets, and the target's low bits as its set.  A
 target in the next page, or one whose load came unplaced, is placed by
-``location``.  ``flush_lines`` flushes a run of lines within one page,
-placed by ``_run_keys`` or through keys the caller placed once.
-Flush+reload places its page once per attack and hands each reload to
-one ``access_page(keys, first, order)`` call.  It has two fast paths,
-the two cases a flushed page meets: a line whose set is empty misses
+``location``.  ``flush_lines`` flushes a run of lines at the keys
+``location`` or ``page_keys`` made for it.  Flush+reload places its
+page once per attack and hands each reload to one ``access_page(keys,
+first, order)`` call.  It has two fast paths, the two cases a flushed
+page meets: a line whose set is empty misses
 into it, and a line that is already its set's most recent one and
 awaits no first demand hit is a hit that moves nothing.  Every other
 line goes to ``access_line``.  Prime+probe places its eviction sets
@@ -154,19 +154,10 @@ class CacheModel:
         line order, as ``location`` gives them."""
         if page_paddr % PAGE_BYTES:
             raise ValueError("page address must be page aligned")
-        return self._run_keys(page_paddr >> LINE_SHIFT, PAGE_LINES)
-
-    def _run_keys(self, li: int, n_lines: int) -> list[tuple[int, int]]:
-        # lines li .. li + n_lines - 1, all in li's page
-        off = li % PAGE_LINES
-        if not 0 < n_lines <= PAGE_LINES - off:
-            raise ValueError(f"a run from line {off} of a page takes 1 to "
-                             f"{PAGE_LINES - off} lines, not {n_lines}")
-        high = self._slice(li - off)
-        set_mask = self._set_mask
+        first = page_paddr >> LINE_SHIFT
+        high, set_mask = self._slice(first), self._set_mask
         return [(high ^ s, line & set_mask) for line, s in
-                zip(range(li, li + n_lines),
-                    self._page_slices[off:off + n_lines])]
+                enumerate(self._page_slices, first)]
 
     # -- operations ------------------------------------------------------
 
@@ -301,19 +292,14 @@ class CacheModel:
 
     def flush_line(self, paddr: int) -> None:
         """Flush the one line at ``paddr``."""
-        self.flush_lines(paddr, 1)
+        self.flush_lines(paddr, [self.location(paddr)])
 
-    def flush_lines(self, paddr: int, n_lines: int,
-                    keys: list[tuple[int, int]] | None = None) -> None:
-        """Flush ``n_lines`` consecutive lines from ``paddr``'s line on;
-        they must all lie in its page.  A caller that has placed the run
-        already passes its keys, as ``page_keys`` gives them for a whole
-        page, and the lines are not placed again."""
-        li = paddr >> LINE_SHIFT
-        if keys is None:
-            keys = self._run_keys(li, n_lines)
+    def flush_lines(self, paddr: int, keys: list[tuple[int, int]]) -> None:
+        """Flush the ``len(keys)`` consecutive lines from ``paddr``'s line
+        on, placed at ``keys`` as ``location`` or ``page_keys`` gives
+        them."""
         sets, prefetched = self.sets, self._prefetched
-        for line, key in enumerate(keys, li):
+        for line, key in enumerate(keys, paddr >> LINE_SHIFT):
             ways = sets.get(key)
             if ways and line in ways:
                 ways.remove(line)

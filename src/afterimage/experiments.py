@@ -165,9 +165,6 @@ class IndexingResult:
     trained_tag: int
     triggered: list[bool]
 
-    def matching_offsets(self) -> list[int]:
-        return [off for off, hit in enumerate(self.triggered) if hit]
-
     def verify(self) -> list[str]:
         problems = []
         for off, hit in enumerate(self.triggered):
@@ -389,10 +386,11 @@ def _page_trial(pool: str, offset_pages: int, *, cold: bool = False,
     flags = []
     for attempt in range(2 if cold else 1):
         test_paddr = dom.translate(test_vaddr)
+        target = test_paddr + sb
         if attempt:
-            bench.flush(test_paddr + sb)
+            bench.flush(target, [bench.cache.location(target)])
         bench.load(ip, test_paddr)
-        flags.append(_is_hot(bench.cache, test_paddr + sb))
+        flags.append(_is_hot(bench.cache, target))
     return flags
 
 
@@ -710,7 +708,7 @@ def _flush_reload(machine: Machine, sc: _Scenario,
         _apply_page_noise(cache, noise, rng, page, victim_loads)
         return detect_stride(flush_reload(cache, page, keys, rng), strides)
     # the training just ran in the attacker's domain: no switch to make
-    return lambda: machine.flush(page, PAGE_LINES, keys), read
+    return lambda: machine.flush(page, keys), read
 
 
 def _prime_probe(machine: Machine, sc: _Scenario,

@@ -205,9 +205,3 @@ def run_equivalence_check(n_loads: int = 100_000,
             report.first_mismatch = note or f"seed {seed}: state divergence"
     report.elapsed = time.perf_counter() - t0
     return report
-
-
-def warmup() -> None:
-    """Run one short stream through both routes outside any timed region,
-    so imports and first-call costs do not land in a measurement."""
-    check_seed(0, 64)

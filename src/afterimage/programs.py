@@ -11,8 +11,8 @@ physical addresses of the demand loads it made, and everything else is
 read from the state it leaves.  Every demand load in the simulator,
 whether a program step, a bench load, a status probe or a replayed
 trace, goes through ``Machine.load``.  ``Machine.flush`` flushes a run
-of lines within one frame, with one TLB access for the frame and one
-keyed cache flush.  Domains give each simulated protection context its
+of placed lines within one frame, with one TLB access for the frame and
+one cache flush.  Domains give each simulated protection context its
 own page mapping; translation is identity-plus-offset with explicit
 per-frame overrides so that shared memory can alias one physical page
 from several domains.
@@ -143,13 +143,12 @@ class Machine:
             self.prefetch_requests += 1
         return latency
 
-    def flush(self, paddr: int, n_lines: int = 1,
-              keys: list[tuple[int, int]] | None = None) -> None:
-        """Flush ``n_lines`` consecutive lines from ``paddr``'s line on,
-        all in its frame; flushing needs the frame's translation, so it
-        warms the TLB once.  ``keys`` are the lines' placements, as
-        ``CacheModel.flush_lines`` takes them."""
-        self.cache.flush_lines(paddr, n_lines, keys)
+    def flush(self, paddr: int, keys: list[tuple[int, int]]) -> None:
+        """Flush the ``len(keys)`` consecutive lines from ``paddr``'s line
+        on, all in its frame and placed at ``keys``, as
+        ``CacheModel.flush_lines`` takes them; flushing needs the
+        frame's translation, so it warms the TLB once."""
+        self.cache.flush_lines(paddr, keys)
         self.tlb.access(page_frame(paddr))
 
     def _reset_table(self, times: int = 1) -> None:

@@ -58,7 +58,7 @@ from afterimage.uarch import (
 
 def test_indexing_matches_low_byte_only():
     result = rev_indexing(trained_tag=0x2C)
-    assert result.matching_offsets() == [0x2C]
+    assert [off for off, hit in enumerate(result.triggered) if hit] == [0x2C]
     assert result.verify() == []
 
 

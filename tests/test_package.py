@@ -1,7 +1,7 @@
 """Package hygiene: every public name resolves, no module imports a name
-it never uses, no private definition or attribute goes unread, and no
-module touches another module's private names.  A dependency-free
-stand-in for a linter."""
+it never uses, no private definition or attribute goes unread, no public
+definition is reached only by tests, and no module touches another
+module's private names.  A dependency-free stand-in for a linter."""
 
 import ast
 from pathlib import Path
@@ -134,3 +134,60 @@ def test_no_module_reaches_into_another_modules_private_names():
                     leaks.append(f"{fname}:{line}: {name} "
                                  f"({', '.join(owners)})")
     assert leaks == []
+
+
+
+#: public names only the tests reach; this list may only shrink
+_TEST_ONLY = {"contains", "entry_for", "occupancy", "state_hash"}
+#: the argparse hook that the standard library calls by name
+_CALLED_BY_LIBRARY = {"_Parser.error"}
+
+
+def _names(tree):
+    """Every name a tree reads, imports or spells as a dotted string,
+    the form in which perfbench names the functions it wraps."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and all(part.isidentifier() for part in node.value.split("."))):
+            names.update(node.value.split("."))
+    return names
+
+
+def _unreached_public_definitions():
+    """``Class.method`` or ``function`` for each public definition in
+    the package that no code in the package or the benchmark names and
+    that the package does not export."""
+    trees = _trees()
+    named = set(afterimage.__all__)
+    for tree in trees.values():
+        named |= _names(tree)
+    for path in sorted((SRC.parents[1] / "perfbench").glob("*.py")):
+        named |= _names(ast.parse(path.read_text(encoding="utf-8")))
+    unreached = set()
+    for tree in trees.values():
+        scopes = [("", tree)] + [(node.name + ".", node)
+                                 for node in ast.walk(tree)
+                                 if isinstance(node, ast.ClassDef)]
+        for prefix, scope in scopes:
+            unreached |= {prefix + node.name for node in scope.body
+                          if isinstance(node, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef,
+                                               ast.ClassDef))
+                          and not node.name.startswith("_")
+                          and node.name not in named}
+    return unreached
+
+
+def test_every_public_definition_is_reached():
+    # a public function, class or method that only tests reach is dead
+    # code; the listed ones must still be unreached, so that a name the
+    # package starts to use leaves the list
+    unreached = _unreached_public_definitions() - _CALLED_BY_LIBRARY
+    assert {name.split(".")[-1] for name in unreached} == _TEST_ONLY

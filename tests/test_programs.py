@@ -251,7 +251,8 @@ def test_cross_process_shared_page_carries_the_stride():
 
     m = Machine()
     _run(m, attacker, build_gadget(0xA0, 0xB4, 8, 13))
-    m.flush(attacker.translate(0x20000), PAGE_LINES)
+    page = attacker.translate(0x20000)
+    m.flush(page, m.cache.page_keys(page))
     requests, installs = m.prefetch_requests, m.cache.prefetch_installs
     [load] = _run(m, victim, [Load(ip_with_tag(0x700000, 0xA0),
                                    0x30000 + 20 * 64)])
@@ -279,13 +280,11 @@ def _machine_state(m):
            st.tuples(st.just("frame"), st.integers(0, 80))), max_size=80),
        start=st.integers(0, 2 * PAGE_LINES - 1),
        n_lines=st.integers(1, PAGE_LINES),
-       offset=st.integers(0, LINE_BYTES - 1),
-       keyed=st.booleans())
+       offset=st.integers(0, LINE_BYTES - 1))
 # a run to the end of the shared frame, flushed through its page keys
 @example(prior=[("load", 62), ("load", 64), ("frame", 3)], start=64,
-         n_lines=64, offset=0, keyed=True)
-def test_flush_step_matches_per_line_flushes(prior, start, n_lines, offset,
-                                             keyed):
+         n_lines=64, offset=0)
+def test_flush_step_matches_per_line_flushes(prior, start, n_lines, offset):
     # a small cache, so that sets hold several page lines in LRU order,
     # and traffic on other frames, so that the TLB order matters
     d = Domain("attacker", phys_offset=0x100000000)
@@ -298,23 +297,12 @@ def test_flush_step_matches_per_line_flushes(prior, start, n_lines, offset,
         else:
             m.tlb.access(value)
     ref = copy.deepcopy(m)
-    # the run stays in the frame of its first line
-    n_lines = min(n_lines, PAGE_LINES - start % PAGE_LINES)
+    # a run sliced from its frame's keys, from its first line on
     paddr = d.translate(_FLUSH_VPAGE + start * LINE_BYTES + offset)
-    keys = None
-    if keyed:
-        page = paddr - paddr % PAGE_BYTES
-        first = start % PAGE_LINES
-        keys = m.cache.page_keys(page)[first:first + n_lines]
-    m.flush(paddr, n_lines, keys)
-    for i in range(n_lines):
+    first = start % PAGE_LINES
+    keys = m.cache.page_keys(paddr - paddr % PAGE_BYTES)[first:first + n_lines]
+    m.flush(paddr, keys)
+    for i in range(len(keys)):
         ref.tlb.access(page_frame(paddr))
         ref.cache.flush_line(paddr + i * LINE_BYTES)
     assert _machine_state(m) == _machine_state(ref)
-
-
-def test_machine_flush_stays_in_its_frame():
-    m = Machine()
-    with pytest.raises(ValueError):
-        m.flush(_FLUSH_VPAGE + (PAGE_LINES - 1) * LINE_BYTES, 2)
-    assert list(m.tlb.lru) == []

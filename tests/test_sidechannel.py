@@ -107,7 +107,7 @@ def test_probe_flags_victim_touched_sets():
 def test_flush_reload_reports_exactly_the_cached_lines():
     cache = CacheModel()
     rng = random.Random(1)
-    cache.flush_lines(PAGE, 64)
+    cache.flush_lines(PAGE, cache.page_keys(PAGE))
     cache.access(PAGE + 12 * LINE_BYTES)
     cache.access(PAGE + 25 * LINE_BYTES)
     assert _reload(cache, PAGE, rng) == {12, 25}
@@ -118,7 +118,7 @@ def test_flush_reload_reports_exactly_the_cached_lines():
 def test_flush_reload_on_flushed_page_is_empty():
     cache = CacheModel()
     cache.access(PAGE + 5 * LINE_BYTES)
-    cache.flush_lines(PAGE, 64)
+    cache.flush_lines(PAGE, cache.page_keys(PAGE))
     assert _reload(cache, PAGE, random.Random(2)) == set()
 
 
@@ -247,7 +247,7 @@ def test_sequential_observer_with_one_ip_poisons_itself():
     # order trains a one-line stride and caches lines ahead of itself
     def run(shuffle, single_ip):
         m = Machine()
-        m.cache.flush_lines(PAGE, 64)
+        m.cache.flush_lines(PAGE, m.cache.page_keys(PAGE))
         order = list(range(64))
         if shuffle:
             random.Random(3).shuffle(order)
@@ -278,7 +278,7 @@ def test_observers_never_touch_the_table():
     sets = build_page_sets(cache, PAGE, 8)
     baseline = _prime(cache, sets)
     _probe(cache, sets, baseline)
-    cache.flush_lines(PAGE, 64)
+    cache.flush_lines(PAGE, cache.page_keys(PAGE))
     _reload(cache, PAGE, random.Random(4))
     assert table.state_hash() == h
 

@@ -20,7 +20,6 @@ from .uarch import (
     PrefetcherEntry,
     Tlb,
     ip_tag,
-    line_index,
     page_frame,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "Tlb",
     "UnsupportedChannelError",
     "ip_tag",
-    "line_index",
     "mitigation_eval",
     "mitigation_sweep",
     "page_frame",

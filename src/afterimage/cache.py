@@ -33,25 +33,22 @@ target in the next page, or one whose load came unplaced, is placed by
 ``location``.  ``flush_lines`` flushes a run of lines at the keys
 ``location`` or ``page_keys`` made for it.  Flush+reload places its
 page once per attack and hands each reload to one ``access_page(keys,
-first, order)`` call.  It has two fast paths, the two cases a flushed
-page meets: a line whose set is empty misses
-into it, and a line that is already its set's most recent one and
-awaits no first demand hit is a hit that moves nothing.  Every other
-line goes to ``access_line``.  Prime+probe places its eviction sets
-once and hands each pass over them to one
-``walk_sets(keys, walks)`` call, which demand-accesses each walk's
-lines in order, walk after walk.  A walk onto an empty set fills it in
-one step.  When the set holds exactly the walked lines and none awaits
-its first demand hit, every access hits and leaves the set in walk
-order.  Prime+probe leaves a set in walk order or reversed, so the set
-is compared with the walk, then reversed in place and compared again;
-only when both differ is the walk copied over a set with the same
-lines, and a set with other lines is reversed back for the per-line
-rule.  Whether a walk meets an unused prefetch is settled once per
-call: each unused prefetch is placed and its key marked, and a walk on
-an unmarked key meets none, since all its lines sit at its key and
-walking only clears prefetch flags.  An eviction set holds its members
-as line indices, ready for ``walk_sets``.
+first, order)`` call.  A line whose set is empty, the case a flushed
+page meets most, misses into it in one step; every other line goes to
+``access_line``.  Prime+probe places its eviction sets once and hands
+each pass over them to one ``walk_sets(keys, walks)`` call, which
+demand-accesses each walk's lines in order, walk after walk.  A walk
+onto an empty set fills it in one step.  When the set holds exactly
+the walked lines and none awaits its first demand hit, every access
+hits and leaves the set in walk order.  Prime+probe leaves a set in
+walk order or reversed, so the set is compared with the walk, then
+reversed in place and compared again; when both differ, the set is
+reversed back and the walk goes to the per-line rule.  Whether a walk
+meets an unused prefetch is settled once per call: each unused
+prefetch is placed and its key marked, and a walk on an unmarked key
+meets none, since all its lines sit at its key and walking only clears
+prefetch flags.  An eviction set holds its members as line indices,
+ready for ``walk_sets``.
 """
 
 from __future__ import annotations
@@ -161,9 +158,6 @@ class CacheModel:
 
     # -- operations ------------------------------------------------------
 
-    def contains(self, paddr: int) -> bool:
-        return paddr >> LINE_SHIFT in self.sets.get(self.location(paddr), ())
-
     def access(self, paddr: int) -> int:
         """Demand access; returns latency and installs the line on a miss."""
         return self.access_line(self.location(paddr), paddr >> LINE_SHIFT)
@@ -187,10 +181,9 @@ class CacheModel:
                     order: list[int]) -> list[int]:
         """Demand-access line ``first + i``, placed at ``keys[i]``, for
         each ``i`` in ``order``; returns the latencies in that order."""
-        sets, prefetched = self.sets, self._prefetched
-        hit, miss = self.config.hit_latency, self.config.miss_latency
+        sets, miss = self.sets, self.config.miss_latency
         times = []
-        hits = misses = 0
+        misses = 0
         for i in order:
             key, li = keys[i], first + i
             ways = sets.get(key)
@@ -199,13 +192,9 @@ class CacheModel:
                 sets[key] = [li]
                 misses += 1
                 times.append(miss)
-            elif ways[-1] == li and li not in prefetched:
-                # a hit on the most recent line leaves the order as it is
-                hits += 1
-                times.append(hit)
             else:
                 times.append(self.access_line(key, li))
-        self.demand_accesses += hits + misses
+        self.demand_accesses += misses
         self.demand_misses += misses
         return times
 
@@ -238,17 +227,14 @@ class CacheModel:
                 # when the set holds exactly the walked lines, every
                 # access hits and moves its line to the end, so the walk
                 # leaves the set in walk order.  Prime+probe leaves it in
-                # walk order or reversed: reverse it in place, and copy
-                # the walk over it only when neither order matches
+                # walk order or reversed: reverse it in place, and leave
+                # any other order to the rule below
                 all_hit = True
                 if ways != lines:
                     ways.reverse()
                     if ways != lines:
-                        all_hit = set(ways) == set(lines)
-                        if all_hit:
-                            ways[:] = lines
-                        else:
-                            ways.reverse()  # LRU order, for the rule below
+                        all_hit = False
+                        ways.reverse()  # LRU order, for the rule below
                 if all_hit:
                     accesses += n
                     times.append(n * hit)

@@ -17,9 +17,7 @@ restricted to the load's own frame or the immediately following one.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -33,10 +31,6 @@ PAGE_BYTES = 1 << PAGE_SHIFT
 PAGE_LINES = PAGE_BYTES // LINE_BYTES
 
 Address = int
-
-
-def line_index(addr: Address) -> int:
-    return addr >> LINE_SHIFT
 
 
 def page_frame(addr: Address) -> int:
@@ -72,13 +66,6 @@ class Tlb:
         """Translate a frame: hit test plus install-on-miss."""
         return kernels.tlb_access(self.lru, self.capacity, frame)
 
-    def __contains__(self, frame: int) -> bool:
-        """Membership only; recency is left as it is."""
-        return frame in self.lru
-
-    def clear(self) -> None:
-        self.lru.clear()
-
 
 class PrefetchTable:
     """The 24-entry stride history table."""
@@ -108,24 +95,6 @@ class PrefetchTable:
             valid=slot < len(self.owner),
             mru_bit=self.mru[slot],
         )
-
-    def entry_for(self, tag: int) -> PrefetcherEntry | None:
-        slot = self.lookup(tag)
-        return None if slot is None else self.entry(slot)
-
-    def occupancy(self) -> int:
-        """Occupied slots; they are always slots 0 .. occupancy() - 1."""
-        return len(self.owner)
-
-    def state_hash(self) -> str:
-        """sha256 over the slot fields: little-endian int64s, then one
-        byte per valid flag and one per recency bit."""
-        h = hashlib.sha256()
-        for values in (self.tags, self.last, self.stride, self.conf):
-            h.update(struct.pack(f"<{self.SLOTS}q", *values))
-        h.update(bytes(s < len(self.owner) for s in range(self.SLOTS)))
-        h.update(bytes(self.mru))
-        return h.hexdigest()
 
     # -- updates ---------------------------------------------------------
 

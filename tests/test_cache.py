@@ -41,6 +41,10 @@ def test_config_validation():
         CacheConfig(hit_latency=40, threshold=200, miss_latency=200)
 
 
+def _cached(c, paddr):
+    return paddr >> LINE_SHIFT in c.sets.get(c.location(paddr), ())
+
+
 def test_miss_then_hit_latencies():
     c = CacheModel()
     assert c.access(0x1000) == 200
@@ -56,17 +60,17 @@ def test_lru_evicts_oldest_within_a_set():
         c.access(a)
     c.access(addrs[0])  # refresh the oldest
     c.access(addrs[-1])  # overflow the set
-    assert c.contains(addrs[0])  # refreshed line survived
-    assert not c.contains(addrs[1])  # second-oldest was the LRU victim
+    assert _cached(c, addrs[0])  # refreshed line survived
+    assert not _cached(c, addrs[1])  # second-oldest was the LRU victim
     for a in addrs[2:]:
-        assert c.contains(a)
+        assert _cached(c, a)
 
 
 def test_flush_line():
     c = CacheModel()
     c.access(0x2000)
     c.flush_line(0x2000)
-    assert not c.contains(0x2000)
+    assert not _cached(c, 0x2000)
     assert c.access(0x2000) == 200
     c.flush_line(0x999000)  # absent line: no-op
 
@@ -74,7 +78,7 @@ def test_flush_line():
 def test_prefetch_install_and_usefulness():
     c = CacheModel()
     c.install_prefetch(0x3000)
-    assert c.contains(0x3000)
+    assert _cached(c, 0x3000)
     assert c.demand_accesses == 0  # no latency accounting for installs
     assert c.access(0x3000) == 40
     assert c.useful_prefetch_hits == 1
@@ -369,6 +373,10 @@ def _walks(key, same):
 # permutation of it: the set reversed for the order test must be
 # restored before the per-line rule
 @example(prior=[], walks=[(_KEY, _MEMBERS), (_KEY, [_MEMBERS[0]] * 4)])
+# a full set walked in a rotated order: neither order matches, so the
+# per-line rule serves the permutation
+@example(prior=[], walks=[(_KEY, _MEMBERS),
+                          (_KEY, _MEMBERS[1:] + _MEMBERS[:1])])
 def test_walk_sets_match_per_line_access(prior, walks):
     c = CacheModel(_TINY)
     for op, li in prior:
@@ -406,7 +414,8 @@ _RELOAD_FIRST = PAGE_LINES  # the reloaded page: lines 64..127
 @example(prior=[("flush", li) for li in range(64, 128)] + [
              ("access", 70), ("prefetch", 77), ("fill", 130)],
          order=list(range(PAGE_LINES)))
-# the same line twice: a hit on the MRU, unless a prefetch waits on it
+# the same line three times: a first demand hit on its prefetch, then
+# two plain hits
 @example(prior=[("prefetch", 64)], order=[0, 0, 0])
 def test_access_page_matches_per_line_access(prior, order):
     # eight sets hold the page's 64 lines, so its lines evict each other

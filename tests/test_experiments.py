@@ -43,10 +43,10 @@ from afterimage.experiments import (
 from afterimage.programs import Load, Machine
 from afterimage.uarch import (
     LINE_BYTES,
+    LINE_SHIFT,
     PAGE_BYTES,
     PAGE_LINES,
     ip_tag,
-    line_index,
     page_frame,
 )
 
@@ -236,7 +236,7 @@ def _mes_for_line(cache, page_paddr, line):
     """Reference: search one page line's eviction set on its own."""
     addr = page_paddr + line * LINE_BYTES
     slice_index, set_index = cache.location(addr)
-    own = line_index(addr)
+    own = addr >> LINE_SHIFT
     sets = cache.config.sets_per_slice
 
     def pool():
@@ -465,7 +465,8 @@ def test_next_line_noise_installs_neighbours_of_the_victim_loads():
     _apply_page_noise(cache, NoiseModel(next_line_noise=True),
                       random.Random(0), page, victim_loads)
     cached = [ln for ln in range(64)
-              if cache.contains(page + ln * LINE_BYTES)]
+              if (page >> LINE_SHIFT) + ln in
+              cache.sets.get(cache.location(page + ln * LINE_BYTES), ())]
     assert cached == [1, 9, 11, 62]
 
 

@@ -17,6 +17,7 @@ from afterimage.programs import (
 )
 from afterimage.uarch import (
     LINE_BYTES,
+    LINE_SHIFT,
     PAGE_BYTES,
     PAGE_LINES,
     PrefetchTable,
@@ -54,17 +55,19 @@ def test_gadget_trains_both_entries():
     m = Machine()
     prog = build_gadget(0xA0, 0xB4, 7, 13, iterations=3)
     _run(m, Domain("a"), prog)
-    assert m.table.entry_for(0xA0).confidence == 2
-    assert m.table.entry_for(0xA0).stride == 7 * 64
-    assert m.table.entry_for(0xB4).confidence == 2
-    assert m.table.entry_for(0xB4).stride == 13 * 64
+    t = m.table
+    assert t.entry(t.lookup(0xA0)).confidence == 2
+    assert t.entry(t.lookup(0xA0)).stride == 7 * 64
+    assert t.entry(t.lookup(0xB4)).confidence == 2
+    assert t.entry(t.lookup(0xB4)).stride == 13 * 64
 
 
 def test_short_gadget_stays_below_trigger():
     m = Machine()
     _run(m, Domain("a"), build_gadget(0xA0, 0xB4, 7, 13, iterations=2))
-    assert m.table.entry_for(0xA0).confidence == 1
-    assert m.table.entry_for(0xB4).confidence == 1
+    t = m.table
+    assert t.entry(t.lookup(0xA0)).confidence == 1
+    assert t.entry(t.lookup(0xB4)).confidence == 1
 
 
 def test_ip_matching_groups_cover_tag_space():
@@ -90,17 +93,19 @@ def test_group_training_triggers_matching_tag():
     tags = {ip_tag(s.ip) for s in groups[3]}
     assert tags == {(3 * 24 + j) % 256 for j in range(24)}
     for tag in tags:
-        e = m.table.entry_for(tag)
-        assert e is not None and e.confidence >= 2 and e.stride == 11 * 64
+        slot = m.table.lookup(tag)
+        assert slot is not None
+        e = m.table.entry(slot)
+        assert e.confidence >= 2 and e.stride == 11 * 64
 
 
 def test_state_persists_across_switches_by_default():
     a, b = Domain("a", phys_offset=0), Domain("b", phys_offset=0x100000000)
     m = Machine()
     _run(m, a, build_gadget(0xA0, 0xB4, 7, 13))
-    h, clock = m.table.state_hash(), m.clock
+    table, clock = copy.deepcopy(vars(m.table)), m.clock
     assert m.run_program(b, []) == []
-    assert m.table.state_hash() == h
+    assert vars(m.table) == table
     assert m.flush_count == 0 and m.reset_cycles == 0
     assert m.clock == clock
 
@@ -109,10 +114,10 @@ def test_flush_on_switch_wipes_the_table():
     a, b = Domain("a"), Domain("b", phys_offset=0x100000000)
     m = Machine(flush_on_switch=True)
     _run(m, a, build_gadget(0xA0, 0xB4, 7, 13))
-    assert m.table.occupancy() == 2
+    assert len(m.table.owner) == 2
     clock = m.clock
     assert m.run_program(b, []) == []
-    assert m.table.state_hash() == PrefetchTable().state_hash()
+    assert vars(m.table) == vars(PrefetchTable())
     assert m.flush_count == 1 and m.reset_cycles == 24
     assert m.clock == clock + 24
     # staying in the domain owes no further flush
@@ -260,8 +265,9 @@ def test_cross_process_shared_page_carries_the_stride():
     # the victim's one load fired the stride trained in the other process
     assert m.prefetch_requests == requests + 1
     assert m.cache.prefetch_installs == installs + 1
-    assert m.cache.contains(load)
-    assert m.cache.contains(load + 8 * 64)
+    for line in (load, load + 8 * 64):
+        li = line >> LINE_SHIFT
+        assert li in m.cache.sets.get(m.cache.location(line), ())
     assert page_frame(load) == page_frame(shared_phys)
 
 

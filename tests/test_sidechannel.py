@@ -274,13 +274,13 @@ def test_observers_never_touch_the_table():
     tlb = Tlb()
     for i in range(4):
         table.observe_load(tlb, 0x4010A0, PAGE + i * 448)
-    h = table.state_hash()
+    before = copy.deepcopy(vars(table))
     sets = build_page_sets(cache, PAGE, 8)
     baseline = _prime(cache, sets)
     _probe(cache, sets, baseline)
     cache.flush_lines(PAGE, cache.page_keys(PAGE))
     _reload(cache, PAGE, random.Random(4))
-    assert table.state_hash() == h
+    assert vars(table) == before
 
 
 def test_detect_stride_basics():

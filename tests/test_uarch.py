@@ -1,6 +1,8 @@
 """Tests for the stride table's indexing, training and page rules."""
 
+import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -58,7 +60,7 @@ def test_lookup_with_different_low_byte_misses():
 def test_first_load_creates_cold_entry():
     t = PrefetchTable()
     assert t.observe_load(None, 0x4010A0, PAGE + 512) is None
-    e = t.entry_for(0xA0)
+    e = t.entry(t.lookup(0xA0))
     assert (e.last_addr, e.stride, e.confidence) == (PAGE + 512, 0, 0)
 
 
@@ -66,9 +68,9 @@ def test_third_matching_load_triggers():
     t = PrefetchTable()
     assert t.observe_load(None, 0x4010A0, PAGE) is None
     assert t.observe_load(None, 0x4010A0, PAGE + 448) is None
-    assert t.entry_for(0xA0).confidence == 1
+    assert t.entry(t.lookup(0xA0)).confidence == 1
     assert t.observe_load(None, 0x4010A0, PAGE + 2 * 448) == PAGE + 3 * 448
-    assert t.entry_for(0xA0).confidence == 2
+    assert t.entry(t.lookup(0xA0)).confidence == 2
 
 
 def test_trigger_uses_stale_stride_before_retraining():
@@ -78,7 +80,7 @@ def test_trigger_uses_stale_stride_before_retraining():
     target = t.observe_load(None, 0x4010A0, cur)
     # the old stride still fires once, then the entry falls back to learning
     assert target == cur + 448
-    e = t.entry_for(0xA0)
+    e = t.entry(t.lookup(0xA0))
     assert (e.stride, e.confidence) == (320, 1)
 
 
@@ -87,7 +89,7 @@ def test_confidence_saturates_at_three():
     for i in range(10):
         target = t.observe_load(None, 0x4010A0, PAGE + i * 448)
         assert (target is not None) == (i >= 2)
-    assert t.entry_for(0xA0).confidence == 3
+    assert t.entry(t.lookup(0xA0)).confidence == 3
 
 
 def test_stride_switch_relearns_in_two_loads():
@@ -98,23 +100,23 @@ def test_stride_switch_relearns_in_two_loads():
     assert r1 == last + 320 + 448  # stale stride fires
     r2 = t.observe_load(None, 0x4010A0, last + 2 * 320)
     assert r2 == last + 2 * 320 + 320  # new stride locked in
-    assert t.entry_for(0xA0).confidence == 2
+    assert t.entry(t.lookup(0xA0)).confidence == 2
 
 
 def test_oversized_distances_saturate_the_stride_field():
     t = PrefetchTable()
     t.observe_load(None, 0x4010A0, PAGE)
     t.observe_load(None, 0x4010A0, PAGE + 3000)
-    assert t.entry_for(0xA0).stride == STRIDE_LIMIT
+    assert t.entry(t.lookup(0xA0)).stride == STRIDE_LIMIT
     # the raw distance never equals the saturated stride, so no training
     t.observe_load(None, 0x4010A0, PAGE + 6000)
-    e = t.entry_for(0xA0)
+    e = t.entry(t.lookup(0xA0))
     assert (e.stride, e.confidence) == (STRIDE_LIMIT, 1)
 
     t2 = PrefetchTable()
     t2.observe_load(None, 0x4010B0, PAGE + 8000)
     t2.observe_load(None, 0x4010B0, PAGE + 8000 - 3000)
-    assert t2.entry_for(0xB0).stride == -STRIDE_LIMIT
+    assert t2.entry(t2.lookup(0xB0)).stride == -STRIDE_LIMIT
 
 
 def test_negative_stride_triggers_within_frame():
@@ -127,7 +129,7 @@ def test_backward_page_cross_target_is_dropped():
     train(t, 0x4010A0, PAGE + 3 * 448, -448, 3)  # descending, confidence 2
     # next load sits at the frame base; its target would land one frame back
     assert t.observe_load(None, 0x4010A0, PAGE) is None
-    e = t.entry_for(0xA0)
+    e = t.entry(t.lookup(0xA0))
     assert (e.stride, e.confidence) == (-448, 3)  # update still happened
 
 
@@ -144,13 +146,13 @@ def test_new_frame_with_cold_tlb_needs_two_accesses():
     t = PrefetchTable()
     tlb = Tlb()
     train(t, 0x4010A0, PAGE, 448, 3, tlb=tlb)  # warm frame, confidence 2
-    before = t.entry_for(0xA0)
+    before = t.entry(t.lookup(0xA0))
     nxt = PAGE + PAGE_BYTES + 128
-    assert page_frame(nxt) not in tlb
+    assert page_frame(nxt) not in tlb.lru
     # first touch of the frame only performs the walk
     assert t.observe_load(tlb, 0x4010A0, nxt) is None
-    assert t.entry_for(0xA0) == before
-    assert page_frame(nxt) in tlb
+    assert t.entry(t.lookup(0xA0)) == before
+    assert page_frame(nxt) in tlb.lru
     # the repeat runs the normal update and fires
     assert t.observe_load(tlb, 0x4010A0, nxt) == nxt + 448
 
@@ -159,7 +161,7 @@ def test_same_frame_loads_ignore_tlb_misses():
     t = PrefetchTable()
     tlb = Tlb()
     train(t, 0x4010A0, PAGE, 448, 3, tlb=tlb)
-    tlb.clear()
+    tlb.lru.clear()
     # translation misses but the load stays on the entry's frame
     assert t.observe_load(tlb, 0x4010A0, PAGE + 3 * 448) == PAGE + 4 * 448
 
@@ -168,7 +170,7 @@ def test_cold_tlb_still_creates_fresh_entries():
     t = PrefetchTable()
     tlb = Tlb()
     assert t.observe_load(tlb, 0x4010A0, PAGE) is None
-    assert t.entry_for(0xA0) is not None
+    assert t.lookup(0xA0) is not None
 
 
 class StampScanTlb:
@@ -233,9 +235,9 @@ def test_tlb_matches_stamp_scan_lru(run):
         if kind == "access":
             assert tlb.access(frame) == ref.access(frame)
         elif kind == "in":
-            assert (frame in tlb) == ref.contains(frame)
+            assert (frame in tlb.lru) == ref.contains(frame)
         else:
-            tlb.clear()
+            tlb.lru.clear()
             ref.clear()
         assert list(tlb.lru) == ref.by_recency()
 
@@ -244,7 +246,7 @@ def test_reset_cost_scales_with_write_ports():
     t = PrefetchTable()
     train(t, 0x4010A0, PAGE, 448, 4)
     assert t.reset(write_ports=1) == 24
-    assert t.occupancy() == 0
+    assert len(t.owner) == 0
     assert t.reset(write_ports=2) == 12
     assert t.reset(write_ports=5) == 5
     assert t.reset(write_ports=24) == 1
@@ -259,7 +261,7 @@ def test_replay_determinism():
             ip = rng.randrange(1 << 20)
             addr = PAGE + rng.randrange(1 << 22)
             table.observe_load(None, ip, addr)
-        return table.state_hash()
+        return vars(table)
 
     a, b = PrefetchTable(), PrefetchTable()
     assert feed(a, 7) == feed(b, 7)
@@ -274,7 +276,7 @@ def test_random_hammer_invariants():
             t.reset()
         tag = rng.randrange(256)
         addr = (1 << 21) + rng.randrange(1 << 24)
-        filled = t.occupancy()
+        filled = len(t.owner)
         if t.lookup(tag) is not None:
             predicted = None
         elif filled == t.SLOTS:
@@ -290,7 +292,7 @@ def test_random_hammer_invariants():
             assert t.lookup(tag) == predicted
         if target is not None:
             assert page_frame(target) - page_frame(addr) in (0, 1)
-        filled = t.occupancy()
+        filled = len(t.owner)
         assert filled <= t.SLOTS
         # check the fill boundary and the loaded slot every step, and all
         # slots every 100 steps; 24 entries a step makes the test 4x slower
@@ -301,7 +303,18 @@ def test_random_hammer_invariants():
         assert t.lookup(tag) == t.owner.get(tag)
         assert all(0 <= c <= 3 for c in t.conf)
         assert all(abs(s) <= STRIDE_LIMIT for s in t.stride)
-    assert t.occupancy() == t.SLOTS
+    assert len(t.owner) == t.SLOTS
+
+
+def _state_hash(table):
+    """sha256 over the slot fields: little-endian int64s, then one byte
+    per valid flag and one per recency bit."""
+    h = hashlib.sha256()
+    for values in (table.tags, table.last, table.stride, table.conf):
+        h.update(struct.pack(f"<{table.SLOTS}q", *values))
+    h.update(bytes(s < len(table.owner) for s in range(table.SLOTS)))
+    h.update(bytes(table.mru))
+    return h.hexdigest()
 
 
 def test_state_hash_pinned_across_eviction_and_tlb_gate():
@@ -317,14 +330,14 @@ def test_state_hash_pinned_across_eviction_and_tlb_gate():
         base = PAGE + rng.randrange(64) * PAGE_BYTES + rng.randrange(PAGE_BYTES)
         for i in range(rng.randrange(1, 7)):
             addr = base + i * stride
-            e = table.entry_for(tag)
-            if e is None:
-                evictions += table.occupancy() == table.SLOTS
-            elif (page_frame(addr) not in tlb
-                  and page_frame(addr) != page_frame(e.last_addr)):
+            slot = table.lookup(tag)
+            if slot is None:
+                evictions += len(table.owner) == table.SLOTS
+            elif (page_frame(addr) not in tlb.lru
+                  and page_frame(addr) != page_frame(table.last[slot])):
                 gated += 1
             target = table.observe_load(tlb, 0x400000 | tag, addr)
             triggers += target is not None
     assert evictions and gated and triggers
-    assert table.state_hash() == \
+    assert _state_hash(table) == \
         "0ab101e93ccfcfd8efe9e7740ad8f8ef7be23e5c5a1cf799abc62cfd34268ab9"

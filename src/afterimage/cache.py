@@ -47,8 +47,9 @@ reversed back and the walk goes to the per-line rule.  Whether a walk
 meets an unused prefetch is settled once per call: each unused
 prefetch is placed and its key marked, and a walk on an unmarked key
 meets none, since all its lines sit at its key and walking only clears
-prefetch flags.  An eviction set holds its members as line indices,
-ready for ``walk_sets``.
+prefetch flags.  An eviction set is a key and its members' line
+indices, ready for ``walk_sets``: its search keeps each new candidate
+that ``location`` places at the key.
 """
 
 from __future__ import annotations
@@ -84,19 +85,6 @@ class CacheConfig:
             raise ValueError("hit_latency must be at least 1")
         if not self.hit_latency < self.threshold < self.miss_latency:
             raise ValueError("threshold must lie strictly between hit and miss latency")
-
-
-@dataclass
-class MinimalEvictionSet:
-    """Associativity-many line indices mapping to one (set, slice)."""
-    set_index: int
-    slice_index: int
-    lines: list[int]
-
-    @property
-    def key(self) -> tuple[int, int]:
-        """The members' shared placement, as ``CacheModel.location``."""
-        return self.slice_index, self.set_index
 
 
 class CacheModel:
@@ -292,28 +280,29 @@ class CacheModel:
             prefetched.discard(line)
 
 
-def build_eviction_set(cache: CacheModel, set_index: int, slice_index: int,
-                       candidate_pool: Iterable[int]) -> MinimalEvictionSet:
-    """Collect associativity-many distinct lines mapping to the target set."""
+def build_eviction_set(cache: CacheModel, key: tuple[int, int],
+                       candidate_pool: Iterable[int]) -> list[int]:
+    """Collect associativity-many distinct line indices that
+    ``location`` places at ``key``."""
     want = cache.config.associativity
     lines: list[int] = []
     for addr in candidate_pool:
         li = addr >> LINE_SHIFT
-        if (li & cache._set_mask != set_index
-                or cache._slice(li) != slice_index or li in lines):
+        if cache.location(addr) != key or li in lines:
             continue
         lines.append(li)
         if len(lines) == want:
-            return MinimalEvictionSet(set_index, slice_index, lines)
+            return lines
     raise EvictionSetError(
         f"pool exhausted with {len(lines)}/{want} members for "
-        f"set {set_index} slice {slice_index}")
+        f"set {key[1]} slice {key[0]}")
 
 
-def page_eviction_sets(cache: CacheModel,
-                       page_paddr: int) -> list[MinimalEvictionSet]:
-    """One eviction set per line of the page at ``page_paddr`` (page
-    aligned), each drawn from the pool ``set_index + k * sets_per_slice``
+def page_eviction_sets(cache: CacheModel, page_paddr: int
+                       ) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The keys of the lines of the page at ``page_paddr`` (page
+    aligned), as ``page_keys`` gives them, and one eviction set per
+    line, each drawn from the pool ``set_index + k * sets_per_slice``
     for ``k`` in 1..4095 (not the line itself).
 
     Pool line ``k`` shares the set bits of the page line ``own``, and
@@ -323,22 +312,20 @@ def page_eviction_sets(cache: CacheModel,
     one search per distinct high part finds the ``k`` of every line
     that shares it.
     """
-    set_bits = cache._set_mask.bit_length()
+    set_bits = cache.config.sets_per_slice.bit_length() - 1
     # high part -> the found members' bits above the set index
     member_highs: dict[int, list[int]] = {}
-    out = []
-    first = page_paddr >> LINE_SHIFT
-    for own, (slice_index, set_index) in enumerate(
-            cache.page_keys(page_paddr), first):
-        high = own >> set_bits
+    keys = cache.page_keys(page_paddr)
+    walks = []
+    for own, key in enumerate(keys, page_paddr >> LINE_SHIFT):
+        high, set_index = own >> set_bits, key[1]
         highs = member_highs.get(high)
         if highs is None:
             pool = ((set_index | k << set_bits) * LINE_BYTES
                     for k in range(1, 4096) if k != high)
-            mes = build_eviction_set(cache, set_index, slice_index, pool)
-            member_highs[high] = [li ^ set_index for li in mes.lines]
+            lines = build_eviction_set(cache, key, pool)
+            member_highs[high] = [li ^ set_index for li in lines]
         else:
-            mes = MinimalEvictionSet(set_index, slice_index,
-                                     [set_index | h for h in highs])
-        out.append(mes)
-    return out
+            lines = [set_index | h for h in highs]
+        walks.append(lines)
+    return keys, walks

@@ -718,9 +718,7 @@ def _prime_probe(machine: Machine, sc: _Scenario,
     The sets' keys and walks, both ways, are listed once per attack."""
     cache, page = machine.cache, sc.attacker.translate(sc.page_vaddr)
     strides = [s for s in sc.decode if s is not None]
-    mes_list = page_eviction_sets(cache, page)
-    keys = [mes.key for mes in mes_list]
-    walks = [mes.lines for mes in mes_list]
+    keys, walks = page_eviction_sets(cache, page)
     reversed_walks = [lines[::-1] for lines in walks]
     baseline: list[int] = []
 

@@ -123,7 +123,7 @@ def detect_stride(observed, candidates: list[int]) -> StrideDetection:
 
 
 def prefetcher_status_probe(machine: Machine, probes: list[StatusProbe],
-                            drops: list[bool] | None = None) -> list[bool]:
+                            drops: list[bool]) -> list[bool]:
     """Check which trained entries still trigger, one flag per probe.
 
     Replays each trained IP once at its expected next address and times
@@ -138,11 +138,11 @@ def prefetcher_status_probe(machine: Machine, probes: list[StatusProbe],
     cache = machine.cache
     threshold = cache.config.threshold
     alive = []
-    for i, p in enumerate(probes):
+    for p, drop in zip(probes, drops, strict=True):
         target = p.replay_addr + p.stride
         cache.flush_line(target)
         machine.load(p.ip, p.replay_addr)
-        if drops and drops[i]:
+        if drop:
             cache.flush_line(target)
         alive.append(cache.access(target) < threshold)
     return alive

@@ -195,15 +195,12 @@ def test_10_observers_alone_leave_the_prefetcher_untouched():
             cache.install_prefetch(target)
     before = copy.deepcopy(vars(table))
 
-    mes_list = []
-    for line in (0, 7):
-        slice_index, set_index = cache.location(page + line * 64)
-        mes_list.append(build_eviction_set(
-            cache, set_index, slice_index,
-            (0x800000 + k * 64 for k in range(1 << 20))))
-    keys = [mes.key for mes in mes_list]
-    baseline = prime(cache, keys, [mes.lines for mes in mes_list])
-    probe(cache, keys, [mes.lines[::-1] for mes in mes_list], baseline)
+    keys = [cache.location(page + line * 64) for line in (0, 7)]
+    walks = [build_eviction_set(cache, key,
+                                (0x800000 + k * 64 for k in range(1 << 20)))
+             for key in keys]
+    baseline = prime(cache, keys, walks)
+    probe(cache, keys, [lines[::-1] for lines in walks], baseline)
     cache.flush_lines(page, cache.page_keys(page))
     flush_reload(cache, page, cache.page_keys(page), random.Random(0))
 

@@ -263,29 +263,28 @@ def test_keyed_flush_matches_per_line_flush(config, page, prior, first,
 
 def test_build_eviction_set():
     c = CacheModel()
-    sl, st = c.location(0x80000)
+    key = c.location(0x80000)
     pool = range(0, 1 << 26, LINE_BYTES)
-    mes = build_eviction_set(c, st, sl, pool)
-    members = [li * LINE_BYTES for li in mes.lines]
+    lines = build_eviction_set(c, key, pool)
+    members = [li * LINE_BYTES for li in lines]
     assert len(members) == c.config.associativity
     assert len({a >> 6 for a in members}) == c.config.associativity
     for a in members:
-        assert c.location(a) == (sl, st)
-    assert mes.key == (sl, st)
+        assert c.location(a) == key
 
 
 def test_eviction_set_pool_exhaustion():
     c = CacheModel()
     with pytest.raises(EvictionSetError):
-        build_eviction_set(c, 0, 0, range(0, 1 << 14, LINE_BYTES))
+        build_eviction_set(c, (0, 0), range(0, 1 << 14, LINE_BYTES))
 
 
 def test_eviction_set_displaces_a_victim_line():
     c = CacheModel()
     victim = 0x80000
-    sl, st = c.location(victim)
-    mes = build_eviction_set(c, st, sl, range(1 << 22, 1 << 26, LINE_BYTES))
-    members = [li * LINE_BYTES for li in mes.lines]
+    lines = build_eviction_set(c, c.location(victim),
+                               range(1 << 22, 1 << 26, LINE_BYTES))
+    members = [li * LINE_BYTES for li in lines]
     for a in members:  # prime
         c.access(a)
     c.access(victim)

@@ -232,25 +232,23 @@ def test_attack_memory_stays_bounded_in_rounds():
     assert per_round < 512, f"{per_round:.0f} B per round"
 
 
-def _mes_for_line(cache, page_paddr, line):
-    """Reference: search one page line's eviction set on its own."""
-    addr = page_paddr + line * LINE_BYTES
-    slice_index, set_index = cache.location(addr)
-    own = addr >> LINE_SHIFT
+def _sets_per_line(cache, page_paddr):
+    """Reference: search each page line's eviction set on its own."""
     sets = cache.config.sets_per_slice
-
-    def pool():
-        for k in range(1, 4096):
-            candidate = set_index + k * sets
-            if candidate != own:
-                yield candidate * LINE_BYTES
-
-    return build_eviction_set(cache, set_index, slice_index, pool())
+    keys, walks = [], []
+    for line in range(PAGE_LINES):
+        own = (page_paddr >> LINE_SHIFT) + line
+        key = cache.location(own << LINE_SHIFT)
+        pool = ((key[1] + k * sets) * LINE_BYTES for k in range(1, 4096)
+                if key[1] + k * sets != own)
+        keys.append(key)
+        walks.append(build_eviction_set(cache, key, pool))
+    return keys, walks
 
 
 def _search_outcome(search):
     try:
-        return [(m.set_index, m.slice_index, m.lines) for m in search()]
+        return search()
     except EvictionSetError as exc:
         return str(exc)
 
@@ -270,10 +268,23 @@ def test_page_eviction_sets_match_per_line_search(slices, sets_per_slice,
     pages = [0, PAGE_BYTES, 1024 * PAGE_BYTES] + [
         rng.randrange(1 << 28) * PAGE_BYTES for _ in range(2)]
     for page in pages:
-        want = _search_outcome(lambda: [_mes_for_line(cache, page, ln)
-                                        for ln in range(PAGE_LINES)])
-        assert _search_outcome(
-            lambda: page_eviction_sets(cache, page)) == want, page
+        want = _search_outcome(lambda: _sets_per_line(cache, page))
+        got = _search_outcome(lambda: page_eviction_sets(cache, page))
+        assert got == want, page
+        if isinstance(got, str):
+            continue
+        # each walk holds associativity distinct lines that location
+        # places at its line's key, and never the page line itself
+        keys, walks = got
+        first = page >> LINE_SHIFT
+        assert keys == [cache.location(page + ln * LINE_BYTES)
+                        for ln in range(PAGE_LINES)]
+        assert len(walks) == PAGE_LINES
+        for own, key, lines in zip(itertools.count(first), keys, walks):
+            assert len(set(lines)) == len(lines) == associativity
+            assert own not in lines
+            assert all(cache.location(li << LINE_SHIFT) == key
+                       for li in lines)
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ definition is reached only by tests, and no module touches another
 module's private names.  A dependency-free stand-in for a linter."""
 
 import ast
+import collections
 from pathlib import Path
 
 import afterimage
@@ -139,16 +140,26 @@ def test_no_module_reaches_into_another_modules_private_names():
 #: the argparse hook that the standard library calls by name
 _CALLED_BY_LIBRARY = {"_Parser.error"}
 
+#: public method names of the containers the package keeps its state in:
+#: ``self.owner.clear()`` calls a dict's method, not a class's own
+_CONTAINER_METHODS = {name for kind in (dict, list, set,
+                                        collections.OrderedDict)
+                      for name in dir(kind) if not name.startswith("_")}
+
 
 def _names(tree):
     """Every name a tree reads, imports or spells as a dotted string,
-    the form in which perfbench names the functions it wraps."""
+    the form in which perfbench names the functions it wraps.  An
+    attribute named like a container method counts only on ``self``."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            if (node.attr not in _CONTAINER_METHODS
+                    or isinstance(node.value, ast.Name)
+                    and node.value.id == "self"):
+                names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)

@@ -35,22 +35,25 @@ PAGE = 0x600000  # maps to sets 24576 % 2048 = 0 .. 63, one per line
 
 
 def build_page_sets(cache, page_base, n_lines=16):
-    pool = range(1 << 24, 1 << 27, LINE_BYTES)
-    out = []
-    for i in range(n_lines):
-        sl, st = cache.location(page_base + i * LINE_BYTES)
-        out.append(build_eviction_set(cache, st, sl, pool))
-    return out
+    """The keys of the page's first ``n_lines`` lines and one eviction
+    set per line, drawn from the lines in [2**24, 2**27) that share its
+    set bits."""
+    step = cache.config.sets_per_slice * LINE_BYTES
+    keys = [cache.location(page_base + i * LINE_BYTES)
+            for i in range(n_lines)]
+    return keys, [build_eviction_set(
+        cache, key, range((1 << 24) + key[1] * LINE_BYTES, 1 << 27, step))
+        for key in keys]
 
 
 def _prime(cache, sets):
-    return prime(cache, [mes.key for mes in sets],
-                 [mes.lines for mes in sets])
+    keys, walks = sets
+    return prime(cache, keys, walks)
 
 
 def _probe(cache, sets, baseline):
-    return probe(cache, [mes.key for mes in sets],
-                 [mes.lines[::-1] for mes in sets], baseline)
+    keys, walks = sets
+    return probe(cache, keys, [lines[::-1] for lines in walks], baseline)
 
 
 def _reload(cache, page, rng):
@@ -81,13 +84,13 @@ def test_prime_and_probe_counters_and_lru_order(n):
     # the fill walk misses once per member, the timed walk only hits
     assert cache.demand_accesses == 2 * 16 * n
     assert cache.demand_misses == 16 * n
-    for mes in sets:
-        assert cache.sets[mes.key] == mes.lines
+    for key, lines in zip(*sets):
+        assert cache.sets[key] == lines
     _probe(cache, sets, baseline)
     assert cache.demand_accesses == 3 * 16 * n
     assert cache.demand_misses == 16 * n
-    for mes in sets:
-        assert cache.sets[mes.key] == mes.lines[::-1]
+    for key, lines in zip(*sets):
+        assert cache.sets[key] == lines[::-1]
 
 
 def test_probe_flags_victim_touched_sets():
@@ -178,14 +181,14 @@ def test_reload_order_draws_as_shuffle(seed):
     assert rng.getstate() == ref.getstate()
 
 
-def _walk_per_line(cache, mes_list, reverse):
+def _walk_per_line(cache, sets, reverse):
     """Reference walk: each set's time, one ``access_line`` per member."""
-    return [sum(cache.access_line(mes.key, li)
-                for li in (mes.lines[::-1] if reverse else mes.lines))
-            for mes in mes_list]
+    return [sum(cache.access_line(key, li)
+                for li in (lines[::-1] if reverse else lines))
+            for key, lines in zip(*sets)]
 
 
-def _disturb(cache, mes_list, op, line, member):
+def _disturb(cache, sets, op, line, member):
     """One disturbance between prime and probe: ``line`` picks a page
     line, which lands in the set its eviction set monitors."""
     paddr = PAGE + line * LINE_BYTES
@@ -196,9 +199,9 @@ def _disturb(cache, mes_list, op, line, member):
     elif op == "flush":
         cache.flush_line(paddr)
     elif op == "noise":  # as the probe noise: kick the first member out
-        cache.flush_line(mes_list[line].lines[0] << LINE_SHIFT)
+        cache.flush_line(sets[1][line][0] << LINE_SHIFT)
     else:  # a member comes back as a prefetch no demand has used yet
-        addr = mes_list[line].lines[member] << LINE_SHIFT
+        addr = sets[1][line][member] << LINE_SHIFT
         cache.flush_line(addr)
         cache.install_prefetch(addr)
 
@@ -216,20 +219,20 @@ def _disturb(cache, mes_list, op, line, member):
            max_size=8), min_size=1, max_size=4))
 def test_prime_probe_rounds_match_per_line_walks(config, rounds):
     cache = CacheModel(config)
-    mes_list = page_eviction_sets(cache, PAGE)
+    sets = page_eviction_sets(cache, PAGE)
     if config.sets_per_slice < PAGE_LINES:
-        assert len({mes.key for mes in mes_list}) < len(mes_list)
+        assert len(set(sets[0])) < PAGE_LINES
     ref = copy.deepcopy(cache)
     threshold = cache.config.threshold
     for ops in rounds:
-        _walk_per_line(ref, mes_list, False)  # the fill walk
-        baseline = _prime(cache, mes_list)
-        assert baseline == _walk_per_line(ref, mes_list, False)
+        _walk_per_line(ref, sets, False)  # the fill walk
+        baseline = _prime(cache, sets)
+        assert baseline == _walk_per_line(ref, sets, False)
         for op in ops:
-            _disturb(cache, mes_list, *op)
-            _disturb(ref, mes_list, *op)
-        times = _walk_per_line(ref, mes_list, True)
-        assert _probe(cache, mes_list, baseline) == [
+            _disturb(cache, sets, *op)
+            _disturb(ref, sets, *op)
+        times = _walk_per_line(ref, sets, True)
+        assert _probe(cache, sets, baseline) == [
             abs(t - b) > threshold for t, b in zip(times, baseline)]
         assert _cache_state(cache) == _cache_state(ref)
 
@@ -326,13 +329,14 @@ def test_status_probe_tracks_disturbance():
               StatusProbe(0x4020B4, g2 + 4 * 832, 832)]
 
     # idle victim: both entries still trigger
-    assert prefetcher_status_probe(m, probes) == [True, True]
+    assert prefetcher_status_probe(m, probes,
+                                   [False] * len(probes)) == [True, True]
 
     # victim executes through tag 0xA0 somewhere far away
     table.observe_load(None, 0x7010A0, 0x900000)
     probes2 = [StatusProbe(0x4010A0, g1 + 6 * 448, 448),
                StatusProbe(0x4020B4, g2 + 5 * 832, 832)]
-    got = prefetcher_status_probe(m, probes2)
+    got = prefetcher_status_probe(m, probes2, [False] * len(probes2))
     assert got == [False, True]
 
 
@@ -343,4 +347,5 @@ def test_status_probe_after_reset_sees_nothing():
         m.table.observe_load(None, 0x4010A0, g1 + i * 448)
     m.table.reset()
     probes = [StatusProbe(0x4010A0, g1 + 4 * 448, 448)]
-    assert prefetcher_status_probe(m, probes) == [False]
+    assert prefetcher_status_probe(m, probes,
+                                   [False] * len(probes)) == [False]

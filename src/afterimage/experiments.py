@@ -179,17 +179,16 @@ class IndexingResult:
                 for off, hit in enumerate(self.triggered)]
 
 
-def rev_indexing(trained_tag: int = 0x2C,
-                 cache_config=None) -> IndexingResult:
-    """Train one entry, then replay from 256 differently-tagged IPs.
+def rev_indexing(cache_config=None) -> IndexingResult:
+    """Train one entry with IP tag 0x2C, then replay from 256
+    differently-tagged IPs.
 
     The probe IP differs from the training IP in its page bits and in
     bit 9, keeping only a chosen low byte.  A probe that stale-triggers
     the trained stride proves the table keyed solely on those eight
     bits; a probe that allocates a fresh entry fetches nothing.
     """
-    if not 0 <= trained_tag <= 0xFF:
-        raise ValueError("trained_tag must fit in one byte")
+    trained_tag = 0x2C
     sb = stride_bytes(7)
     train_page = 0x100000
     replay_page = 0x180000
@@ -234,27 +233,25 @@ class ConfStrideResult:
         return [dict(row) for row in self.log]
 
 
-def rev_conf_stride(st1: int = 7, st2: int = 5, tr1: int = 4, tr2: int = 3,
-                    offset_mode: str = "random", seed: int = 0,
+def rev_conf_stride(offset_mode: str = "random", seed: int = 0,
                     cache_config=None) -> ConfStrideResult:
     """Train a stride, switch to another, and watch what gets fetched.
 
-    Phase one walks ``tr1`` loads at stride ``st1`` lines; phase two
-    walks ``tr2`` loads at stride ``st2``, starting either exactly one
+    Phase one walks 4 loads at stride ``st1`` = 7 lines; phase two
+    walks 3 loads at stride ``st2`` = 5, starting either exactly one
     ``st2`` step past the last phase-one load (``offset_mode="equals_st2"``)
     or at a random jump (``"random"``).  After every phase-two load the
     lines one ``st1`` and one ``st2`` ahead are timed; the label is the
     stride whose line came in.  A confident entry fetches with its old
     stride once before relearning, so the first phase-two load is
-    labelled ``st1``; afterwards the counter has to climb back past the
-    trigger threshold before ``st2`` fetches appear.
+    labelled 7; afterwards the counter has to climb back past the
+    trigger threshold before stride-5 fetches appear: the labels are
+    7, 5, 5 after a step of 5 and 7, none, 5 after a random jump.  The
+    farthest line timed starts at byte 3,648, inside the page.
     """
     if offset_mode not in ("random", "equals_st2"):
         raise ValueError(f"unknown offset_mode {offset_mode!r}")
-    if tr1 < 1 or tr2 < 1:
-        raise ValueError("both training phases need at least one load")
-    if st1 == st2 or st1 < 1 or st2 < 1:
-        raise ValueError("strides must be distinct positive line counts")
+    st1, st2, tr1, tr2 = 7, 5, 4, 3
     sb1 = stride_bytes(st1)
     sb2 = stride_bytes(st2)
     page = 0x200000
@@ -270,11 +267,7 @@ def rev_conf_stride(st1: int = 7, st2: int = 5, tr1: int = 4, tr2: int = 3,
         start = last + sb2
     else:
         # land well clear of the phase-one footprint, on neither stride
-        allowed = [j for j in range(8, 20) if j not in (st1, st2)]
-        start = last + rng.choice(allowed) * LINE_BYTES
-    end = start + (tr2 - 1) * sb2 + max(sb1, sb2)
-    if page_frame(end) != page_frame(page):
-        raise ValueError("training phases do not fit in one page")
+        start = last + rng.choice(range(8, 20)) * LINE_BYTES
 
     labels: list[int | None] = []
     log = []
@@ -294,12 +287,7 @@ def rev_conf_stride(st1: int = 7, st2: int = 5, tr1: int = 4, tr2: int = 3,
                     f"st2_{st2}_hot": int(hot2),
                     "label": "" if label is None else label})
 
-    first = st1 if tr1 >= 3 else None
-    if offset_mode == "equals_st2":
-        expected = [first] + [st2] * (tr2 - 1)
-    else:
-        expected = [first, None] + [st2] * (tr2 - 2)
-    expected = expected[:tr2]
+    expected = [st1, st2 if offset_mode == "equals_st2" else None, st2]
     return ConfStrideResult(labels, log, expected)
 
 
@@ -415,19 +403,18 @@ def rev_page(cache_config=None) -> PageResult:
 class SurvivalResult:
     """Which trained streams still fetched on replay, by position.
 
-    ``expected_dead`` lists the positions the documented table drops,
-    or is None where there is no closed form.
+    ``expected_dead`` lists the positions the documented table drops.
     """
 
     alive: list[bool]
-    expected_dead: list[int] | None
+    expected_dead: list[int]
 
     def dead_positions(self) -> list[int]:
         return [i + 1 for i, ok in enumerate(self.alive) if not ok]
 
     def verify(self) -> list[str]:
         got = self.dead_positions()
-        if self.expected_dead is None or got == self.expected_dead:
+        if got == self.expected_dead:
             return []
         return [f"dead positions {got}, expected {self.expected_dead}"]
 
@@ -481,23 +468,17 @@ def rev_entries(n_ips: int, cache_config=None) -> SurvivalResult:
                           list(range(1, n_ips - 23)))
 
 
-def rev_replacement(n_retrain: int = 8, n_new: int = 8,
-                    cache_config=None) -> SurvivalResult:
+def rev_replacement(cache_config=None) -> SurvivalResult:
     """Fill the table, refresh a prefix, then push in new streams.
 
-    Trains 24 streams (filling the table), re-touches the first
-    ``n_retrain`` of them, trains ``n_new`` fresh streams, and replays
-    every original to see which survived.  The victims come right after
-    the refreshed prefix: the single-bit recency scheme evicts the
+    Trains 24 streams (filling the table), re-touches the first 8 of
+    them, trains 8 fresh streams, and replays every original to see
+    which survived.  The victims, streams 9 to 16, come right after the
+    refreshed prefix: the single-bit recency scheme evicts the
     lowest-numbered entry whose bit is clear, not the globally oldest.
     """
-    if not 0 <= n_retrain <= 24 or not 0 <= n_new <= 24:
-        raise ValueError("n_retrain and n_new must be between 0 and 24")
-    # past 23 touches the recency bits wrap: no closed-form expectation
-    expected = (list(range(n_retrain + 1, n_retrain + n_new + 1))
-                if n_retrain + n_new <= 23 else None)
-    return SurvivalResult(_survivors(24, n_retrain, n_new, cache_config),
-                          expected)
+    return SurvivalResult(_survivors(24, 8, 8, cache_config),
+                          list(range(9, 17)))
 
 
 # --------------------------------------------------------------------------
@@ -634,8 +615,7 @@ def _user_kernel(machine: Machine, seed: int) -> _Scenario:
     kernel.map_shared(kernel_vaddr, shared_paddr)
     arms = {1: (ip_with_tag(_KERNEL_CODE, kernel_tag), kernel_vaddr),
             0: None}
-    groups = ip_matching_groups(n_groups=20, group_size=24,
-                                stride_lines=stride, iterations=3)
+    groups = ip_matching_groups(stride)
     sc = _Scenario(user, [], shared_paddr, kernel, arms, {stride: 1, None: 0})
 
     # Each group gets a few tries: a failed probe's own load allocates
@@ -674,16 +654,6 @@ def _secret_source(seed: int, flush_on_switch: bool) -> Iterator[int]:
         return itertools.repeat(1)
     rng = random.Random(seed ^ 0x5EC2E7)
     return (rng.randrange(2) for _ in itertools.count())
-
-
-def _victim_steps(arm: tuple[int, int] | None,
-                  rng: random.Random) -> list[Load]:
-    """One arm of the victim's branch: a load from its IP of a random
-    line of its array, or nothing for an arm that makes no load."""
-    if arm is None:
-        return []
-    ip, array = arm
-    return [Load(ip, array + rng.randrange(_ARRAY_LINES) * LINE_BYTES)]
 
 
 def _status_probes(domain: Domain, training: list[Load]) -> list[StatusProbe]:
@@ -764,15 +734,19 @@ def _run_round(machine: Machine, sc: _Scenario, training: list[Placed],
                observer: _Observer, bit: int,
                rng: random.Random) -> StrideDetection:
     """Train with the placed ``training``, arm, run the victim's arm for
-    ``bit`` and read, per round."""
+    ``bit`` and read, per round.  The arm loads from its IP a random
+    line of its array, or makes no load."""
     arm, read = observer
     machine.run_program(sc.attacker, training)
     arm()
     # the victim's line is drawn anew each round, so placing it apart
     # would cost the location call its access makes; a silent arm runs
     # no step, but entering the domain still counts
-    victim = [(step.ip, sc.victim.translate(step.vaddr), None)
-              for step in _victim_steps(sc.arms[bit], rng)]
+    victim: list[Placed] = []
+    if sc.arms[bit] is not None:
+        ip, array = sc.arms[bit]
+        vaddr = array + rng.randrange(_ARRAY_LINES) * LINE_BYTES
+        victim.append((ip, sc.victim.translate(vaddr), None))
     return read(rng, machine.run_program(sc.victim, victim))
 
 
@@ -864,15 +838,15 @@ class MitigationReport:
         }]
 
 
-def synthetic_workload(n_loads: int = 144_000, n_ips: int = 8,
-                       spacing: int = 1 << 24) -> list[tuple[int, int]]:
-    """Interleave ``n_ips`` fixed-stride streams, one load per turn."""
+def synthetic_workload() -> list[tuple[int, int]]:
+    """Interleave 8 stride-7 streams 16 MiB apart, one load per turn,
+    144,000 loads in all: each stream's 18,000 steps span 8,064,000
+    bytes, so no two overlap."""
+    n_loads, n_ips, spacing = 144_000, 8, 1 << 24
     sb = stride_bytes(7)
     code_base, data_base = 0x900000, 0x20000000
     ips = [ip_with_tag(code_base + k * 0x1000, 0x10 + k)
            for k in range(n_ips)]
-    if n_loads // n_ips * sb >= spacing:
-        raise ValueError("streams would overlap; increase spacing")
     loads = []
     for i in range(n_loads):
         k = i % n_ips

@@ -66,12 +66,11 @@ class Domain:
         self.phys_offset = phys_offset
         self.frame_map = dict(frame_map or {})
 
-    def map_shared(self, vaddr: int, paddr: int, n_pages: int = 1) -> None:
-        """Alias n pages at vaddr onto the physical pages at paddr."""
+    def map_shared(self, vaddr: int, paddr: int) -> None:
+        """Alias the page at vaddr onto the physical page at paddr."""
         if vaddr % PAGE_BYTES or paddr % PAGE_BYTES:
             raise ValueError("shared regions must be page aligned")
-        for i in range(n_pages):
-            self.frame_map[page_frame(vaddr) + i] = page_frame(paddr) + i
+        self.frame_map[page_frame(vaddr)] = page_frame(paddr)
 
     def translate(self, vaddr: int) -> int:
         frame = page_frame(vaddr)
@@ -199,10 +198,15 @@ def stride_bytes(stride_lines: int) -> int:
     return sb
 
 
-def build_gadget(if_tag: int, else_tag: int, stride_if: int, stride_else: int,
-                 iterations: int = 3, code_base: int = 0x400000,
-                 array_if: int = 0x10000, array_else: int = 0x12000) -> list[Load]:
-    """Training gadget: two load IPs walking distinct strides (in lines)."""
+def build_gadget(if_tag: int, else_tag: int, stride_if: int,
+                 stride_else: int) -> list[Load]:
+    """Training gadget: two load IPs walking distinct strides (in lines).
+
+    The if IP (code page 0x400000) walks from 0x10000 and the else IP
+    (code page 0x401000) from 0x12000, three loads each, interleaved.
+    """
+    iterations, code_base = 3, 0x400000
+    array_if, array_else = 0x10000, 0x12000
     if if_tag == else_tag:
         raise ValueError("if/else tags must differ")
     sb_if = stride_bytes(stride_if)
@@ -219,34 +223,30 @@ def build_gadget(if_tag: int, else_tag: int, stride_if: int, stride_else: int,
     return steps
 
 
-def ip_matching_groups(n_groups: int = 20, group_size: int = 24,
-                       stride_lines: int = 11,
-                       iterations: int = 3) -> Iterator[list[Load]]:
+def ip_matching_groups(stride_lines: int) -> Iterator[list[Load]]:
     """Training programs whose tags jointly cover the whole 8-bit space.
 
-    Group g holds group_size loads with distinct low-byte tags, each
-    walking its own page frame with the given stride.  Each member's
-    loads run back to back: when a full table forces every allocation
+    There are 20 groups, and group g holds 24 members with distinct
+    low-byte tags, each walking its own page frame with three loads at
+    the given stride; the 480 members cover all 256 tags.  Each
+    member's loads run back to back: when a full table forces every allocation
     to evict, a member that reaches trigger confidence inside its own
     block keeps it even if a later sibling's allocation recycles the
     slot of an earlier one.  Interleaving single loads instead would
     let those evictions land between a member's accesses and no entry
     would ever finish training.
 
-    The arguments are checked at the call; the groups are then built
-    one at a time, in order, as the caller iterates, so a search that
-    stops early never builds the rest.
+    The stride is checked at the call; the groups are then built one at
+    a time, in order, as the caller iterates, so a search that stops
+    early never builds the rest.
     """
-    if n_groups * group_size < 256:
-        raise ValueError("groups cannot cover all 256 tags")
     sb = stride_bytes(stride_lines)
-    return (_matching_group(g, group_size, sb, iterations)
-            for g in range(n_groups))
+    return (_matching_group(g, sb) for g in range(20))
 
 
-def _matching_group(g: int, group_size: int, sb: int,
-                    iterations: int) -> list[Load]:
+def _matching_group(g: int, sb: int) -> list[Load]:
     """Group g of ``ip_matching_groups``, with its stride in bytes."""
+    group_size, iterations = 24, 3
     code_base, data_base = 0x400000, 0x40000000
     steps: list[Load] = []
     for j in range(group_size):

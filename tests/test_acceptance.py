@@ -139,7 +139,7 @@ def test_05_table_holds_twenty_four_streams():
 
 
 def test_06_replacement_walks_not_recently_used_slots():
-    result = rev_replacement(n_retrain=8, n_new=8)
+    result = rev_replacement()
     positions = result.dead_positions()
     ok = positions == list(range(9, 17)) and not result.verify()
     _check(6, ok, f"new streams displaced positions {positions}")

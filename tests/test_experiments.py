@@ -24,10 +24,12 @@ from afterimage.experiments import (
     UnsupportedChannelError,
     _OBSERVERS,
     _SCENARIOS,
+    _Scenario,
     _apply_page_noise,
+    _run_round,
     _secret_source,
     _status_probes,
-    _victim_steps,
+    _survivors,
     flush_period_cycles,
     load_trace,
     mitigation_eval,
@@ -40,7 +42,7 @@ from afterimage.experiments import (
     run_attack,
     synthetic_workload,
 )
-from afterimage.programs import Load, Machine
+from afterimage.programs import Domain, Load, Machine
 from afterimage.uarch import (
     LINE_BYTES,
     LINE_SHIFT,
@@ -57,22 +59,17 @@ from afterimage.uarch import (
 
 
 def test_indexing_matches_low_byte_only():
-    result = rev_indexing(trained_tag=0x2C)
+    result = rev_indexing()
     assert [off for off, hit in enumerate(result.triggered) if hit] == [0x2C]
     assert result.verify() == []
 
 
 def test_indexing_rows_schema():
-    result = rev_indexing(trained_tag=0x2C)
+    result = rev_indexing()
     rows = result.rows()
     assert len(rows) == 256
     assert rows[0x2C] == {"offset": 0x2C, "triggered": 1}
     assert rows[0x2D] == {"offset": 0x2D, "triggered": 0}
-
-
-def test_indexing_rejects_wide_tag():
-    with pytest.raises(ValueError):
-        rev_indexing(trained_tag=0x100)
 
 
 # --------------------------------------------------------------------------
@@ -83,33 +80,21 @@ def test_indexing_rejects_wide_tag():
 def test_conf_stride_random_offset():
     # a confident entry fires its stale stride once, goes quiet while
     # confidence rebuilds, then fires the new stride
-    result = rev_conf_stride(st1=7, st2=5, tr1=4, tr2=3, offset_mode="random")
+    result = rev_conf_stride(offset_mode="random")
     assert result.labels == [7, None, 5]
     assert result.verify() == []
 
 
 def test_conf_stride_offset_equals_new_stride():
     # when the jump itself equals the new stride no quiet iteration occurs
-    result = rev_conf_stride(st1=7, st2=5, tr1=4, tr2=3,
-                             offset_mode="equals_st2")
+    result = rev_conf_stride(offset_mode="equals_st2")
     assert result.labels == [7, 5, 5]
-    assert result.verify() == []
-
-
-def test_conf_stride_short_training_never_confident():
-    # one training load leaves confidence below the trigger threshold,
-    # so the first phase-two iteration fetches nothing
-    result = rev_conf_stride(st1=7, st2=5, tr1=1, tr2=3,
-                             offset_mode="random")
-    assert result.labels[0] is None
     assert result.verify() == []
 
 
 def test_conf_stride_validates_arguments():
     with pytest.raises(ValueError):
         rev_conf_stride(offset_mode="sideways")
-    with pytest.raises(ValueError):
-        rev_conf_stride(st1=5, st2=5)
 
 
 # --------------------------------------------------------------------------
@@ -154,25 +139,23 @@ def test_entries_verify_clean():
 
 
 def test_replacement_victims_follow_refreshed_prefix():
-    result = rev_replacement(n_retrain=8, n_new=8)
+    result = rev_replacement()
     assert result.dead_positions() == [9, 10, 11, 12, 13, 14, 15, 16]
     assert result.verify() == []
 
 
 def test_replacement_without_refresh_evicts_from_front():
-    assert rev_replacement(0, 8).dead_positions() == list(range(1, 9))
+    assert _survivors(24, 0, 8) == [False] * 8 + [True] * 16
 
 
 def test_replacement_no_newcomers_no_victims():
-    assert rev_replacement(8, 0).dead_positions() == []
+    assert _survivors(24, 8, 0) == [True] * 24
 
 
 def test_survival_verify_reports_one_line():
     # 26 streams that all survived: the two oldest should have died
     assert SurvivalResult([True] * 26, [1, 2]).verify() == [
         "dead positions [], expected [1, 2]"]
-    # no closed form: nothing to check against
-    assert SurvivalResult([False] * 24, None).verify() == []
 
 
 # --------------------------------------------------------------------------
@@ -347,8 +330,10 @@ def test_status_observer_reads_its_detection_from_the_dead_strides():
         arm()
         victim_loads = []
         if bit is not None:
+            ip, array = sc.arms[bit]
+            line = random.Random(1).randrange(48)
             victim_loads = machine.run_program(sc.victim, machine.place(
-                sc.victim, _victim_steps(sc.arms[bit], random.Random(1))))
+                sc.victim, [Load(ip, array + line * LINE_BYTES)]))
         return read(rng, victim_loads)
 
     # nothing disturbed: every trained entry still fetches
@@ -398,13 +383,23 @@ def test_every_pair_reaches_its_sidechannel_functions(variant, channel,
 
 
 def test_a_loading_arm_draws_one_line_and_a_silent_arm_none():
+    victim = Domain("victim", phys_offset=0x20000000)
+    sc = _Scenario(Domain("attacker"), [], 0x30000, victim,
+                   {1: (0x70003A, 0x30000), 0: None}, {})
+    machine = Machine()
+    seen = []
+    observer = (lambda: None, lambda rng, loads: seen.append(loads))
     rng, twin = random.Random(5), random.Random(5)
     for _ in range(100):
         line = twin.randrange(48)
-        assert _victim_steps((0x70003A, 0x30000), rng) == [
-            Load(0x70003A, 0x30000 + line * LINE_BYTES)]
+        _run_round(machine, sc, [], observer, 1, rng)
+        paddr = victim.translate(0x30000 + line * LINE_BYTES)
+        assert seen.pop() == [paddr]
+        t = machine.table
+        assert t.entry(t.lookup(0x3A)).last_addr == paddr
     assert rng.getstate() == twin.getstate()
-    assert _victim_steps(None, rng) == []
+    _run_round(machine, sc, [], observer, 0, rng)
+    assert seen.pop() == [] and machine.current_domain == "victim"
     assert rng.getstate() == twin.getstate()
 
 
@@ -599,7 +594,7 @@ def _reference_report(loads, period, ports, cycles_per_load):
 
 
 def test_sweep_reports_match_points_priced_alone():
-    loads = synthetic_workload(n_loads=3_000, n_ips=6)
+    loads = synthetic_workload()[:3_000]
     points = [(None, 3), (400, 1), (400, 8), (2_000, 2), (25, 1)]
     reports = mitigation_sweep(loads, points, cycles_per_load=3)
     assert reports == [_reference_report(loads, period, ports, 3)
@@ -621,7 +616,7 @@ class _Unreplayable(list):
 ])
 def test_sweep_checks_every_point_before_any_run(points, cycles_per_load):
     with pytest.raises(ValueError):
-        mitigation_sweep(_Unreplayable(synthetic_workload(n_loads=8)),
+        mitigation_sweep(_Unreplayable(synthetic_workload()[:8]),
                          points, cycles_per_load)
 
 
@@ -639,7 +634,7 @@ def test_only_plus_inf_disables_flushing():
                            (10, 0.0), (10, -1.0), (math.inf, math.inf)):
         with pytest.raises(ValueError):
             flush_period_cycles(period_us, ghz)
-    loads = synthetic_workload(n_loads=64)
+    loads = synthetic_workload()[:64]
     for period in (-math.inf, math.nan):
         with pytest.raises(ValueError):
             mitigation_eval(loads, flush_period_cycles=period)
@@ -659,18 +654,17 @@ def test_mitigation_report_rows(default_sweep):
 
 
 def test_synthetic_workload_interleaves_streams():
-    loads = synthetic_workload(n_loads=16, n_ips=8)
+    full = synthetic_workload()
+    loads = full[:16]
     ips = [ip for ip, _ in loads]
     assert ips[:8] == ips[8:]
     assert len(set(ips)) == 8
     first_ip, first_addr = loads[0]
     second_round_addr = loads[8][1]
     assert second_round_addr - first_addr == 448
-
-
-def test_synthetic_workload_guards_stream_overlap():
-    with pytest.raises(ValueError):
-        synthetic_workload(n_loads=10_000_000, spacing=1 << 20)
+    # each stream's last load lies below the next stream's first
+    assert len(full) == 144_000
+    assert all(full[-8 + k][1] < full[k + 1][1] for k in range(7))
 
 
 def test_load_trace_roundtrip(tmp_path):
@@ -700,7 +694,7 @@ def test_load_trace_reports_line_numbers(tmp_path):
 
 def test_trace_workload_feeds_mitigation_eval(tmp_path):
     lines = ["# synthetic"]
-    for ip, addr in synthetic_workload(n_loads=2_000):
+    for ip, addr in synthetic_workload()[:2_000]:
         lines.append(f"{ip:x},{addr:x},0")
     trace = tmp_path / "trace.txt"
     trace.write_text("\n".join(lines) + "\n")

@@ -168,6 +168,11 @@ def _names(tree):
     return names
 
 
+def _bench_trees():
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((SRC.parents[1] / "perfbench").glob("*.py"))]
+
+
 def _unreached_public_definitions():
     """``Class.method`` or ``function`` for each public definition in
     the package that no code in the package or the benchmark names.
@@ -178,8 +183,8 @@ def _unreached_public_definitions():
     for fname, tree in trees.items():
         if fname != "__init__.py":
             named |= _names(tree)
-    for path in sorted((SRC.parents[1] / "perfbench").glob("*.py")):
-        named |= _names(ast.parse(path.read_text(encoding="utf-8")))
+    for tree in _bench_trees():
+        named |= _names(tree)
     unreached = set()
     for tree in trees.values():
         scopes = [("", tree)] + [(node.name + ".", node)
@@ -199,3 +204,95 @@ def test_every_public_definition_is_reached():
     # a public function, class or method that only tests reach is dead
     # code
     assert _unreached_public_definitions() - _CALLED_BY_LIBRARY == set()
+
+
+#: defaulted parameters that no call in the package or the benchmark
+#: sets, each kept for a reason; the list may only shrink
+_UNSET_KEPT = {
+    # tests/test_uarch.py compares the TLB with a stamp-scan reference
+    # over drawn capacities, and a property strategy is never narrowed
+    "Tlb.__init__.capacity",
+    # the oracle's table-and-TLB stage (ROADMAP item 3, Stage A) draws
+    # streams with up to 256 tags through it
+    "generate_loads.n_tags",
+}
+
+
+def _defaults(fn):
+    """(name, default node) of each defaulted parameter, positional
+    ones first."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):],
+                     args.defaults))
+    pairs += [(arg, default)
+              for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+              if default is not None]
+    return [(arg.arg, default) for arg, default in pairs]
+
+
+def _equals_default(value, default):
+    """True when a call passes a literal equal to the default."""
+    try:
+        return ast.literal_eval(value) == ast.literal_eval(default)
+    except ValueError:
+        return False
+
+
+def _unset_defaults():
+    """``Class.method.param`` or ``function.param`` for each defaulted
+    parameter in the package that no call in the package or the
+    benchmark sets.  A call sets a parameter when it binds it, by
+    position or by keyword, to anything but a literal equal to its
+    default.  Calls match a definition by function name, by method
+    attribute, or by class name for ``__init__``; a ``*`` or ``**``
+    argument sets every parameter of what it matches, and a keyword at
+    a call that names no definition sets that parameter everywhere."""
+    definitions = collections.defaultdict(list)
+    for tree in _trees().values():
+        methods = {id(node): scope.name for scope in ast.walk(tree)
+                   if isinstance(scope, ast.ClassDef) for node in scope.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = methods.get(id(node))
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            params = [a.arg for a in node.args.posonlyargs + node.args.args]
+            bound_self = cls is not None and not static
+            entry = (f"{cls}.{node.name}" if cls else node.name,
+                     params[bound_self:], _defaults(node))
+            # ``super().__init__`` reaches a library class: an
+            # ``__init__`` matches only by its class's name
+            definitions[cls if node.name == "__init__" else node.name
+                        ].append(entry)
+    unset = {f"{where}.{name}" for entries in definitions.values()
+             for where, _params, defaults in entries
+             for name, _default in defaults}
+    calls = [node for tree in [*_trees().values(), *_bench_trees()]
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    for call in calls:
+        callee = (call.func.id if isinstance(call.func, ast.Name)
+                  else call.func.attr if isinstance(call.func, ast.Attribute)
+                  else None)
+        if callee not in definitions:
+            named = {kw.arg for kw in call.keywords}
+            unset = {p for p in unset if p.rsplit(".", 1)[1] not in named}
+            continue
+        spread = (any(isinstance(a, ast.Starred) for a in call.args)
+                  or any(kw.arg is None for kw in call.keywords))
+        for where, params, defaults in definitions[callee]:
+            default_of = dict(defaults)
+            bound = [*zip(params, call.args),
+                     *((kw.arg, kw.value) for kw in call.keywords)]
+            unset -= {f"{where}.{name}" for name, value in bound
+                      if name in default_of
+                      and not _equals_default(value, default_of[name])}
+            if spread:
+                unset -= {f"{where}.{name}" for name in default_of}
+    return unset
+
+
+def test_every_default_is_set_by_some_call():
+    # a default that no call overrides is a constant spelt as an option
+    assert _unset_defaults() == _UNSET_KEPT

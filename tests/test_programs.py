@@ -29,7 +29,8 @@ from afterimage.uarch import (
 def test_domain_translation_and_sharing():
     d = Domain("proc", phys_offset=0x100000000)
     assert d.translate(0x1234) == 0x100001234
-    d.map_shared(0x20000, 0x500000, n_pages=2)
+    d.map_shared(0x20000, 0x500000)
+    d.map_shared(0x21000, 0x501000)
     assert d.translate(0x20040) == 0x500040
     assert d.translate(0x21010) == 0x501010
     assert d.translate(0x22000) == 0x100022000  # past the shared window
@@ -53,7 +54,7 @@ def _run(m, domain, loads):
 
 def test_gadget_trains_both_entries():
     m = Machine()
-    prog = build_gadget(0xA0, 0xB4, 7, 13, iterations=3)
+    prog = build_gadget(0xA0, 0xB4, 7, 13)
     _run(m, Domain("a"), prog)
     t = m.table
     assert t.entry(t.lookup(0xA0)).confidence == 2
@@ -64,15 +65,17 @@ def test_gadget_trains_both_entries():
 
 def test_short_gadget_stays_below_trigger():
     m = Machine()
-    _run(m, Domain("a"), build_gadget(0xA0, 0xB4, 7, 13, iterations=2))
+    # two loads per IP: the first two of the gadget's three rounds
+    _run(m, Domain("a"), build_gadget(0xA0, 0xB4, 7, 13)[:4])
     t = m.table
     assert t.entry(t.lookup(0xA0)).confidence == 1
     assert t.entry(t.lookup(0xB4)).confidence == 1
 
 
 def test_ip_matching_groups_cover_tag_space():
-    groups = list(ip_matching_groups(20, 24))
+    groups = list(ip_matching_groups(11))
     assert len(groups) == 20
+    assert all(len(g) == 24 * 3 for g in groups)
     covered = {ip_tag(s.ip) for g in groups for s in g}
     assert covered == set(range(256))
     # each group's loads carry its own distinct tags, one page frame each
@@ -81,13 +84,13 @@ def test_ip_matching_groups_cover_tag_space():
     assert tags == set(range(24))
     frames = {s.vaddr >> 12 for s in g0}
     assert len(frames) == 24
-    # checked at the call, before any group is asked for
+    # the stride is checked at the call, before any group is asked for
     with pytest.raises(ValueError):
-        ip_matching_groups(10, 24)
+        ip_matching_groups(32)
 
 
 def test_group_training_triggers_matching_tag():
-    groups = list(ip_matching_groups(20, 24, stride_lines=11))
+    groups = list(ip_matching_groups(11))
     m = Machine()
     _run(m, Domain("u"), groups[3])
     tags = {ip_tag(s.ip) for s in groups[3]}
@@ -224,8 +227,11 @@ def test_placed_loads_run_as_their_unplaced_loads():
     # placing translates in the domain and keys the line as location does
     d = Domain("a", phys_offset=0x100000000)
     d.map_shared(0x20000, 0x500000)
-    prog = build_gadget(0xA0, 0xB4, 7, 13, array_if=0x1F000,
-                        array_else=0x20000)
+    # the if IP walks a private page, the else IP the shared one
+    prog = []
+    for i in range(3):
+        prog += [Load(ip_with_tag(0x400000, 0xA0), 0x1F000 + i * 7 * 64),
+                 Load(ip_with_tag(0x401000, 0xB4), 0x20000 + i * 13 * 64)]
     m = Machine()
     placed = m.place(d, prog)
     assert placed == [(s.ip, d.translate(s.vaddr),

@@ -4,13 +4,16 @@ The reference keeps one record per possible 8-bit tag in plain lists and
 follows the published update recipe line by line, with no table capacity,
 no replacement and no TLB.  It deliberately shares no code with the
 kernels module: the production path is checked against this transcription
-over randomized load streams, composing the page gate independently on
-this side.
+over randomized load streams, and the reference applies the page gate at
+each emission with its own arithmetic.
 
 Streams are built from short strided bursts so that training, retraining
-and saturation are all exercised.  They use at most 24 distinct tags,
-keeping the real table free of evictions, and run with translation
-disabled; capacity and TLB behaviour have their own tests.
+and saturation are all exercised.  They draw their tags from a pool as
+large as the real table, keeping it free of evictions, and run with
+translation disabled; capacity and TLB behaviour have their own tests.
+A stream is drawn, run through both routes and compared in chunks of
+about ``CHUNK_LOADS`` loads, each route keeping its state between
+chunks, so memory does not grow with the stream's length.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import compress
 
 from .kernels import run_table_batch
 from .uarch import PrefetchTable
@@ -26,6 +28,7 @@ from .uarch import PrefetchTable
 TAG_SPACE = 256
 PAGE_SHIFT = 12
 FIELD_LIMIT = 2047
+CHUNK_LOADS = 4096
 
 
 def run_reference_batch(in_tags, in_addrs, r_last, r_stride, r_conf, r_valid):
@@ -37,8 +40,9 @@ def run_reference_batch(in_tags, in_addrs, r_last, r_stride, r_conf, r_valid):
     restart learning (distance mismatch) or count up to saturation; with
     confidence < 2 a mismatch restarts learning and a match counts up,
     prefetching when confidence first reaches 2.  Stored strides saturate
-    at the 13-bit field limit.  Returns lists (emit, target, last, stride,
-    conf), one element per load.
+    at the 13-bit field limit.  A prefetch is dropped unless its target
+    lies in the load's page frame or the next one.  Returns lists (emit,
+    target, last, stride, conf), one element per load.
     """
     out_emit, out_target, out_last, out_stride, out_conf = [], [], [], [], []
     for t, a in zip(in_tags, in_addrs):
@@ -70,6 +74,12 @@ def run_reference_batch(in_tags, in_addrs, r_last, r_stride, r_conf, r_valid):
                         emitted = True
                         target = a + r_stride[t]
             r_last[t] = a
+            if emitted:
+                frame = a >> PAGE_SHIFT
+                target_frame = target >> PAGE_SHIFT
+                if target_frame != frame and target_frame != frame + 1:
+                    emitted = False
+                    target = 0
         else:
             r_valid[t] = True
             r_last[t] = a
@@ -100,10 +110,13 @@ class ReferenceModel:
 
 
 def generate_loads(rng: random.Random, n_loads: int,
-                   n_tags: int = 24) -> tuple[list[int], list[int]]:
-    """Random load stream: strided bursts with mixed stride regimes."""
+                   tag_pool: list[int]) -> tuple[list[int], list[int]]:
+    """Random loads: strided bursts with mixed stride regimes, each on a
+    tag from the pool.  Whole bursts are drawn until there are at least
+    ``n_loads`` loads, so successive calls on one rng continue one
+    stream."""
     rnd, bits = rng.random, rng.getrandbits
-    tag_pool = rng.sample(range(TAG_SPACE), n_tags)
+    n_tags = len(tag_pool)
     tags, addrs = [], []
     while len(tags) < n_loads:
         length = 1 + bits(3)
@@ -122,7 +135,6 @@ def generate_loads(rng: random.Random, n_loads: int,
         tags += [tag_pool[int(rnd() * n_tags)]] * length
         addrs += (range(base, base + length * stride, stride) if stride
                   else [base] * length)
-    del tags[n_loads:], addrs[n_loads:]
     return tags, addrs
 
 
@@ -159,36 +171,33 @@ def _final_state_mismatches(table: PrefetchTable, ref: ReferenceModel) -> int:
 
 def check_seed(seed: int, n_loads: int) -> tuple[int, int, str]:
     """Run one stream through both routes; returns (loads, mismatches, note)."""
-    tags, addrs = generate_loads(random.Random(seed), n_loads)
-    n = len(tags)
-
+    rng = random.Random(seed)
+    tag_pool = rng.sample(range(TAG_SPACE), PrefetchTable.SLOTS)
     table = PrefetchTable()
-    t_out = run_table_batch(tags, addrs, table.tags, table.last,
-                            table.stride, table.conf, table.mru, table.owner,
-                            None, 0)
-
     ref = ReferenceModel()
-    r_out = ref.replay(tags, addrs)
-    r_emit, r_target = r_out[0], r_out[1]
-
-    # page gate applied on this side with independent arithmetic
-    for k in compress(range(n), r_emit):
-        frame = addrs[k] >> PAGE_SHIFT
-        if r_target[k] >> PAGE_SHIFT not in (frame, frame + 1):
-            r_emit[k], r_target[k] = False, 0
-
-    # walk the steps only when the streams differ
-    diff = [] if t_out == r_out else [
-        k for k, (t, r) in enumerate(zip(zip(*t_out), zip(*r_out))) if t != r]
-    mism = len(diff) + _final_state_mismatches(table, ref)
-
+    done = mism = 0
     note = ""
-    if diff:
-        k = diff[0]
-        note = (f"seed {seed} step {k}: tag {tags[k]} addr {addrs[k]:#x} "
-                f"table=({t_out[0][k]},{t_out[1][k]}) "
-                f"ref=({r_emit[k]},{r_target[k]})")
-    return n, mism, note
+    while done < n_loads:
+        left = n_loads - done
+        tags, addrs = generate_loads(rng, min(CHUNK_LOADS, left), tag_pool)
+        del tags[left:], addrs[left:]
+        t_out = run_table_batch(tags, addrs, table.tags, table.last,
+                                table.stride, table.conf, table.mru,
+                                table.owner, None, 0)
+        r_out = ref.replay(tags, addrs)
+        # walk the steps only when the routes differ
+        if t_out != r_out:
+            diff = [k for k, (t, r)
+                    in enumerate(zip(zip(*t_out), zip(*r_out))) if t != r]
+            if not note:
+                k = diff[0]
+                note = (f"seed {seed} step {done + k}: tag {tags[k]} "
+                        f"addr {addrs[k]:#x} "
+                        f"table=({t_out[0][k]},{t_out[1][k]}) "
+                        f"ref=({r_out[0][k]},{r_out[1][k]})")
+            mism += len(diff)
+        done += len(tags)
+    return done, mism + _final_state_mismatches(table, ref), note
 
 
 def run_equivalence_check(n_loads: int = 100_000,

@@ -212,9 +212,6 @@ _UNSET_KEPT = {
     # tests/test_uarch.py compares the TLB with a stamp-scan reference
     # over drawn capacities, and a property strategy is never narrowed
     "Tlb.__init__.capacity",
-    # the oracle's table-and-TLB stage (ROADMAP item 3, Stage A) draws
-    # streams with up to 256 tags through it
-    "generate_loads.n_tags",
 }
 
 

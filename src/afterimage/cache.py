@@ -17,25 +17,30 @@ takes the byte address the prefetch table returned; the install
 bypasses latency accounting but is tagged so a later demand hit can be
 attributed to it.
 
-A line's placement is its ``(slice, set)`` key.  ``access`` places an
-address and hands it to ``access_line``, which holds the one LRU,
-install and prefetch-attribution rule.  ``page_keys`` places a whole
-page at once: one fold for the page's first line, XORed with a table
-of the folds of the line offsets 0..63 built once per cache from six
-folds, one per offset bit, by the same XOR-linearity.  That is exact
-only for a page-aligned first line: its six low bits are clear, so
-``first + i == first ^ i``, and the slice of line ``first + i`` is
-``slice(first) ^ slice(i)``.  A prefetch target is placed from the
-load that asked for it when the caller passes that load's key and line
-index: a target in the load's page has the load's slice XOR the folds
-of both lines' offsets, and the target's low bits as its set.  A
-target in the next page, or one whose load came unplaced, is placed by
+A line's placement is its key, one int: ``slice << set_bits | set``,
+the LLC's global set index, where ``set_bits`` is the log2 of the sets
+per slice.  Key 0 is slice 0, set 0, so a missing key is None and is
+tested with ``is None``.  The set bits are the index's low bits, so the
+key is XOR-linear too: the key of line ``a ^ b`` is the XOR of the keys
+of ``a`` and ``b``.  ``access`` places an address and hands it to
+``access_line``, which holds the one LRU, install and
+prefetch-attribution rule.  ``page_keys`` places a whole page at once:
+the key of the page's first line, XORed with a table of the keys of
+the line offsets 0..63 built once per cache from six keys, one per
+offset bit, by the same XOR-linearity.  That is exact only for a
+page-aligned first line: its six low bits are clear, so ``first + i ==
+first ^ i``.  A prefetch target is placed from the load that asked for
+it when the caller passes that load's key and line index: a target in
+the load's page differs from the load only in its offset bits, so its
+key is the load's XOR the table's key of the two lines' XOR.  A target
+in the next page, or one whose load came unplaced, is placed by
 ``location``.  ``flush_lines`` flushes a run of lines at the keys
 ``location`` or ``page_keys`` made for it.  Flush+reload places its
 page once per attack and hands each reload to one ``access_page(keys,
-first, order)`` call.  A line whose set is empty, the case a flushed
-page meets most, misses into it in one step; every other line goes to
-``access_line``.  Prime+probe places its eviction sets once and hands
+first, order)`` call, which returns the offsets whose access hit.  A
+line whose set is empty, the case a flushed page meets most, misses
+into it in one step; every other line goes to ``access_line``.
+Prime+probe places its eviction sets once and hands
 each pass over them to one ``walk_sets(keys, walks)`` call, which
 demand-accesses each walk's lines in order, walk after walk.  A walk
 onto an empty set fills it in one step.  When the set holds exactly
@@ -97,18 +102,20 @@ class CacheModel:
         if s:
             width += -width % s
         ones = ((1 << width) - 1) // ((1 << s) - 1) if s else 0
-        self._fold_masks = [(ones << j, 1 << j) for j in range(s)]
+        # a key holds the slice above the set index
+        set_bits = self.config.sets_per_slice.bit_length() - 1
+        self._fold_masks = [(ones << j, 1 << set_bits + j) for j in range(s)]
         self._fold_limit = 1 << width
         self._set_mask = self.config.sets_per_slice - 1
-        # slice of each line offset in a page, for page_keys: by
-        # XOR-linearity, the XOR of the slices of the offset's bits
-        page_slices = [0]
+        # key of each line offset in a page, for page_keys and the keyed
+        # install: by XOR-linearity, the XOR of the keys of its bits
+        offset_keys = [0]
         for b in range(PAGE_LINES.bit_length() - 1):
-            bit_slice = self._slice(1 << b)
-            page_slices += [h ^ bit_slice for h in page_slices]
-        self._page_slices = page_slices
-        # (slice, set) -> LRU-ordered line indices, most recent last
-        self.sets: dict[tuple[int, int], list[int]] = {}
+            bit_key = self._slice(1 << b) | (1 << b) & self._set_mask
+            offset_keys += [k ^ bit_key for k in offset_keys]
+        self._offset_keys = offset_keys
+        # key -> LRU-ordered line indices, most recent last
+        self.sets: dict[int, list[int]] = {}
         self._prefetched: set[int] = set()
         self.demand_accesses = 0
         self.demand_misses = 0
@@ -118,7 +125,8 @@ class CacheModel:
     # -- placement -------------------------------------------------------
 
     def _slice(self, li: int) -> int:
-        # each slice bit is the parity of li's bits under its mask
+        # each slice bit is the parity of li's bits under its mask; the
+        # slice comes back shifted above the set index
         limit = self._fold_limit
         while li >= limit:
             # the mask width is a multiple of the slice width, so the
@@ -130,19 +138,18 @@ class CacheModel:
                 h ^= bit
         return h
 
-    def location(self, paddr: int) -> tuple[int, int]:
+    def location(self, paddr: int) -> int:
         li = paddr >> LINE_SHIFT
-        return self._slice(li), li & self._set_mask
+        return self._slice(li) | li & self._set_mask
 
-    def page_keys(self, page_paddr: int) -> list[tuple[int, int]]:
+    def page_keys(self, page_paddr: int) -> list[int]:
         """The keys of the 64 lines of the page at ``page_paddr``, in
         line order, as ``location`` gives them."""
         if page_paddr % PAGE_BYTES:
             raise ValueError("page address must be page aligned")
         first = page_paddr >> LINE_SHIFT
-        high, set_mask = self._slice(first), self._set_mask
-        return [(high ^ s, line & set_mask) for line, s in
-                enumerate(self._page_slices, first)]
+        first_key = self._slice(first) | first & self._set_mask
+        return [first_key ^ k for k in self._offset_keys]
 
     # -- operations ------------------------------------------------------
 
@@ -150,7 +157,7 @@ class CacheModel:
         """Demand access; returns latency and installs the line on a miss."""
         return self.access_line(self.location(paddr), paddr >> LINE_SHIFT)
 
-    def access_line(self, key: tuple[int, int], li: int) -> int:
+    def access_line(self, key: int, li: int) -> int:
         """Demand access to line ``li`` placed at ``key``."""
         ways = self.sets.setdefault(key, [])
         self.demand_accesses += 1
@@ -165,28 +172,29 @@ class CacheModel:
         self._install(ways, li)
         return self.config.miss_latency
 
-    def access_page(self, keys: list[tuple[int, int]], first: int,
-                    order: list[int]) -> list[int]:
+    def access_page(self, keys: list[int], first: int,
+                    order: list[int]) -> set[int]:
         """Demand-access line ``first + i``, placed at ``keys[i]``, for
-        each ``i`` in ``order``; returns the latencies in that order."""
-        sets, miss = self.sets, self.config.miss_latency
-        times = []
+        each ``i`` in ``order``; returns the offsets ``i`` of the
+        accesses that hit."""
+        sets, hit = self.sets, self.config.hit_latency
+        access_line = self.access_line
+        hits = set()
         misses = 0
         for i in order:
-            key, li = keys[i], first + i
+            key = keys[i]
             ways = sets.get(key)
             if not ways:
                 # the line misses into a free way and evicts nothing
-                sets[key] = [li]
+                sets[key] = [first + i]
                 misses += 1
-                times.append(miss)
-            else:
-                times.append(self.access_line(key, li))
+            elif access_line(key, first + i) == hit:
+                hits.add(i)
         self.demand_accesses += misses
         self.demand_misses += misses
-        return times
+        return hits
 
-    def walk_sets(self, keys: list[tuple[int, int]],
+    def walk_sets(self, keys: list[int],
                   walks: list[list[int]]) -> list[int]:
         """Demand-access each walk's lines, all placed at its key, in
         order, walk after walk; returns each walk's summed latency."""
@@ -235,8 +243,7 @@ class CacheModel:
         self.demand_misses += misses
         return times
 
-    def install_prefetch(self, paddr: int,
-                         load_key: tuple[int, int] | None = None,
+    def install_prefetch(self, paddr: int, load_key: int | None = None,
                          load_li: int = 0) -> None:
         """Place a prefetched line without latency accounting.  A caller
         that has placed the load that asked for it, line ``load_li`` at
@@ -244,11 +251,9 @@ class CacheModel:
         placed from them without a fold of its own."""
         li = paddr >> LINE_SHIFT
         if load_key is not None and 0 <= li ^ load_li < PAGE_LINES:
-            # both lines share their page's fold, so their slices differ
-            # by the folds of their offsets in the page
-            page_slices = self._page_slices
-            key = (load_key[0] ^ page_slices[load_li % PAGE_LINES]
-                   ^ page_slices[li % PAGE_LINES], li & self._set_mask)
+            # the lines share their page, so they differ only in their
+            # offsets, and their keys by the key of the offsets' XOR
+            key = load_key ^ self._offset_keys[li ^ load_li]
         else:
             key = self.location(paddr)
         ways = self.sets.setdefault(key, [])
@@ -268,7 +273,7 @@ class CacheModel:
         """Flush the one line at ``paddr``."""
         self.flush_lines(paddr, [self.location(paddr)])
 
-    def flush_lines(self, paddr: int, keys: list[tuple[int, int]]) -> None:
+    def flush_lines(self, paddr: int, keys: list[int]) -> None:
         """Flush the ``len(keys)`` consecutive lines from ``paddr``'s line
         on, placed at ``keys`` as ``location`` or ``page_keys`` gives
         them."""
@@ -280,7 +285,7 @@ class CacheModel:
             prefetched.discard(line)
 
 
-def build_eviction_set(cache: CacheModel, key: tuple[int, int],
+def build_eviction_set(cache: CacheModel, key: int,
                        candidate_pool: Iterable[int]) -> list[int]:
     """Collect associativity-many distinct line indices that
     ``location`` places at ``key``."""
@@ -293,13 +298,14 @@ def build_eviction_set(cache: CacheModel, key: tuple[int, int],
         lines.append(li)
         if len(lines) == want:
             return lines
+    slice_index, set_index = divmod(key, cache.config.sets_per_slice)
     raise EvictionSetError(
         f"pool exhausted with {len(lines)}/{want} members for "
-        f"set {key[1]} slice {key[0]}")
+        f"set {set_index} slice {slice_index}")
 
 
 def page_eviction_sets(cache: CacheModel, page_paddr: int
-                       ) -> tuple[list[tuple[int, int]], list[list[int]]]:
+                       ) -> tuple[list[int], list[list[int]]]:
     """The keys of the lines of the page at ``page_paddr`` (page
     aligned), as ``page_keys`` gives them, and one eviction set per
     line, each drawn from the pool ``set_index + k * sets_per_slice``
@@ -318,7 +324,7 @@ def page_eviction_sets(cache: CacheModel, page_paddr: int
     keys = cache.page_keys(page_paddr)
     walks = []
     for own, key in enumerate(keys, page_paddr >> LINE_SHIFT):
-        high, set_index = own >> set_bits, key[1]
+        high, set_index = own >> set_bits, own & cache._set_mask
         highs = member_highs.get(high)
         if highs is None:
             pool = ((set_index | k << set_bits) * LINE_BYTES

@@ -104,7 +104,10 @@ def table_step(tag, paddr, tags, last, stride, conf, mru, owner, tlb,
             return False, 0, slot
 
     target = paddr + old
-    if 0 <= (target >> PAGE_SHIFT) - (paddr >> PAGE_SHIFT) <= 1:
+    # the stored stride saturates at +/-STRIDE_LIMIT, under a page, so
+    # the target is at most one frame from the load's: of the three
+    # frames it can reach, only the one below is dropped
+    if (target >> PAGE_SHIFT) >= (paddr >> PAGE_SHIFT):
         return True, target, slot
     return False, 0, slot
 

@@ -51,8 +51,9 @@ class Load:
 
 
 #: A load ready to run, as ``Machine.load`` takes it: its ip, physical
-#: address and cache key, or None for a key the access finds itself.
-Placed = tuple[int, int, tuple[int, int] | None]
+#: address and cache key (``CacheModel.location``'s int), or None for a
+#: key the access finds itself.
+Placed = tuple[int, int, int | None]
 
 
 class Domain:
@@ -115,7 +116,7 @@ class Machine:
     # -- the load path ---------------------------------------------------
 
     def load(self, ip: int, paddr: int,
-             key: tuple[int, int] | None = None) -> int:
+             key: int | None = None) -> int:
         """Run one demand load and return its latency.
 
         This is the one load path: the periodic flush clock, the table,
@@ -142,7 +143,7 @@ class Machine:
             self.prefetch_requests += 1
         return latency
 
-    def flush(self, paddr: int, keys: list[tuple[int, int]]) -> None:
+    def flush(self, paddr: int, keys: list[int]) -> None:
         """Flush the ``len(keys)`` consecutive lines from ``paddr``'s line
         on, all in its frame and placed at ``keys``, as
         ``CacheModel.flush_lines`` takes them; flushing needs the

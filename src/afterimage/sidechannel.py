@@ -47,7 +47,7 @@ class StatusProbe:
     stride: int
 
 
-def prime(cache: CacheModel, keys: list[tuple[int, int]],
+def prime(cache: CacheModel, keys: list[int],
           walks: list[list[int]]) -> list[int]:
     """Fill every eviction set, its members ``walks[i]`` placed at
     ``keys[i]``, then return its steady hit baseline time."""
@@ -55,7 +55,7 @@ def prime(cache: CacheModel, keys: list[tuple[int, int]],
     return cache.walk_sets(keys, walks)
 
 
-def probe(cache: CacheModel, keys: list[tuple[int, int]],
+def probe(cache: CacheModel, keys: list[int],
           reversed_walks: list[list[int]], baseline: list[int]) -> list[bool]:
     """Re-walk the sets, each in the reverse of its prime walk; a set is
     evicted iff |time - baseline| exceeds the cache's threshold.
@@ -78,13 +78,14 @@ _SHUFFLE_STEPS = tuple((i, i + 1, (i + 1).bit_length())
 
 
 def flush_reload(cache: CacheModel, page_base: int,
-                 keys: list[tuple[int, int]], rng: random.Random) -> set[int]:
+                 keys: list[int], rng: random.Random) -> set[int]:
     """Measure which lines of the page at ``page_base`` (page aligned),
     placed at ``keys`` as ``CacheModel.page_keys`` gives them, are
-    cached, in shuffled order; leaves all of them resident."""
+    cached, in shuffled order; leaves all of them resident.  Timing is
+    two-valued, so a reload under the threshold is exactly a hit, and
+    the lines that hit are the offsets ``access_page`` returns."""
     if page_base % PAGE_BYTES:
         raise ValueError("page address must be page aligned")
-    threshold = cache.config.threshold
     order = list(range(PAGE_LINES))
     getrandbits = rng.getrandbits
     for i, n, bits in _SHUFFLE_STEPS:
@@ -92,8 +93,7 @@ def flush_reload(cache: CacheModel, page_base: int,
         while j >= n:
             j = getrandbits(bits)
         order[i], order[j] = order[j], order[i]
-    times = cache.access_page(keys, page_base >> LINE_SHIFT, order)
-    return {i for i, t in zip(order, times) if t < threshold}
+    return cache.access_page(keys, page_base >> LINE_SHIFT, order)
 
 
 def detect_stride(observed, candidates: list[int]) -> StrideDetection:

@@ -15,16 +15,21 @@ from afterimage.cache import (
 from afterimage.uarch import LINE_BYTES, LINE_SHIFT, PAGE_BYTES, PAGE_LINES
 
 
-def same_set_addresses(cache, set_index, slice_index, n, start_line=0):
-    """First n line addresses mapping to the given (set, slice)."""
+def same_set_addresses(cache, key, n, start_line=0):
+    """First n line addresses that ``location`` places at ``key``."""
     out = []
     li = start_line
     while len(out) < n:
         addr = li * LINE_BYTES
-        if cache.location(addr) == (slice_index, set_index):
+        if cache.location(addr) == key:
             out.append(addr)
         li += 1
     return out
+
+
+def _placement(cache, paddr):
+    """(slice, set) of ``paddr``: its key is ``slice << set_bits | set``."""
+    return divmod(cache.location(paddr), cache.config.sets_per_slice)
 
 
 def test_config_validation():
@@ -54,8 +59,7 @@ def test_miss_then_hit_latencies():
 
 def test_lru_evicts_oldest_within_a_set():
     c = CacheModel()
-    target = c.location(0)
-    addrs = same_set_addresses(c, target[1], target[0], c.config.associativity + 1)
+    addrs = same_set_addresses(c, c.location(0), c.config.associativity + 1)
     for a in addrs[:-1]:
         c.access(a)
     c.access(addrs[0])  # refresh the oldest
@@ -119,12 +123,12 @@ def test_a_flushed_prefetch_earns_no_useful_hit():
 
 def test_single_slice_hash_is_constant():
     c = CacheModel(CacheConfig(slices=1))
-    assert all(c.location(a)[0] == 0 for a in range(0, 1 << 20, 4096))
+    assert all(_placement(c, a)[0] == 0 for a in range(0, 1 << 20, 4096))
 
 
 def test_slice_hash_spreads_and_is_deterministic():
     c = CacheModel()
-    seen = {c.location(a)[0] for a in range(0, 1 << 22, LINE_BYTES * 7)}
+    seen = {_placement(c, a)[0] for a in range(0, 1 << 22, LINE_BYTES * 7)}
     assert seen == {0, 1, 2, 3}
     c2 = CacheModel()
     for a in range(0, 1 << 20, 4096):
@@ -152,17 +156,19 @@ def test_slice_fold_matches_chunk_loop(slices, paddr):
     c = CacheModel(CacheConfig(slices=slices))
     bits = slices.bit_length() - 1
     want = chunk_fold(paddr >> 6, bits) if bits else 0
-    assert c.location(paddr) == (want, (paddr >> 6) % c.config.sets_per_slice)
+    assert _placement(c, paddr) == (want,
+                                    (paddr >> 6) % c.config.sets_per_slice)
 
 
 @given(slices=st.integers(0, 12).map(lambda e: 1 << e),
        a=st.integers(0, 1 << 200), b=st.integers(0, 1 << 200))
 @example(slices=8, a=(1 << 130) + 7 << 6, b=(1 << 61) + 1 << 6)
 def test_slice_fold_is_xor_linear(slices, a, b):
-    # eviction-set search derives one line's set from another's by this
+    # eviction-set search derives one line's set from another's by this,
+    # and the keyed prefetch install a line's key from its load's: the
+    # set bits are XOR-linear too, so the whole key is
     c = CacheModel(CacheConfig(slices=slices))
-    assert (c.location(a ^ b)[0]
-            == c.location(a)[0] ^ c.location(b)[0])
+    assert c.location(a ^ b) == c.location(a) ^ c.location(b)
 
 
 # slices 1..64, up to a slice chunk as wide as a page's line offset,
@@ -197,6 +203,19 @@ def test_page_keys_match_location(config, page):
 @example(config=CacheConfig(slices=8, sets_per_slice=4), page=7,
          prior=[("access", PAGE_LINES)], load=PAGE_LINES - 1,
          target=PAGE_LINES, offset=8)
+# a load keyed 0, slice 0 and set 0, which is a placement like any
+# other: line 0, line 10,240 of the default geometry (page 160), and
+# every line of a one-set cache
+@example(config=CacheConfig(slices=4, sets_per_slice=16), page=0,
+         prior=[("prefetch", 9)], load=0, target=9, offset=0)
+@example(config=CacheConfig(), page=160, prior=[("access", 30)], load=0,
+         target=30, offset=12)
+@example(config=CacheConfig(slices=1, sets_per_slice=1, associativity=4),
+         page=3, prior=[("access", 5), ("prefetch", 7)], load=20, target=41,
+         offset=4)
+@example(config=CacheConfig(slices=1, sets_per_slice=1, associativity=4),
+         page=3, prior=[], load=PAGE_LINES - 1, target=PAGE_LINES + 2,
+         offset=0)
 def test_keyed_prefetch_matches_placed_prefetch(config, page, prior, load,
                                                 target, offset):
     # prior traffic on the load's page, the next one and their edges,
@@ -216,6 +235,20 @@ def test_keyed_prefetch_matches_placed_prefetch(config, page, prior, load,
                        load_paddr >> LINE_SHIFT)
     ref.install_prefetch(target_paddr)
     assert _counters(c) == _counters(ref)
+
+
+@pytest.mark.parametrize("config, paddr", [
+    (CacheConfig(slices=4, sets_per_slice=16), 0),
+    (CacheConfig(), 160 * PAGE_BYTES + 12),
+    (CacheConfig(slices=1, sets_per_slice=1, associativity=4),
+     3 * PAGE_BYTES + 20 * LINE_BYTES + 4)])
+def test_key_zero_places_lines(config, paddr):
+    # the loads of the key-0 examples above: slice 0 and set 0 make key
+    # 0, and a page's keys hold it like any other
+    c = CacheModel(config)
+    assert c.location(paddr) == 0
+    page_paddr = paddr - paddr % PAGE_BYTES
+    assert c.page_keys(page_paddr)[paddr % PAGE_BYTES // LINE_BYTES] == 0
 
 
 @pytest.mark.parametrize("page_paddr", [LINE_BYTES, PAGE_BYTES + 8, -1])
@@ -275,8 +308,10 @@ def test_build_eviction_set():
 
 def test_eviction_set_pool_exhaustion():
     c = CacheModel()
-    with pytest.raises(EvictionSetError):
-        build_eviction_set(c, (0, 0), range(0, 1 << 14, LINE_BYTES))
+    # key 0 is set 0 of slice 0, where only line 0 of the pool lands
+    with pytest.raises(EvictionSetError,
+                       match="with 1/16 members for set 0 slice 0$"):
+        build_eviction_set(c, 0, range(0, 1 << 14, LINE_BYTES))
 
 
 def test_eviction_set_displaces_a_victim_line():
@@ -298,8 +333,7 @@ _TINY = CacheConfig(slices=2, sets_per_slice=4, associativity=4)
 
 
 def _pools(n_lines):
-    """Each _TINY (slice, set) key -> the lines below ``n_lines`` placed
-    there."""
+    """Each _TINY key -> the lines below ``n_lines`` placed there."""
     c = CacheModel(_TINY)
     pools = {}
     for li in range(n_lines):
@@ -431,6 +465,8 @@ def test_access_page_matches_per_line_access(prior, order):
                 c.access(m * LINE_BYTES)
     ref = copy.deepcopy(c)
     keys = c.page_keys(_RELOAD_FIRST * LINE_BYTES)
-    want = [ref.access_line(keys[i], _RELOAD_FIRST + i) for i in order]
+    threshold = ref.config.threshold
+    want = {i for i in order
+            if ref.access_line(keys[i], _RELOAD_FIRST + i) < threshold}
     assert c.access_page(keys, _RELOAD_FIRST, list(order)) == want
     assert _counters(c) == _counters(ref)

@@ -222,8 +222,9 @@ def _sets_per_line(cache, page_paddr):
     for line in range(PAGE_LINES):
         own = (page_paddr >> LINE_SHIFT) + line
         key = cache.location(own << LINE_SHIFT)
-        pool = ((key[1] + k * sets) * LINE_BYTES for k in range(1, 4096)
-                if key[1] + k * sets != own)
+        set_index = key % sets
+        pool = ((set_index + k * sets) * LINE_BYTES for k in range(1, 4096)
+                if set_index + k * sets != own)
         keys.append(key)
         walks.append(build_eviction_set(cache, key, pool))
     return keys, walks

@@ -1,7 +1,8 @@
 """Package hygiene: every public name resolves, no module imports a name
 it never uses, no private definition or attribute goes unread, no public
-definition is reached only by tests, and no module touches another
-module's private names.  A dependency-free stand-in for a linter."""
+definition is reached only by tests, no module touches another module's
+private names, and no cache key is tested for truth.  A dependency-free
+stand-in for a linter."""
 
 import ast
 import collections
@@ -135,6 +136,36 @@ def test_no_module_reaches_into_another_modules_private_names():
                     leaks.append(f"{fname}:{line}: {name} "
                                  f"({', '.join(owners)})")
     assert leaks == []
+
+
+def _truth_tested(tree):
+    """Every expression whose truth value a tree takes: a test of
+    ``if``, ``while``, a conditional expression, ``assert`` or a
+    comprehension, the operand of ``not`` and each operand of ``and``
+    and ``or``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+            yield node.test
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            yield node.operand
+        elif isinstance(node, ast.BoolOp):
+            yield from node.values
+        elif isinstance(node, ast.comprehension):
+            yield from node.ifs
+
+
+def test_no_cache_key_is_tested_for_truth():
+    # a key is slice << set_bits | set, so key 0 (slice 0, set 0) is a
+    # real placement that reads false: a missing key is tested with
+    # ``is None`` or ``is not None``
+    tested = [f"{fname}:{node.lineno}: {name}"
+              for fname, tree in _trees().items()
+              for node in _truth_tested(tree)
+              for name in [node.id if isinstance(node, ast.Name)
+                           else node.attr if isinstance(node, ast.Attribute)
+                           else ""]
+              if name.endswith("key")]
+    assert tested == []
 
 
 #: the argparse hook that the standard library calls by name

@@ -244,6 +244,26 @@ def test_placed_loads_run_as_their_unplaced_loads():
     assert vars(m.table) == vars(ref.table)
 
 
+@pytest.mark.parametrize("config", [
+    CacheConfig(), CacheConfig(slices=1, sets_per_slice=1, associativity=4)])
+def test_a_load_keyed_zero_runs_as_its_unkeyed_load(config):
+    # key 0 is slice 0 and set 0, a placement like any other: the load
+    # is not placed again, and the prefetch it triggers in its page is
+    # placed from that key.  A one-set cache keys every line 0
+    m, ref = Machine(config), Machine(config)
+    paddr = next(a for a in range(PAGE_BYTES, 1 << 32, PAGE_BYTES)
+                 if m.cache.location(a) == 0)
+    stride = 7 * LINE_BYTES
+    # one load warms the key-0 line's frame, then a stride trains into
+    # that line and triggers from it
+    loads = [(ip_with_tag(0x401000, 0x11), paddr + 32 * LINE_BYTES)] + [
+        (ip_with_tag(0x400000, 0x3A), paddr + k * stride) for k in (-2, -1, 0)]
+    for ip, addr in loads:
+        assert m.load(ip, addr, m.cache.location(addr)) == ref.load(ip, addr)
+    assert m.prefetch_requests == ref.prefetch_requests == 1
+    assert _machine_state(m) == _machine_state(ref)
+
+
 def test_unknown_step_is_rejected():
     # run_program takes placed loads only
     with pytest.raises(TypeError):

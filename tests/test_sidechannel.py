@@ -38,11 +38,12 @@ def build_page_sets(cache, page_base, n_lines=16):
     """The keys of the page's first ``n_lines`` lines and one eviction
     set per line, drawn from the lines in [2**24, 2**27) that share its
     set bits."""
-    step = cache.config.sets_per_slice * LINE_BYTES
+    sets = cache.config.sets_per_slice
     keys = [cache.location(page_base + i * LINE_BYTES)
             for i in range(n_lines)]
     return keys, [build_eviction_set(
-        cache, key, range((1 << 24) + key[1] * LINE_BYTES, 1 << 27, step))
+        cache, key, range((1 << 24) + key % sets * LINE_BYTES, 1 << 27,
+                          sets * LINE_BYTES))
         for key in keys]
 
 

@@ -5,7 +5,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afterimage.kernels import STRIDE_LIMIT
@@ -140,6 +140,23 @@ def test_forward_target_may_enter_next_frame():
     target = base + 3 * 448  # 2800 + 1344 = 4144, one frame up
     assert targets == [target]
     assert page_frame(target) == page_frame(PAGE) + 1
+
+
+@given(paddr=st.integers(2 * STRIDE_LIMIT, 1 << 52),
+       stride=st.integers(-STRIDE_LIMIT, STRIDE_LIMIT))
+@example(paddr=PAGE + PAGE_BYTES - 1, stride=STRIDE_LIMIT)
+@example(paddr=PAGE, stride=-STRIDE_LIMIT)
+@example(paddr=PAGE + STRIDE_LIMIT, stride=-STRIDE_LIMIT)
+def test_a_trained_stride_targets_at_most_one_frame_away(paddr, stride):
+    # any stride the field holds reaches the load's frame or one either
+    # side, never two away; the gate emits the load's frame and the
+    # next one and drops the one below
+    t = PrefetchTable()
+    emitted = train(t, 0x4010A0, paddr - 2 * stride, stride, 3)
+    target = paddr + stride
+    step = page_frame(target) - page_frame(paddr)
+    assert step in (-1, 0, 1)
+    assert emitted == ([] if step < 0 else [target])
 
 
 def test_new_frame_with_cold_tlb_needs_two_accesses():

@@ -49,7 +49,9 @@ MAX_ATTACK_ROUNDS = 1_000_000  # the report keeps a row per round
 MAX_ORACLE_LOADS = 1_000_000  # bounds run time: --loads may be up to 2**80
 MAX_ORACLE_SEQUENCES = 100_000  # the report keeps a row per sequence
 
-_REVENG = ("indexing", "confstride", "page", "entries", "replacement")
+_REVENG = {"indexing": rev_indexing, "confstride": rev_conf_stride,
+           "page": rev_page, "entries": rev_entries,
+           "replacement": rev_replacement}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,23 +166,6 @@ def emit_csv(path: str | Path, rows: list[dict], config: dict,
 # --------------------------------------------------------------------------
 
 
-def _reveng_runs(name, seed, cache_config):
-    """The runs of one reveng bench, as (row prefix, problem prefix,
-    result) each."""
-    if name == "confstride":
-        return [({"mode": mode}, f"{mode}: ",
-                 rev_conf_stride(offset_mode=mode, seed=seed,
-                                 cache_config=cache_config))
-                for mode in ("random", "equals_st2")]
-    if name == "entries":
-        return [({"n_ips": n_ips}, f"{n_ips} streams: ",
-                 rev_entries(n_ips, cache_config=cache_config))
-                for n_ips in (24, 26, 30)]
-    bench = {"indexing": rev_indexing, "page": rev_page,
-             "replacement": rev_replacement}[name]
-    return [({}, "", bench(cache_config=cache_config))]
-
-
 def _cmd_reveng(args) -> int:
     cache_config = _cache_config(args)
     args.seed = _seed(args)
@@ -189,14 +174,12 @@ def _cmd_reveng(args) -> int:
     names = _REVENG if args.which == "all" else [args.which]
     problems = []
     for name in names:
-        rows = []
-        for row_prefix, problem_prefix, result in _reveng_runs(
-                name, args.seed, cache_config):
-            rows += [{**row_prefix, **row} for row in result.rows()]
-            problems += [f"{name}: {problem_prefix}{problem}"
-                         for problem in result.verify()]
+        # confstride draws its random jump from the run seed
+        seeded = {"seed": args.seed} if name == "confstride" else {}
+        result = _REVENG[name](cache_config=cache_config, **seeded)
+        problems += [f"{name}: {problem}" for problem in result.problems]
         echo = {**_echo(args, "which", "out_dir"), "experiment": name}
-        emit_csv(out_dir / f"reveng_{name}.csv", rows, echo)
+        emit_csv(out_dir / f"reveng_{name}.csv", result.rows, echo)
     if problems:
         for problem in problems:
             print(f"verification mismatch: {problem}", file=sys.stderr)

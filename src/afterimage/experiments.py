@@ -4,9 +4,10 @@ The ``rev_*`` functions re-run the microbenchmarks that pinned down the
 stride prefetcher's behaviour: which IP bits select a table entry, how
 the confidence counter gates triggering, what happens at page
 boundaries, how many entries the table holds and which ones get
-replaced.  Each returns a small result object whose ``verify`` method
-diffs the measured verdicts against the documented behaviour, so the
-CLI can self-check.
+replaced.  Each makes every run that ``reveng`` makes of it and returns
+a ``BenchResult``: the CSV rows, and one problem line per verdict that
+differs from the documented behaviour, built in the loop that measures
+it, so the CLI can self-check.
 
 ``run_attack`` drives the three covert/side-channel variants end to
 end.  They are one attack in three scenarios: a shared-address-space
@@ -148,6 +149,15 @@ def _apply_page_noise(cache: CacheModel, noise: NoiseModel,
 # --------------------------------------------------------------------------
 
 
+@dataclass
+class BenchResult:
+    """One reveng bench: its CSV rows, and one line per verdict that
+    differs from the documented behaviour (none when all match)."""
+
+    rows: list[dict]
+    problems: list[str]
+
+
 def _is_hot(cache: CacheModel, paddr: int) -> bool:
     """Time one access: True when the line was already cached."""
     return cache.access(paddr) < cache.config.threshold
@@ -158,30 +168,9 @@ def _is_hot(cache: CacheModel, paddr: int) -> bool:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class IndexingResult:
-    """Which of the 256 probe IPs reused the trained entry."""
-
-    trained_tag: int
-    triggered: list[bool]
-
-    def verify(self) -> list[str]:
-        problems = []
-        for off, hit in enumerate(self.triggered):
-            want = off == self.trained_tag
-            if hit != want:
-                problems.append(
-                    f"ip low byte 0x{off:02x}: triggered={hit}, expected {want}")
-        return problems
-
-    def rows(self) -> list[dict]:
-        return [{"offset": off, "triggered": int(hit)}
-                for off, hit in enumerate(self.triggered)]
-
-
-def rev_indexing(cache_config=None) -> IndexingResult:
+def rev_indexing(cache_config=None) -> BenchResult:
     """Train one entry with IP tag 0x2C, then replay from 256
-    differently-tagged IPs.
+    differently-tagged IPs, one fresh run and one row per low byte.
 
     The probe IP differs from the training IP in its page bits and in
     bit 9, keeping only a chosen low byte.  A probe that stale-triggers
@@ -195,17 +184,22 @@ def rev_indexing(cache_config=None) -> IndexingResult:
     train_ip = ip_with_tag(0x400000, trained_tag)
     # several pages away and bit 9 flipped: matches nothing but the low byte
     replay_base = (0x400000 + 0x2000) ^ 0x200
-    triggered = []
-    for offset in range(256):
+    rows, problems = [], []
+    for off in range(256):
         bench = Machine(cache_config=cache_config)
         # buffer initialisation installs the translations, not the table
         bench.tlb.access(page_frame(train_page))
         bench.tlb.access(page_frame(replay_page))
         for i in range(4):
             bench.load(train_ip, train_page + i * sb)
-        bench.load(ip_with_tag(replay_base, offset), replay_page)
-        triggered.append(_is_hot(bench.cache, replay_page + sb))
-    return IndexingResult(trained_tag, triggered)
+        bench.load(ip_with_tag(replay_base, off), replay_page)
+        hit = _is_hot(bench.cache, replay_page + sb)
+        rows.append({"offset": off, "triggered": int(hit)})
+        want = off == trained_tag
+        if hit != want:
+            problems.append(
+                f"ip low byte 0x{off:02x}: triggered={hit}, expected {want}")
+    return BenchResult(rows, problems)
 
 
 # --------------------------------------------------------------------------
@@ -213,136 +207,67 @@ def rev_indexing(cache_config=None) -> IndexingResult:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class ConfStrideResult:
-    """Per-iteration fetch labels after switching the access stride."""
-
-    labels: list[int | None]
-    log: list[dict]
-    expected: list[int | None]
-
-    def verify(self) -> list[str]:
-        problems = []
-        for i, (got, want) in enumerate(zip(self.labels, self.expected)):
-            if got != want:
-                problems.append(
-                    f"iteration {i}: fetched {got}, expected {want}")
-        return problems
-
-    def rows(self) -> list[dict]:
-        return [dict(row) for row in self.log]
-
-
-def rev_conf_stride(offset_mode: str = "random", seed: int = 0,
-                    cache_config=None) -> ConfStrideResult:
+def rev_conf_stride(seed: int, cache_config=None) -> BenchResult:
     """Train a stride, switch to another, and watch what gets fetched.
 
     Phase one walks 4 loads at stride ``st1`` = 7 lines; phase two
-    walks 3 loads at stride ``st2`` = 5, starting either exactly one
-    ``st2`` step past the last phase-one load (``offset_mode="equals_st2"``)
-    or at a random jump (``"random"``).  After every phase-two load the
-    lines one ``st1`` and one ``st2`` ahead are timed; the label is the
-    stride whose line came in.  A confident entry fetches with its old
-    stride once before relearning, so the first phase-two load is
-    labelled 7; afterwards the counter has to climb back past the
-    trigger threshold before stride-5 fetches appear: the labels are
-    7, 5, 5 after a step of 5 and 7, none, 5 after a random jump.  The
-    farthest line timed starts at byte 3,648, inside the page.
+    walks 3 loads at stride ``st2`` = 5.  The bench makes two runs, in
+    this order: ``random`` starts phase two at a jump drawn from a
+    fresh ``random.Random(seed)``, and ``equals_st2`` exactly one
+    ``st2`` step past the last phase-one load.  After every phase-two
+    load the lines one ``st1`` and one ``st2`` ahead are timed; the
+    label is the stride whose line came in.  A confident entry fetches
+    with its old stride once before relearning, so the first phase-two
+    load is labelled 7; afterwards the counter has to climb back past
+    the trigger threshold before stride-5 fetches appear: the labels
+    are 7, none, 5 after a random jump and 7, 5, 5 after a step of 5.
+    The farthest line timed starts at byte 3,648, inside the page.
+    Each row and problem names its run's mode.
     """
-    if offset_mode not in ("random", "equals_st2"):
-        raise ValueError(f"unknown offset_mode {offset_mode!r}")
-    st1, st2, tr1, tr2 = 7, 5, 4, 3
+    st1, st2, tr1 = 7, 5, 4
     sb1 = stride_bytes(st1)
     sb2 = stride_bytes(st2)
     page = 0x200000
     ip = ip_with_tag(0x400000, 0x51)
-    rng = random.Random(seed)
-
-    bench = Machine(cache_config=cache_config)
-    bench.tlb.access(page_frame(page))
     last = page + (tr1 - 1) * sb1
-    for i in range(tr1):
-        bench.load(ip, page + i * sb1)
-    if offset_mode == "equals_st2":
-        start = last + sb2
-    else:
-        # land well clear of the phase-one footprint, on neither stride
-        start = last + rng.choice(range(8, 20)) * LINE_BYTES
-
-    labels: list[int | None] = []
-    log = []
-    for i in range(tr2):
-        addr = start + i * sb2
-        bench.load(ip, addr)
-        hot1 = _is_hot(bench.cache, addr + sb1)
-        hot2 = _is_hot(bench.cache, addr + sb2)
-        if hot1 and not hot2:
-            label = st1
-        elif hot2 and not hot1:
-            label = st2
+    rows, problems = [], []
+    for mode, expected in (("random", [st1, None, st2]),
+                           ("equals_st2", [st1, st2, st2])):
+        bench = Machine(cache_config=cache_config)
+        bench.tlb.access(page_frame(page))
+        for i in range(tr1):
+            bench.load(ip, page + i * sb1)
+        if mode == "equals_st2":
+            start = last + sb2
         else:
-            label = None
-        labels.append(label)
-        log.append({"iteration": i, f"st1_{st1}_hot": int(hot1),
-                    f"st2_{st2}_hot": int(hot2),
-                    "label": "" if label is None else label})
-
-    expected = [st1, st2 if offset_mode == "equals_st2" else None, st2]
-    return ConfStrideResult(labels, log, expected)
+            # land well clear of the phase-one footprint, on neither stride
+            jump = random.Random(seed).choice(range(8, 20))
+            start = last + jump * LINE_BYTES
+        # one phase-two load per expected label
+        for i, want in enumerate(expected):
+            addr = start + i * sb2
+            bench.load(ip, addr)
+            hot1 = _is_hot(bench.cache, addr + sb1)
+            hot2 = _is_hot(bench.cache, addr + sb2)
+            if hot1 and not hot2:
+                label = st1
+            elif hot2 and not hot1:
+                label = st2
+            else:
+                label = None
+            rows.append({"mode": mode, "iteration": i,
+                         f"st1_{st1}_hot": int(hot1),
+                         f"st2_{st2}_hot": int(hot2),
+                         "label": "" if label is None else label})
+            if label != want:
+                problems.append(
+                    f"{mode}: iteration {i}: fetched {label}, expected {want}")
+    return BenchResult(rows, problems)
 
 
 # --------------------------------------------------------------------------
 # page boundaries: reclaimed frames vs fresh frames
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class PageResult:
-    """Whether a trained entry still fetched N pages past its training.
-
-    ``verdicts`` maps (pool, offset_pages) to the timing verdict.  The
-    reclaimed pool maps every virtual page onto one recycled physical
-    frame, so the walk never really leaves it; the locked pool hands
-    out fresh frames, where only the immediately next page — whose
-    translation the hardware pre-walks — still fetches.
-    ``cold_next_page`` holds the two verdicts of the next-page trial
-    when that translation starts cold: the first access only installs
-    it, the second one fetches.
-    """
-
-    verdicts: dict[tuple[str, int], bool]
-    cold_next_page: tuple[bool, bool]
-
-    @staticmethod
-    def _warm(pool: str, off: int) -> bool:
-        """The documented rule: a trial's translation is warm, and so
-        its prefetch fetches, on a reclaimed frame or the next page."""
-        return pool == "reclaimed" or off == 1
-
-    def verify(self) -> list[str]:
-        problems = []
-        for (pool, off), got in sorted(self.verdicts.items()):
-            want = self._warm(pool, off)
-            if got != want:
-                problems.append(
-                    f"{pool} pool, {off} page(s) ahead: "
-                    f"triggered={got}, expected {want}")
-        if self.cold_next_page != (False, True):
-            problems.append(
-                "cold next-page trial: expected (first=False, second=True), "
-                f"got {self.cold_next_page}")
-        return problems
-
-    def rows(self) -> list[dict]:
-        out = []
-        for (pool, off), got in sorted(self.verdicts.items()):
-            out.append({"pool": pool, "offset_pages": off,
-                        "tlb": "warm" if self._warm(pool, off) else "cold",
-                        "access": 1, "triggered": int(got)})
-        for i, got in enumerate(self.cold_next_page):
-            out.append({"pool": "locked", "offset_pages": 1, "tlb": "cold",
-                        "access": i + 1, "triggered": int(got)})
-        return out
 
 
 def _page_trial(pool: str, offset_pages: int, *, cold: bool = False,
@@ -351,15 +276,11 @@ def _page_trial(pool: str, offset_pages: int, *, cold: bool = False,
     ``cold`` trial skips the next frame's pre-walk and times two accesses."""
     sb = stride_bytes(7)
     vbase = 0x300000
+    dom = Domain("bench")
     if pool == "reclaimed":
         # every virtual page of the walk recycles the same physical frame
-        frame0 = page_frame(0x5FA000)
-        fmap = {page_frame(vbase) + i: frame0 for i in range(5)}
-        dom = Domain("bench", frame_map=fmap)
-    elif pool == "locked":
-        dom = Domain("bench")
-    else:
-        raise ValueError(f"unknown pool {pool!r}")
+        for i in range(5):
+            dom.map_shared(vbase + i * PAGE_BYTES, 0x5FA000)
     bench = Machine(cache_config=cache_config)
     ip = ip_with_tag(0x400000, 0x9D)
     bench.tlb.access(page_frame(dom.translate(vbase)))
@@ -382,45 +303,47 @@ def _page_trial(pool: str, offset_pages: int, *, cold: bool = False,
     return flags
 
 
-def rev_page(cache_config=None) -> PageResult:
-    """Probe a trained entry one to four pages past its training walk."""
-    verdicts = {}
-    for pool in ("reclaimed", "locked"):
+def rev_page(cache_config=None) -> BenchResult:
+    """Probe a trained entry one to four pages past its training walk.
+
+    The bench runs nine trials, each on a fresh machine, and writes ten
+    rows in this order: the locked pool 1 to 4 pages ahead, the
+    reclaimed pool 1 to 4 pages ahead, then the two accesses of a cold
+    next-page trial.  The reclaimed pool maps every virtual page onto one
+    recycled physical frame, so the walk never really leaves it; the
+    locked pool hands out fresh frames, where only the immediately next
+    page — whose translation the hardware pre-walks — still fetches.
+    When that next page's translation starts cold, the first access
+    only installs it and the second one fetches.
+    """
+    rows, problems = [], []
+    for pool in ("locked", "reclaimed"):
         for off in (1, 2, 3, 4):
-            verdicts[(pool, off)] = _page_trial(
-                pool, off, cache_config=cache_config)[0]
+            # the documented rule: a trial's translation is warm, and so
+            # its prefetch fetches, on a reclaimed frame or the next page
+            warm = pool == "reclaimed" or off == 1
+            got = _page_trial(pool, off, cache_config=cache_config)[0]
+            rows.append({"pool": pool, "offset_pages": off,
+                         "tlb": "warm" if warm else "cold",
+                         "access": 1, "triggered": int(got)})
+            if got != warm:
+                problems.append(f"{pool} pool, {off} page(s) ahead: "
+                                f"triggered={got}, expected {warm}")
     cold = tuple(_page_trial("locked", 1, cold=True,
                              cache_config=cache_config))
-    return PageResult(verdicts, cold)
+    for i, got in enumerate(cold):
+        rows.append({"pool": "locked", "offset_pages": 1, "tlb": "cold",
+                     "access": i + 1, "triggered": int(got)})
+    if cold != (False, True):
+        problems.append(
+            "cold next-page trial: expected (first=False, second=True), "
+            f"got {cold}")
+    return BenchResult(rows, problems)
 
 
 # --------------------------------------------------------------------------
 # table capacity and replacement order
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class SurvivalResult:
-    """Which trained streams still fetched on replay, by position.
-
-    ``expected_dead`` lists the positions the documented table drops.
-    """
-
-    alive: list[bool]
-    expected_dead: list[int]
-
-    def dead_positions(self) -> list[int]:
-        return [i + 1 for i, ok in enumerate(self.alive) if not ok]
-
-    def verify(self) -> list[str]:
-        got = self.dead_positions()
-        if got == self.expected_dead:
-            return []
-        return [f"dead positions {got}, expected {self.expected_dead}"]
-
-    def rows(self) -> list[dict]:
-        return [{"position": i + 1, "alive": int(ok)}
-                for i, ok in enumerate(self.alive)]
 
 
 def _survivors(n_streams: int, n_retrain: int = 0, n_new: int = 0,
@@ -456,29 +379,48 @@ def _survivors(n_streams: int, n_retrain: int = 0, n_new: int = 0,
     return alive
 
 
-def rev_entries(n_ips: int, cache_config=None) -> SurvivalResult:
-    """Train ``n_ips`` streams in order, then replay each one once.
+def _survival(alive: list[bool], expected_dead: list[int]) -> BenchResult:
+    """One row per trained stream, by position, and one problem line
+    when the dead positions differ from ``expected_dead``, the
+    positions the documented table drops."""
+    rows = [{"position": i + 1, "alive": int(ok)}
+            for i, ok in enumerate(alive)]
+    dead = [row["position"] for row in rows if not row["alive"]]
+    if dead == expected_dead:
+        return BenchResult(rows, [])
+    return BenchResult(rows,
+                       [f"dead positions {dead}, expected {expected_dead}"])
+
+
+def rev_entries(cache_config=None) -> BenchResult:
+    """Train 24, then 26, then 30 streams in order, and replay each one
+    once on a fresh machine; each row and problem names its
+    configuration's stream count.
 
     Training more streams than the table holds silently drops the
     oldest.
     """
-    if not 1 <= n_ips <= 48:
-        raise ValueError("n_ips must be between 1 and 48")
-    return SurvivalResult(_survivors(n_ips, cache_config=cache_config),
-                          list(range(1, n_ips - 23)))
+    rows, problems = [], []
+    for n_ips in (24, 26, 30):
+        run = _survival(_survivors(n_ips, cache_config=cache_config),
+                        list(range(1, n_ips - 23)))
+        rows += [{"n_ips": n_ips, **row} for row in run.rows]
+        problems += [f"{n_ips} streams: {problem}" for problem in run.problems]
+    return BenchResult(rows, problems)
 
 
-def rev_replacement(cache_config=None) -> SurvivalResult:
+def rev_replacement(cache_config=None) -> BenchResult:
     """Fill the table, refresh a prefix, then push in new streams.
 
     Trains 24 streams (filling the table), re-touches the first 8 of
     them, trains 8 fresh streams, and replays every original to see
-    which survived.  The victims, streams 9 to 16, come right after the
-    refreshed prefix: the single-bit recency scheme evicts the
-    lowest-numbered entry whose bit is clear, not the globally oldest.
+    which survived: one configuration, with one row per original
+    stream, each replayed on a fresh machine.  The victims, streams 9
+    to 16, come right after the refreshed prefix: the single-bit
+    recency scheme evicts the lowest-numbered entry whose bit is clear,
+    not the globally oldest.
     """
-    return SurvivalResult(_survivors(24, 8, 8, cache_config),
-                          list(range(9, 17)))
+    return _survival(_survivors(24, 8, 8, cache_config), list(range(9, 17)))
 
 
 # --------------------------------------------------------------------------

@@ -59,13 +59,12 @@ Placed = tuple[int, int, int | None]
 class Domain:
     """Protection context with its own virtual-to-physical mapping."""
 
-    def __init__(self, name: str, phys_offset: int = 0,
-                 frame_map: dict[int, int] | None = None):
+    def __init__(self, name: str, phys_offset: int = 0):
         if phys_offset % PAGE_BYTES:
             raise ValueError("phys_offset must be page aligned")
         self.name = name
         self.phys_offset = phys_offset
-        self.frame_map = dict(frame_map or {})
+        self.frame_map: dict[int, int] = {}
 
     def map_shared(self, vaddr: int, paddr: int) -> None:
         """Alias the page at vaddr onto the physical page at paddr."""

@@ -101,37 +101,48 @@ def test_01_table_matches_literal_update_recipe():
                   f"{reference_s:.2f} reference s)")
 
 
+def _dead(rows):
+    return [row["position"] for row in rows if not row["alive"]]
+
+
 def test_02_indexing_uses_exactly_the_low_eight_ip_bits():
     result = rev_indexing()
-    offsets = [off for off, hit in enumerate(result.triggered) if hit]
-    ok = offsets == [0x2C] and not result.verify()
+    offsets = [row["offset"] for row in result.rows if row["triggered"]]
+    ok = offsets == [0x2C] and not result.problems
     _check(2, ok, f"256 IP variants, triggering set {offsets} "
                   f"(trained low byte 0x2c)")
 
 
 def test_03_confidence_threshold_and_stride_retraining():
-    rand = rev_conf_stride(offset_mode="random")
-    same = rev_conf_stride(offset_mode="equals_st2")
-    ok = (rand.labels == [7, None, 5] and same.labels == [7, 5, 5]
-          and not rand.verify() and not same.verify())
-    _check(3, ok, f"random offset -> {rand.labels}, "
-                  f"offset=st2 -> {same.labels}")
+    result = rev_conf_stride(0)
+    labels = {mode: [None if row["label"] == "" else row["label"]
+                     for row in result.rows if row["mode"] == mode]
+              for mode in ("random", "equals_st2")}
+    ok = (labels["random"] == [7, None, 5]
+          and labels["equals_st2"] == [7, 5, 5] and not result.problems)
+    _check(3, ok, f"random offset -> {labels['random']}, "
+                  f"offset=st2 -> {labels['equals_st2']}")
 
 
 def test_04_page_boundary_and_translation_rules():
     result = rev_page()
+    # the first eight rows are the one-access pool/offset cells
+    verdicts = {(row["pool"], row["offset_pages"]): bool(row["triggered"])
+                for row in result.rows[:8]}
+    cold = tuple(bool(row["triggered"]) for row in result.rows[8:])
     expect = {("reclaimed", off): True for off in (1, 2, 3, 4)}
     expect.update({("locked", 1): True, ("locked", 2): False,
                    ("locked", 3): False, ("locked", 4): False})
-    ok = (result.verdicts == expect
-          and result.cold_next_page == (False, True)
-          and not result.verify())
+    ok = (verdicts == expect and cold == (False, True)
+          and not result.problems)
     _check(4, ok, f"8 pool/offset cells match, double-access cold trial "
-                  f"{result.cold_next_page}")
+                  f"{cold}")
 
 
 def test_05_table_holds_twenty_four_streams():
-    dead = {n: rev_entries(n).dead_positions() for n in (24, 26, 30)}
+    rows = rev_entries().rows
+    dead = {n: _dead(row for row in rows if row["n_ips"] == n)
+            for n in (24, 26, 30)}
     ok = (dead[24] == [] and dead[26] == [1, 2]
           and dead[30] == [1, 2, 3, 4, 5, 6])
     _check(5, ok, f"evicted stream positions: 24->{dead[24]}, "
@@ -140,8 +151,8 @@ def test_05_table_holds_twenty_four_streams():
 
 def test_06_replacement_walks_not_recently_used_slots():
     result = rev_replacement()
-    positions = result.dead_positions()
-    ok = positions == list(range(9, 17)) and not result.verify()
+    positions = _dead(result.rows)
+    ok = positions == list(range(9, 17)) and not result.problems
     _check(6, ok, f"new streams displaced positions {positions}")
 
 

@@ -20,7 +20,6 @@ from afterimage.experiments import (
     ATTACK_CHANNELS,
     MitigationReport,
     NoiseModel,
-    SurvivalResult,
     UnsupportedChannelError,
     _OBSERVERS,
     _SCENARIOS,
@@ -29,6 +28,7 @@ from afterimage.experiments import (
     _run_round,
     _secret_source,
     _status_probes,
+    _survival,
     _survivors,
     flush_period_cycles,
     load_trace,
@@ -58,18 +58,34 @@ from afterimage.uarch import (
 # --------------------------------------------------------------------------
 
 
+def _dead(rows):
+    """The positions whose replay no longer fetched."""
+    return [row["position"] for row in rows if not row["alive"]]
+
+
 def test_indexing_matches_low_byte_only():
     result = rev_indexing()
-    assert [off for off, hit in enumerate(result.triggered) if hit] == [0x2C]
-    assert result.verify() == []
+    assert [row["offset"] for row in result.rows
+            if row["triggered"]] == [0x2C]
+    assert result.problems == []
 
 
 def test_indexing_rows_schema():
     result = rev_indexing()
-    rows = result.rows()
+    rows = result.rows
     assert len(rows) == 256
     assert rows[0x2C] == {"offset": 0x2C, "triggered": 1}
     assert rows[0x2D] == {"offset": 0x2D, "triggered": 0}
+
+
+def test_indexing_reports_each_wrong_verdict(monkeypatch):
+    # every probe reads hot: the 255 untrained low bytes are mismatches
+    monkeypatch.setattr(experiments, "_is_hot", lambda cache, paddr: True)
+    problems = rev_indexing().problems
+    assert len(problems) == 255
+    assert problems == [
+        f"ip low byte 0x{off:02x}: triggered=True, expected False"
+        for off in range(256) if off != 0x2C]
 
 
 # --------------------------------------------------------------------------
@@ -77,24 +93,36 @@ def test_indexing_rows_schema():
 # --------------------------------------------------------------------------
 
 
+def _labels(result, mode):
+    return [None if row["label"] == "" else row["label"]
+            for row in result.rows if row["mode"] == mode]
+
+
 def test_conf_stride_random_offset():
     # a confident entry fires its stale stride once, goes quiet while
     # confidence rebuilds, then fires the new stride
-    result = rev_conf_stride(offset_mode="random")
-    assert result.labels == [7, None, 5]
-    assert result.verify() == []
+    result = rev_conf_stride(0)
+    assert _labels(result, "random") == [7, None, 5]
+    assert not [p for p in result.problems if p.startswith("random: ")]
 
 
 def test_conf_stride_offset_equals_new_stride():
     # when the jump itself equals the new stride no quiet iteration occurs
-    result = rev_conf_stride(offset_mode="equals_st2")
-    assert result.labels == [7, 5, 5]
-    assert result.verify() == []
+    result = rev_conf_stride(0)
+    assert _labels(result, "equals_st2") == [7, 5, 5]
+    assert not [p for p in result.problems if p.startswith("equals_st2: ")]
 
 
-def test_conf_stride_validates_arguments():
-    with pytest.raises(ValueError):
-        rev_conf_stride(offset_mode="sideways")
+def test_conf_stride_reports_each_wrong_label(monkeypatch):
+    # both timed lines read hot on every load, so no stride is labelled
+    monkeypatch.setattr(experiments, "_is_hot", lambda cache, paddr: True)
+    assert rev_conf_stride(0).problems == [
+        "random: iteration 0: fetched None, expected 7",
+        "random: iteration 2: fetched None, expected 5",
+        "equals_st2: iteration 0: fetched None, expected 7",
+        "equals_st2: iteration 1: fetched None, expected 5",
+        "equals_st2: iteration 2: fetched None, expected 5",
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -102,24 +130,53 @@ def test_conf_stride_validates_arguments():
 # --------------------------------------------------------------------------
 
 
+def _page_verdicts(result):
+    """(pool, offset_pages) -> triggered for the one-access trials, the
+    first eight rows (the cold trial's two rows follow them)."""
+    return {(row["pool"], row["offset_pages"]): bool(row["triggered"])
+            for row in result.rows[:8]}
+
+
 def test_page_reclaimed_pool_always_triggers():
-    result = rev_page()
+    verdicts = _page_verdicts(rev_page())
     for off in (1, 2, 3, 4):
-        assert result.verdicts[("reclaimed", off)] is True
+        assert verdicts[("reclaimed", off)] is True
 
 
 def test_page_locked_pool_stops_after_next_page():
-    result = rev_page()
-    assert result.verdicts[("locked", 1)] is True
+    verdicts = _page_verdicts(rev_page())
+    assert verdicts[("locked", 1)] is True
     for off in (2, 3, 4):
-        assert result.verdicts[("locked", off)] is False
+        assert verdicts[("locked", off)] is False
 
 
 def test_page_cold_translation_needs_second_access():
     # first access only installs the translation; the repeat triggers
     result = rev_page()
-    assert result.cold_next_page == (False, True)
-    assert result.verify() == []
+    assert [(row["tlb"], row["access"], row["triggered"])
+            for row in result.rows[8:]] == [("cold", 1, 0), ("cold", 2, 1)]
+    assert result.problems == []
+
+
+def test_page_reports_each_wrong_verdict(monkeypatch):
+    # every trial fetches on every access, even from a cold frame
+    monkeypatch.setattr(experiments, "_page_trial",
+                        lambda *args, **kwargs: [True, True])
+    assert rev_page().problems == [
+        "locked pool, 2 page(s) ahead: triggered=True, expected False",
+        "locked pool, 3 page(s) ahead: triggered=True, expected False",
+        "locked pool, 4 page(s) ahead: triggered=True, expected False",
+        "cold next-page trial: expected (first=False, second=True), "
+        "got (True, True)",
+    ]
+    # every first access misses, so only the cold trial reads as documented
+    monkeypatch.setattr(experiments, "_page_trial",
+                        lambda *args, **kwargs: [False, True])
+    assert rev_page().problems == [
+        "locked pool, 1 page(s) ahead: triggered=False, expected True",
+        *(f"reclaimed pool, {off} page(s) ahead: triggered=False, "
+          "expected True" for off in (1, 2, 3, 4)),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -128,20 +185,22 @@ def test_page_cold_translation_needs_second_access():
 
 
 def test_entries_capacity_is_twenty_four():
-    assert rev_entries(24).dead_positions() == []
-    assert rev_entries(26).dead_positions() == [1, 2]
-    assert rev_entries(30).dead_positions() == [1, 2, 3, 4, 5, 6]
+    rows = rev_entries().rows
+    dead = {n: _dead(row for row in rows if row["n_ips"] == n)
+            for n in (24, 26, 30)}
+    assert dead[24] == []
+    assert dead[26] == [1, 2]
+    assert dead[30] == [1, 2, 3, 4, 5, 6]
 
 
 def test_entries_verify_clean():
-    for n in (24, 26, 30):
-        assert rev_entries(n).verify() == []
+    assert rev_entries().problems == []
 
 
 def test_replacement_victims_follow_refreshed_prefix():
     result = rev_replacement()
-    assert result.dead_positions() == [9, 10, 11, 12, 13, 14, 15, 16]
-    assert result.verify() == []
+    assert _dead(result.rows) == [9, 10, 11, 12, 13, 14, 15, 16]
+    assert result.problems == []
 
 
 def test_replacement_without_refresh_evicts_from_front():
@@ -154,7 +213,7 @@ def test_replacement_no_newcomers_no_victims():
 
 def test_survival_verify_reports_one_line():
     # 26 streams that all survived: the two oldest should have died
-    assert SurvivalResult([True] * 26, [1, 2]).verify() == [
+    assert _survival([True] * 26, [1, 2]).problems == [
         "dead positions [], expected [1, 2]"]
 
 

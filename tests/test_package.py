@@ -1,11 +1,14 @@
 """Package hygiene: every public name resolves, no module imports a name
 it never uses, no private definition or attribute goes unread, no public
 definition is reached only by tests, no module touches another module's
-private names, and no cache key is tested for truth.  A dependency-free
-stand-in for a linter."""
+private names, no cache key is tested for truth, and every library call
+the README shows binds to its signature.  A dependency-free stand-in for
+a linter."""
 
 import ast
 import collections
+import inspect
+import re
 from pathlib import Path
 
 import afterimage
@@ -324,3 +327,61 @@ def _unset_defaults():
 def test_every_default_is_set_by_some_call():
     # a default that no call overrides is a constant spelt as an option
     assert _unset_defaults() == _UNSET_KEPT
+
+
+# --------------------------------------------------------------------------
+# the README's library calls
+# --------------------------------------------------------------------------
+
+
+README = SRC.parents[1] / "README.md"
+
+
+def _readme_calls(text):
+    """(name, positional count, keyword names) for each call that the
+    ``python`` block under ``## Library use`` makes to a name it imports
+    from ``afterimage``, then for each ``rev_*(...)`` signature that the
+    paragraph below the block names, whose parameters bind by name."""
+    section = text.split("## Library use\n", 1)[1]
+    code, rest = section.split("```python\n", 1)[1].split("```", 1)
+    paragraph = rest.strip().split("\n\n", 1)[0]
+    tree = ast.parse(code)
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "afterimage" for alias in node.names}
+    calls = [(node.func.id, len(node.args),
+              [kw.arg for kw in node.keywords])
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in imported]
+    for name, params in re.findall(r"`(rev_\w+)\(([^)]*)\)`", paragraph):
+        calls.append((name, 0, [p.strip() for p in params.split(",")]))
+    return calls
+
+
+def _binding_errors(calls):
+    """``name: reason`` for each call whose arguments do not bind; the
+    values are placeholders, so nothing runs."""
+    errors = []
+    for name, n_positional, keywords in calls:
+        try:
+            inspect.signature(getattr(afterimage, name)).bind(
+                *[None] * n_positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            errors.append(f"{name}: {exc}")
+    return errors
+
+
+def test_readme_library_calls_bind():
+    calls = _readme_calls(README.read_text(encoding="utf-8"))
+    # the paragraph names every bench's signature
+    assert {name for name, *_ in calls if name.startswith("rev_")} == {
+        name for name in afterimage.__all__ if name.startswith("rev_")}
+    assert _binding_errors(calls) == []
+
+
+def test_readme_check_rejects_a_stale_signature():
+    text = README.read_text(encoding="utf-8").replace(
+        "`rev_entries(cache_config)`", "`rev_entries(n_ips)`")
+    errors = _binding_errors(_readme_calls(text))
+    assert len(errors) == 1 and errors[0].startswith("rev_entries: ")

@@ -59,8 +59,7 @@ that ``location`` places at the key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .uarch import LINE_BYTES, LINE_SHIFT, PAGE_BYTES, PAGE_LINES
 
@@ -73,8 +72,7 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-@dataclass
-class CacheConfig:
+class _CacheFields(NamedTuple):
     slices: int = 4
     sets_per_slice: int = 2048
     associativity: int = 16
@@ -82,7 +80,15 @@ class CacheConfig:
     miss_latency: int = 200
     threshold: int = 120
 
-    def __post_init__(self):
+
+class CacheConfig(_CacheFields):
+    """The LLC's geometry and timing, checked when it is called.
+    ``_replace`` and ``_make`` skip the checks; nothing calls them."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("slices", "sets_per_slice", "associativity"):
             if not _is_pow2(getattr(self, name)):
                 raise ValueError(f"{name} must be a power of two")
@@ -90,11 +96,19 @@ class CacheConfig:
             raise ValueError("hit_latency must be at least 1")
         if not self.hit_latency < self.threshold < self.miss_latency:
             raise ValueError("threshold must lie strictly between hit and miss latency")
+        return self
+
+    # inspect.signature reports the fields, not *args and **kwargs
+    __new__.__wrapped__ = _CacheFields.__new__
 
 
 class CacheModel:
     def __init__(self, config: CacheConfig | None = None):
         self.config = config or CacheConfig()
+        # read on every access: a tuple field read costs a descriptor call
+        self._hit_latency = self.config.hit_latency
+        self._miss_latency = self.config.miss_latency
+        self._associativity = self.config.associativity
         # one (positions mask, slice bit) pair per slice bit, for _slice;
         # ones has bits 0, s, 2s, ... below width, a multiple of s
         s = self.config.slices.bit_length() - 1
@@ -167,10 +181,10 @@ class CacheModel:
             if li in self._prefetched:
                 self._prefetched.discard(li)
                 self.useful_prefetch_hits += 1
-            return self.config.hit_latency
+            return self._hit_latency
         self.demand_misses += 1
         self._install(ways, li)
-        return self.config.miss_latency
+        return self._miss_latency
 
     def access_page(self, keys: list[int], first: int,
                     order: list[int]) -> set[int]:
@@ -264,7 +278,7 @@ class CacheModel:
         self._prefetched.add(li)
 
     def _install(self, ways: list[int], li: int) -> None:
-        if len(ways) >= self.config.associativity:
+        if len(ways) >= self._associativity:
             evicted = ways.pop(0)
             self._prefetched.discard(evicted)
         ways.append(li)

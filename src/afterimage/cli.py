@@ -25,7 +25,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .cache import CacheConfig
@@ -131,8 +130,8 @@ def _seed(args) -> int:
 
 def _cache_config(args) -> CacheConfig:
     """The cache geometry of the ``--cache-*`` options."""
-    return CacheConfig(**{f.name: getattr(args, f"cache_{f.name}")
-                          for f in fields(CacheConfig)})
+    return CacheConfig(*[getattr(args, f"cache_{name}")
+                         for name in CacheConfig._fields])
 
 
 def _echo(args, *drop: str) -> dict:
@@ -256,10 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False, parents=[configured])
     common.add_argument("--seed", type=int, default=None,
                         help="run seed (default: AFTERIMAGE_SEED or 0)")
-    for f in fields(CacheConfig):
-        common.add_argument(f"--cache-{f.name.replace('_', '-')}", type=int,
-                            default=f.default, metavar="N",
-                            help=f"CacheConfig.{f.name} (default %(default)s)")
+    for name, default in CacheConfig._field_defaults.items():
+        common.add_argument(f"--cache-{name.replace('_', '-')}", type=int,
+                            default=default, metavar="N",
+                            help=f"CacheConfig.{name} (default %(default)s)")
 
     parser = _Parser(prog="afterimage",
                      description="Stride-prefetcher side-channel simulator")

@@ -31,9 +31,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .cache import CacheModel, page_eviction_sets
 from .programs import (
@@ -86,8 +85,13 @@ def flush_period_cycles(period_us: float,
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class _NoiseFields(NamedTuple):
+    p_evict: float = 0.0
+    p_extra_load: float = 0.0
+    next_line_noise: bool = False
+
+
+class NoiseModel(_NoiseFields):
     """Background activity injected between the victim and the observer.
 
     p_evict is the chance, per probed line (or per probed set), that
@@ -101,17 +105,23 @@ class NoiseModel:
     and the round index, never from the probabilities, so sweeping a
     probability replays identical draws and noise events at a higher
     setting are a superset of those at a lower one.
+
+    The probabilities are checked when the model is called;
+    ``_replace`` and ``_make`` skip the check, and nothing calls them.
     """
 
-    p_evict: float = 0.0
-    p_extra_load: float = 0.0
-    next_line_noise: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("p_evict", "p_extra_load"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        return self
+
+    # inspect.signature reports the fields, not *args and **kwargs
+    __new__.__wrapped__ = _NoiseFields.__new__
 
 
 def _round_rng(seed: int, index: int) -> random.Random:
@@ -149,8 +159,7 @@ def _apply_page_noise(cache: CacheModel, noise: NoiseModel,
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class BenchResult:
+class BenchResult(NamedTuple):
     """One reveng bench: its CSV rows, and one line per verdict that
     differs from the documented behaviour (none when all match)."""
 
@@ -432,8 +441,7 @@ class UnsupportedChannelError(ValueError):
     """Raised for a variant/channel pairing that has no measurement."""
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """One transmitted bit and what the observer made of it."""
 
     index: int
@@ -446,12 +454,11 @@ class RoundRecord:
         return self.inferred == self.truth
 
 
-@dataclass
-class AttackOutcome:
+class AttackOutcome(NamedTuple):
     """Everything one attack run produced, ready for CSV."""
 
     records: list[RoundRecord]
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
     @property
     def success_rate(self) -> float:
@@ -467,8 +474,7 @@ class AttackOutcome:
         } for r in self.records]
 
 
-@dataclass
-class _Scenario:
+class _Scenario(NamedTuple):
     """Who trains, where the victim runs and which page is watched.
 
     ``training`` is the attacker's program of loads, from which the
@@ -487,7 +493,7 @@ class _Scenario:
     victim: Domain
     arms: dict[int, tuple[int, int] | None]
     decode: dict[int | None, int]
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
 
 # Variants 1 and 2 train both arms of the victim's branch: the if arm's
@@ -521,7 +527,7 @@ def _same_space(machine: Machine, seed: int) -> _Scenario:
     machine.tlb.access(page_frame(dom.translate(victim_page)))
     gadget = build_gadget(_IF_TAG, _ELSE_TAG, _STRIDE_IF, _STRIDE_ELSE)
     return _Scenario(dom, gadget, victim_page, dom, _two_arms(victim_page),
-                     _TWO_SIDED)
+                     _TWO_SIDED, {})
 
 
 def _cross_process(machine: Machine, seed: int) -> _Scenario:
@@ -534,7 +540,7 @@ def _cross_process(machine: Machine, seed: int) -> _Scenario:
     victim.map_shared(shared_vaddr, shared_paddr)
     gadget = build_gadget(_IF_TAG, _ELSE_TAG, _STRIDE_IF, _STRIDE_ELSE)
     return _Scenario(attacker, gadget, shared_vaddr, victim,
-                     _two_arms(shared_vaddr), _TWO_SIDED)
+                     _two_arms(shared_vaddr), _TWO_SIDED, {})
 
 
 def _user_kernel(machine: Machine, seed: int) -> _Scenario:
@@ -558,7 +564,8 @@ def _user_kernel(machine: Machine, seed: int) -> _Scenario:
     arms = {1: (ip_with_tag(_KERNEL_CODE, kernel_tag), kernel_vaddr),
             0: None}
     groups = ip_matching_groups(stride)
-    sc = _Scenario(user, [], shared_paddr, kernel, arms, {stride: 1, None: 0})
+    sc = _Scenario(user, [], shared_paddr, kernel, arms, {stride: 1, None: 0},
+                   {})
 
     # Each group gets a few tries: a failed probe's own load allocates
     # an entry right where the next training pass recycles slots, so
@@ -579,9 +586,8 @@ def _user_kernel(machine: Machine, seed: int) -> _Scenario:
             break
     # nothing matched (e.g. table flushed on every switch): carry on
     # with group 0 so the scored rounds still run honestly
-    sc.training = first if matched is None else group_prog
-    sc.detail["matched_group"] = matched
-    return sc
+    return sc._replace(training=first if matched is None else group_prog,
+                       detail={"matched_group": matched})
 
 
 _SCENARIOS = {1: _same_space, 2: _cross_process, 3: _user_kernel}
@@ -639,8 +645,9 @@ def _prime_probe(machine: Machine, sc: _Scenario,
 
     def read(rng: random.Random, victim_loads: list[int]) -> StrideDetection:
         _apply_page_noise(cache, noise, rng, page, victim_loads)
+        draw, p_evict = rng.random, noise.p_evict
         for lines in walks:
-            if rng.random() < noise.p_evict:
+            if draw() < p_evict:
                 cache.flush_line(lines[0] << LINE_SHIFT)
         evicted = probe(cache, keys, reversed_walks, baseline)
         return detect_stride({ln for ln, hit in enumerate(evicted) if hit},
@@ -744,8 +751,7 @@ def run_attack(variant: int, channel: str, rounds: int = 200,
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class MitigationReport:
+class MitigationReport(NamedTuple):
     """Prefetch coverage with and without periodic table clearing."""
 
     flush_period: int | None

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .kernels import run_table_batch
 from .uarch import PrefetchTable
@@ -138,14 +138,13 @@ def generate_loads(rng: random.Random, n_loads: int,
     return tags, addrs
 
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     seeds: list[int]
-    loads_checked: int = 0
-    mismatches: int = 0
-    elapsed: float = 0.0
-    first_mismatch: str = ""
-    per_seed: list[tuple[int, int]] = field(default_factory=list)
+    loads_checked: int
+    mismatches: int
+    elapsed: float
+    first_mismatch: str
+    per_seed: list[tuple[int, int]]
 
     @property
     def ok(self) -> bool:
@@ -203,14 +202,18 @@ def check_seed(seed: int, n_loads: int) -> tuple[int, int, str]:
 def run_equivalence_check(n_loads: int = 100_000,
                           seeds=range(10)) -> EquivalenceReport:
     """Fuzz the table against the reference over several seeded streams."""
-    report = EquivalenceReport(seeds=list(seeds))
+    seeds = list(seeds)
+    loads_checked = mismatches = 0
+    first_mismatch = ""
+    per_seed = []
     t0 = time.perf_counter()
-    for seed in report.seeds:
+    for seed in seeds:
         n, mism, note = check_seed(seed, n_loads)
-        report.loads_checked += n
-        report.mismatches += mism
-        report.per_seed.append((seed, mism))
-        if mism and not report.first_mismatch:
-            report.first_mismatch = note or f"seed {seed}: state divergence"
-    report.elapsed = time.perf_counter() - t0
-    return report
+        loads_checked += n
+        mismatches += mism
+        per_seed.append((seed, mism))
+        if mism and not first_mismatch:
+            first_mismatch = note or f"seed {seed}: state divergence"
+    return EquivalenceReport(seeds, loads_checked, mismatches,
+                             time.perf_counter() - t0, first_mismatch,
+                             per_seed)

@@ -25,8 +25,7 @@ is armed: ``flush_on_switch`` wipes the table at every switch, and a
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .cache import CacheConfig, CacheModel
 from .kernels import STRIDE_LIMIT
@@ -44,8 +43,7 @@ def ip_with_tag(code_base: int, tag: int) -> int:
     return (code_base & ~0xFF) | (tag & 0xFF)
 
 
-@dataclass(frozen=True)
-class Load:
+class Load(NamedTuple):
     ip: int
     vaddr: int
 

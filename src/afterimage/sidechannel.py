@@ -23,23 +23,21 @@ one alive flag per probe.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cache import CacheModel
 from .programs import Machine
 from .uarch import LINE_SHIFT, PAGE_BYTES, PAGE_LINES
 
 
-@dataclass
-class StrideDetection:
+class StrideDetection(NamedTuple):
     support: dict[int, int]
     detected: int | None
     ambiguous: bool
     ranked: list[int]
 
 
-@dataclass(frozen=True)
-class StatusProbe:
+class StatusProbe(NamedTuple):
     """Replay coordinates for the trained entry of ``ip``'s tag: the
     address it would load next and its stride in bytes."""
     ip: int

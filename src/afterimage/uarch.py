@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels
 from .kernels import TABLE_SLOTS
@@ -42,8 +42,7 @@ def ip_tag(full_ip: Address) -> int:
     return full_ip & 0xFF
 
 
-@dataclass(frozen=True)
-class PrefetcherEntry:
+class PrefetcherEntry(NamedTuple):
     """Read-only snapshot of one table slot."""
     ip_tag: int
     last_addr: Address

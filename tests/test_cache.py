@@ -176,7 +176,9 @@ def test_slice_fold_is_xor_linear(slices, a, b):
 _GEOMETRY = st.builds(
     CacheConfig, slices=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
     sets_per_slice=st.sampled_from([1, 4, 16, 64, 256, 2048]),
-    associativity=st.sampled_from([1, 4, 16]))
+    associativity=st.sampled_from([1, 4, 16]),
+    hit_latency=st.just(40), miss_latency=st.just(200),
+    threshold=st.just(120))
 
 
 @given(config=_GEOMETRY, page=st.integers(0, (1 << 58) - 1))

@@ -445,7 +445,7 @@ def test_every_pair_reaches_its_sidechannel_functions(variant, channel,
 def test_a_loading_arm_draws_one_line_and_a_silent_arm_none():
     victim = Domain("victim", phys_offset=0x20000000)
     sc = _Scenario(Domain("attacker"), [], 0x30000, victim,
-                   {1: (0x70003A, 0x30000), 0: None}, {})
+                   {1: (0x70003A, 0x30000), 0: None}, {}, {})
     machine = Machine()
     seen = []
     observer = (lambda: None, lambda rng, loads: seen.append(loads))

@@ -1,14 +1,17 @@
 """Package hygiene: every public name resolves, no module imports a name
 it never uses, no private definition or attribute goes unread, no public
 definition is reached only by tests, no module touches another module's
-private names, no cache key is tested for truth, and every library call
-the README shows binds to its signature.  A dependency-free stand-in for
-a linter."""
+private names, no cache key is tested for truth, every library call
+the README shows binds to its signature, and importing the package loads
+no ``dataclasses``.  A dependency-free stand-in for a linter."""
 
 import ast
 import collections
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import afterimage
@@ -20,6 +23,17 @@ def test_public_names_resolve():
     missing = [name for name in afterimage.__all__
                if not hasattr(afterimage, name)]
     assert missing == []
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    # importing dataclasses, and the inspect it pulls in, slows every
+    # CLI start; pytest and Hypothesis load it themselves, so a fresh
+    # interpreter imports the package
+    code = ("import sys, afterimage, afterimage.cli, afterimage.oracle; "
+            "sys.exit('dataclasses' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0
 
 
 def _unused_imports(path):
@@ -270,17 +284,51 @@ def _equals_default(value, default):
         return False
 
 
+def _dispatch_tables(trees):
+    """Name -> function names, for each module-level name bound to a
+    dict display whose values are all plain names."""
+    tables = {}
+    for tree in trees:
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Dict)
+                    and all(isinstance(v, ast.Name)
+                            for v in node.value.values)):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        tables[target.id] = [v.id for v in node.value.values]
+    return tables
+
+
+def _callees(call, tables):
+    """The definition names a call can reach: its function's name or
+    method attribute, or each function of a dispatch table it indexes."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return [func.id]
+    if isinstance(func, ast.Attribute):
+        return [func.attr]
+    if (isinstance(func, ast.Subscript) and isinstance(func.value, ast.Name)
+            and func.value.id in tables):
+        return tables[func.value.id]
+    return []
+
+
 def _unset_defaults():
     """``Class.method.param`` or ``function.param`` for each defaulted
     parameter in the package that no call in the package or the
     benchmark sets.  A call sets a parameter when it binds it, by
     position or by keyword, to anything but a literal equal to its
     default.  Calls match a definition by function name, by method
-    attribute, or by class name for ``__init__``; a ``*`` or ``**``
-    argument sets every parameter of what it matches, and a keyword at
-    a call that names no definition sets that parameter everywhere."""
+    attribute, or by class name for ``__init__``; a call through a
+    dispatch table, ``NAME[...](...)`` with ``NAME`` bound at module
+    level to a dict display of function names, matches each function
+    in it.  A ``*`` or ``**`` argument sets every parameter of what it
+    matches, and a keyword at a call that names no definition sets that
+    parameter everywhere."""
+    trees = _trees()
     definitions = collections.defaultdict(list)
-    for tree in _trees().values():
+    for tree in trees.values():
         methods = {id(node): scope.name for scope in ast.walk(tree)
                    if isinstance(scope, ast.ClassDef) for node in scope.body}
         for node in ast.walk(tree):
@@ -300,19 +348,20 @@ def _unset_defaults():
     unset = {f"{where}.{name}" for entries in definitions.values()
              for where, _params, defaults in entries
              for name, _default in defaults}
-    calls = [node for tree in [*_trees().values(), *_bench_trees()]
+    every_tree = [*trees.values(), *_bench_trees()]
+    tables = _dispatch_tables(every_tree)
+    calls = [node for tree in every_tree
              for node in ast.walk(tree) if isinstance(node, ast.Call)]
     for call in calls:
-        callee = (call.func.id if isinstance(call.func, ast.Name)
-                  else call.func.attr if isinstance(call.func, ast.Attribute)
-                  else None)
-        if callee not in definitions:
+        callees = [c for c in _callees(call, tables) if c in definitions]
+        if not callees:
             named = {kw.arg for kw in call.keywords}
             unset = {p for p in unset if p.rsplit(".", 1)[1] not in named}
             continue
         spread = (any(isinstance(a, ast.Starred) for a in call.args)
                   or any(kw.arg is None for kw in call.keywords))
-        for where, params, defaults in definitions[callee]:
+        for where, params, defaults in (entry for callee in callees
+                                        for entry in definitions[callee]):
             default_of = dict(defaults)
             bound = [*zip(params, call.args),
                      *((kw.arg, kw.value) for kw in call.keywords)]

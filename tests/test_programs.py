@@ -268,7 +268,7 @@ def test_unknown_step_is_rejected():
     # run_program takes placed loads only
     with pytest.raises(TypeError):
         Machine().run_program(Domain("a"), [0x1000])
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         Machine().run_program(Domain("a"), [Load(0x400000, 0x1000)])
 
 

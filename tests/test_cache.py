@@ -191,6 +191,17 @@ def test_page_keys_match_location(config, page):
         c.location(page_paddr + i * LINE_BYTES) for i in range(PAGE_LINES)]
 
 
+@given(slices=st.integers(0, 6).map(lambda s: 1 << s),
+       sets_per_slice=st.integers(0, 12).map(lambda e: 1 << e),
+       page=st.integers(0, (1 << 58) - 1))
+def test_page_lines_have_sets_of_their_own_exactly_from_64_sets(
+        slices, sets_per_slice, page):
+    # the attacks rely on this: each line of a page in a set of its own
+    c = CacheModel(CacheConfig(slices=slices, sets_per_slice=sets_per_slice))
+    distinct = len(set(c.page_keys(page * PAGE_BYTES))) == PAGE_LINES
+    assert distinct == (slices * sets_per_slice >= PAGE_LINES)
+
+
 @given(config=_GEOMETRY, page=st.integers(0, (1 << 40) - 1),
        prior=st.lists(st.tuples(st.sampled_from(["access", "prefetch"]),
                                 st.integers(-8, 2 * PAGE_LINES + 8)),

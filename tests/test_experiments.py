@@ -7,6 +7,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afterimage.cache import (
     CacheConfig,
@@ -237,6 +239,29 @@ def test_all_supported_pairs_transmit_perfectly():
             rounds = 20 if channel == "prime_probe" else 60
             outcome = run_attack(variant, channel, rounds=rounds, seed=5)
             assert outcome.success_rate == 1.0, (variant, channel)
+
+
+# every geometry that gives each of a page's lines a set of its own:
+# 2**s slices and 2**e sets per slice, with s + e >= 6
+@st.composite
+def _own_set_geometry(draw):
+    s = draw(st.integers(0, 4))
+    e = draw(st.integers(max(0, 6 - s), 12))
+    return CacheConfig(slices=1 << s, sets_per_slice=1 << e,
+                       associativity=1 << draw(st.integers(0, 4)))
+
+
+@settings(deadline=None)
+@given(config=_own_set_geometry(), seed=st.integers(0, (1 << 32) - 1),
+       pair=st.sampled_from([(variant, channel)
+                             for variant, channels in ATTACK_CHANNELS.items()
+                             for channel in channels]))
+def test_every_pair_transmits_perfectly_when_each_line_has_its_own_set(
+        config, seed, pair):
+    # below 64 sets a page's lines share sets, and no rate is claimed
+    assert config.slices * config.sets_per_slice >= PAGE_LINES
+    outcome = run_attack(*pair, 20, seed=seed, cache_config=config)
+    assert outcome.success_rate == 1.0
 
 
 def test_attack_records_schema():

@@ -37,9 +37,10 @@ in the next page, or one whose load came unplaced, is placed by
 ``location``.  ``flush_lines`` flushes a run of lines at the keys
 ``location`` or ``page_keys`` made for it.  Flush+reload places its
 page once per attack and hands each reload to one ``access_page(keys,
-first, order)`` call, which returns the offsets whose access hit.  A
-line whose set is empty, the case a flushed page meets most, misses
-into it in one step; every other line goes to ``access_line``.
+first)`` call, which accesses the page's lines in line order and
+returns the offsets whose access hit.  A line whose set is empty, the
+case a flushed page meets most, misses into it in one step; every
+other line goes to ``access_line``.
 Prime+probe places its eviction sets once and hands
 each pass over them to one ``walk_sets(keys, walks)`` call, which
 demand-accesses each walk's lines in order, walk after walk.  A walk
@@ -186,17 +187,15 @@ class CacheModel:
         self._install(ways, li)
         return self._miss_latency
 
-    def access_page(self, keys: list[int], first: int,
-                    order: list[int]) -> set[int]:
+    def access_page(self, keys: list[int], first: int) -> set[int]:
         """Demand-access line ``first + i``, placed at ``keys[i]``, for
-        each ``i`` in ``order``; returns the offsets ``i`` of the
+        each ``i`` in line order; returns the offsets ``i`` of the
         accesses that hit."""
         sets, hit = self.sets, self.config.hit_latency
         access_line = self.access_line
         hits = set()
         misses = 0
-        for i in order:
-            key = keys[i]
+        for i, key in enumerate(keys):
             ways = sets.get(key)
             if not ways:
                 # the line misses into a free way and evicts nothing

@@ -624,7 +624,7 @@ def _flush_reload(machine: Machine, sc: _Scenario,
 
     def read(rng: random.Random, victim_loads: list[int]) -> StrideDetection:
         _apply_page_noise(cache, noise, rng, page, victim_loads)
-        return detect_stride(flush_reload(cache, page, keys, rng), strides)
+        return detect_stride(flush_reload(cache, page, keys), strides)
     # the training just ran in the attacker's domain: no switch to make
     return lambda: machine.flush(page, keys), read
 

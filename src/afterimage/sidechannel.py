@@ -9,25 +9,25 @@ set; probe re-walks the sets in reverse and returns one flag per set,
 set when its time moved by more than the cache's latency threshold in
 either direction.  Flush+Reload's arm flushes the page through its
 ``CacheModel.page_keys``; ``flush_reload`` reloads its 64 lines through
-the same keys in shuffled order, in one ``CacheModel.access_page``
-call, returns the indices of the lines that hit and leaves all of them
-cached.  It draws the order inline with the ``getrandbits`` calls
-that ``random.Random.shuffle`` makes, so the order and the generator's
-later state are those ``rng.shuffle`` leaves.  Prime, probe and reload
-touch the cache only, modelling a serialised pointer-chasing loop the
-prefetcher cannot learn from.  The status probe has no arm: it replays
-trained loads through the machine's load path on purpose and returns
-one alive flag per probe.
+the same keys in line order, in one ``CacheModel.access_page`` call,
+returns the indices of the lines that hit and leaves all of them
+cached.  Prime, probe and reload touch the cache only, modelling a
+serialised pointer-chasing loop the prefetcher cannot learn from.  A
+real observer shuffles its reloads so that its own loads cannot train
+the prefetcher; these reloads never reach the table, so line order
+models the same observer.  The order matters only where lines of the
+page share a set, that is below 64 sets in all.  The status probe has
+no arm: it replays trained loads through the machine's load path on
+purpose and returns one alive flag per probe.
 """
 
 from __future__ import annotations
 
-import random
 from typing import NamedTuple
 
 from .cache import CacheModel
 from .programs import Machine
-from .uarch import LINE_SHIFT, PAGE_BYTES, PAGE_LINES
+from .uarch import LINE_SHIFT, PAGE_BYTES
 
 
 class StrideDetection(NamedTuple):
@@ -67,31 +67,16 @@ def probe(cache: CacheModel, keys: list[int],
     return [abs(t - b) > threshold for t, b in zip(times, baseline)]
 
 
-# (i, i + 1, bits) for each swap of random.Random.shuffle on a page's
-# lines: the Fisher-Yates loop runs i from 63 down to 1 and draws j
-# below i + 1 as getrandbits(bits), bits = (i + 1).bit_length(),
-# drawing again while j > i
-_SHUFFLE_STEPS = tuple((i, i + 1, (i + 1).bit_length())
-                       for i in range(PAGE_LINES - 1, 0, -1))
-
-
 def flush_reload(cache: CacheModel, page_base: int,
-                 keys: list[int], rng: random.Random) -> set[int]:
+                 keys: list[int]) -> set[int]:
     """Measure which lines of the page at ``page_base`` (page aligned),
     placed at ``keys`` as ``CacheModel.page_keys`` gives them, are
-    cached, in shuffled order; leaves all of them resident.  Timing is
+    cached, in line order; leaves all of them resident.  Timing is
     two-valued, so a reload under the threshold is exactly a hit, and
     the lines that hit are the offsets ``access_page`` returns."""
     if page_base % PAGE_BYTES:
         raise ValueError("page address must be page aligned")
-    order = list(range(PAGE_LINES))
-    getrandbits = rng.getrandbits
-    for i, n, bits in _SHUFFLE_STEPS:
-        j = getrandbits(bits)
-        while j >= n:
-            j = getrandbits(bits)
-        order[i], order[j] = order[j], order[i]
-    return cache.access_page(keys, page_base >> LINE_SHIFT, order)
+    return cache.access_page(keys, page_base >> LINE_SHIFT)
 
 
 def detect_stride(observed, candidates: list[int]) -> StrideDetection:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import copy
 import math
-import random
 import time
 
 from afterimage.cache import CacheModel, build_eviction_set
@@ -213,7 +212,7 @@ def test_10_observers_alone_leave_the_prefetcher_untouched():
     baseline = prime(cache, keys, walks)
     probe(cache, keys, [lines[::-1] for lines in walks], baseline)
     cache.flush_lines(page, cache.page_keys(page))
-    flush_reload(cache, page, cache.page_keys(page), random.Random(0))
+    flush_reload(cache, page, cache.page_keys(page))
 
     ok = vars(table) == before
     _check(10, ok, f"table state before==after across prime, probe, "

@@ -451,19 +451,12 @@ _RELOAD_FIRST = PAGE_LINES  # the reloaded page: lines 64..127
 
 @given(prior=st.lists(st.tuples(
            st.sampled_from(["access", "prefetch", "flush", "fill"]),
-           st.integers(0, 3 * PAGE_LINES - 1)), max_size=80),
-       order=st.one_of(st.permutations(range(PAGE_LINES)),
-                       st.lists(st.integers(0, PAGE_LINES - 1),
-                                max_size=80)))
+           st.integers(0, 3 * PAGE_LINES - 1)), max_size=80))
 # the page flushed, then a victim line, its prefetch and a line whose
 # set is full of other lines
 @example(prior=[("flush", li) for li in range(64, 128)] + [
-             ("access", 70), ("prefetch", 77), ("fill", 130)],
-         order=list(range(PAGE_LINES)))
-# the same line three times: a first demand hit on its prefetch, then
-# two plain hits
-@example(prior=[("prefetch", 64)], order=[0, 0, 0])
-def test_access_page_matches_per_line_access(prior, order):
+             ("access", 70), ("prefetch", 77), ("fill", 130)])
+def test_access_page_matches_per_line_access(prior):
     # eight sets hold the page's 64 lines, so its lines evict each other
     c = CacheModel(_TINY)
     for op, li in prior:
@@ -479,7 +472,7 @@ def test_access_page_matches_per_line_access(prior, order):
     ref = copy.deepcopy(c)
     keys = c.page_keys(_RELOAD_FIRST * LINE_BYTES)
     threshold = ref.config.threshold
-    want = {i for i in order
+    want = {i for i in range(PAGE_LINES)
             if ref.access_line(keys[i], _RELOAD_FIRST + i) < threshold}
-    assert c.access_page(keys, _RELOAD_FIRST, list(order)) == want
+    assert c.access_page(keys, _RELOAD_FIRST) == want
     assert _counters(c) == _counters(ref)

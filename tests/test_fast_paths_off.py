@@ -39,10 +39,10 @@ class PerLineCache(CacheModel):
         return [self.location(first + i << LINE_SHIFT)
                 for i in range(PAGE_LINES)]
 
-    def access_page(self, keys, first, order):
+    def access_page(self, keys, first):
         _CALLS["access_page"] += 1
         hit = self.config.hit_latency
-        return {i for i in order
+        return {i for i in range(PAGE_LINES)
                 if self.access(first + i << LINE_SHIFT) == hit}
 
     def walk_sets(self, keys, walks):

@@ -4,7 +4,7 @@ import copy
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afterimage.cache import (
@@ -57,8 +57,8 @@ def _probe(cache, sets, baseline):
     return probe(cache, keys, [lines[::-1] for lines in walks], baseline)
 
 
-def _reload(cache, page, rng):
-    return flush_reload(cache, page, cache.page_keys(page), rng)
+def _reload(cache, page):
+    return flush_reload(cache, page, cache.page_keys(page))
 
 
 def test_prime_baseline_is_all_hits():
@@ -110,20 +110,19 @@ def test_probe_flags_victim_touched_sets():
 
 def test_flush_reload_reports_exactly_the_cached_lines():
     cache = CacheModel()
-    rng = random.Random(1)
     cache.flush_lines(PAGE, cache.page_keys(PAGE))
     cache.access(PAGE + 12 * LINE_BYTES)
     cache.access(PAGE + 25 * LINE_BYTES)
-    assert _reload(cache, PAGE, rng) == {12, 25}
+    assert _reload(cache, PAGE) == {12, 25}
     # reload leaves the whole page resident
-    assert _reload(cache, PAGE, rng) == set(range(64))
+    assert _reload(cache, PAGE) == set(range(64))
 
 
 def test_flush_reload_on_flushed_page_is_empty():
     cache = CacheModel()
     cache.access(PAGE + 5 * LINE_BYTES)
     cache.flush_lines(PAGE, cache.page_keys(PAGE))
-    assert _reload(cache, PAGE, random.Random(2)) == set()
+    assert _reload(cache, PAGE) == set()
 
 
 def _cache_state(c):
@@ -136,11 +135,10 @@ def _cache_state(c):
            CacheConfig(slices=4, sets_per_slice=16, associativity=4)]),
        prior=st.lists(st.tuples(
            st.sampled_from(["access", "prefetch", "flush"]),
-           st.integers(-4, 68)), max_size=80),
-       seed=st.integers(0, 1 << 32))
-def test_keyed_reload_matches_per_line_access(config, prior, seed):
+           st.integers(-4, 68)), max_size=80))
+def test_keyed_reload_matches_per_line_access(config, prior):
     # a page's lines share sets in these caches, so the reload evicts
-    # lines of its own page and its order matters
+    # lines of its own page
     cache = CacheModel(config)
     for op, line in prior:
         addr = PAGE + line * LINE_BYTES
@@ -151,35 +149,10 @@ def test_keyed_reload_matches_per_line_access(config, prior, seed):
         else:
             cache.flush_line(addr)
     ref = copy.deepcopy(cache)
-    order = list(range(64))
-    random.Random(seed).shuffle(order)
-    want = {i for i in order
+    want = {i for i in range(PAGE_LINES)
             if ref.access(PAGE + i * LINE_BYTES) < ref.config.threshold}
-    assert _reload(cache, PAGE, random.Random(seed)) == want
+    assert _reload(cache, PAGE) == want
     assert _cache_state(cache) == _cache_state(ref)
-
-
-class _OrderRecorder(CacheModel):
-    """A cache that keeps the order of its last ``access_page`` call."""
-
-    def access_page(self, keys, first, order):
-        self.order = list(order)
-        return super().access_page(keys, first, order)
-
-
-@given(seed=st.integers(0, 1 << 64))
-@example(seed=0)
-def test_reload_order_draws_as_shuffle(seed):
-    # the inline order is random.shuffle's, drawn with the same
-    # getrandbits calls, so the generator ends where a shuffle leaves it
-    ref = random.Random(seed)
-    want = list(range(PAGE_LINES))
-    ref.shuffle(want)
-    cache = _OrderRecorder()
-    rng = random.Random(seed)
-    _reload(cache, PAGE, rng)
-    assert cache.order == want
-    assert rng.getstate() == ref.getstate()
 
 
 def _walk_per_line(cache, sets, reverse):
@@ -242,7 +215,7 @@ def test_prime_probe_rounds_match_per_line_walks(config, rounds):
 def test_flush_reload_rejects_an_unaligned_page(base):
     cache = CacheModel()
     with pytest.raises(ValueError, match="page aligned"):
-        flush_reload(cache, base, cache.page_keys(PAGE), random.Random(0))
+        flush_reload(cache, base, cache.page_keys(PAGE))
     assert cache.demand_accesses == 0
 
 
@@ -283,7 +256,7 @@ def test_observers_never_touch_the_table():
     baseline = _prime(cache, sets)
     _probe(cache, sets, baseline)
     cache.flush_lines(PAGE, cache.page_keys(PAGE))
-    _reload(cache, PAGE, random.Random(4))
+    _reload(cache, PAGE)
     assert vars(table) == before
 
 

@@ -18,7 +18,10 @@ branch loads, which page is watched and how a detected stride decodes
 to a bit.  Each channel is one observer, built once per attack from the
 machine, the scenario and the noise: ``arm()`` runs before the victim,
 and ``read(rng, victim_loads)`` after it applies the channel's noise and
-returns a ``StrideDetection``.  Scored and tag-search rounds alike run
+returns a ``StrideDetection``.  Prime+probe's observer takes its
+page's eviction sets from a bounded memo keyed by cache class, geometry
+and page, so one search per process serves every attack on that page;
+the observers only read them.  Scored and tag-search rounds alike run
 train, arm, victim, read; the attacker's training program is placed
 once per attack (once per group in the tag search) and the victim's
 one load once per round.  ``mitigation_sweep`` prices periodic table
@@ -28,13 +31,14 @@ ports) points; ``mitigation_eval`` is its one-point case.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
 
-from .cache import CacheModel, page_eviction_sets
+from .cache import CacheConfig, CacheModel, page_eviction_sets
 from .programs import (
     Domain,
     Load,
@@ -629,15 +633,30 @@ def _flush_reload(machine: Machine, sc: _Scenario,
     return lambda: machine.flush(page, keys), read
 
 
+@functools.lru_cache(maxsize=16)
+def _eviction_sets(cache_type: type[CacheModel], config: CacheConfig,
+                   page: int
+                   ) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """The keys and walks of ``page_eviction_sets`` for the page at
+    ``page`` in an empty ``cache_type(config)``, and each walk reversed.
+
+    The search reads only the cache's placement, which its class and
+    config fix, so its result is shared by every attack that asks for
+    the same three: callers only read the lists."""
+    keys, walks = page_eviction_sets(cache_type(config), page)
+    return keys, walks, [lines[::-1] for lines in walks]
+
+
 def _prime_probe(machine: Machine, sc: _Scenario,
                  noise: NoiseModel) -> _Observer:
     """Prime one eviction set per page line; after the page noise, stray
     traffic may evict one member per set (read as a hit), then probe.
-    The sets' keys and walks, both ways, are listed once per attack."""
+    The sets' keys and walks, both ways, are found once per process for
+    each cache class, geometry and page, and shared read-only."""
     cache, page = machine.cache, sc.attacker.translate(sc.page_vaddr)
     strides = [s for s in sc.decode if s is not None]
-    keys, walks = page_eviction_sets(cache, page)
-    reversed_walks = [lines[::-1] for lines in walks]
+    keys, walks, reversed_walks = _eviction_sets(type(cache), cache.config,
+                                                 page)
     baseline: list[int] = []
 
     def arm() -> None:

@@ -3,7 +3,7 @@
 import copy
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afterimage.cache import (
@@ -11,6 +11,7 @@ from afterimage.cache import (
     CacheModel,
     EvictionSetError,
     build_eviction_set,
+    page_eviction_sets,
 )
 from afterimage.uarch import LINE_BYTES, LINE_SHIFT, PAGE_BYTES, PAGE_LINES
 
@@ -339,6 +340,49 @@ def test_eviction_set_displaces_a_victim_line():
     # probing the set again must show at least one displaced member
     latencies = [c.access(a) for a in members]
     assert latencies.count(200) >= 1
+
+
+@settings(deadline=None)
+@given(slices=st.integers(0, 6).map(lambda s: 1 << s),
+       sets_per_slice=st.integers(0, 12).map(lambda e: 1 << e),
+       associativity=st.integers(0, 4).map(lambda e: 1 << e),
+       page=st.integers(0, (1 << 40) - 1),
+       prior=st.lists(st.tuples(st.sampled_from(["access", "prefetch"]),
+                                st.integers(0, 1 << 16)), max_size=40))
+# 16 sets: page lines 0 and 16 share key 0, and line 0's search takes
+# line 16 as a member, so the two walks differ and evict each other
+@example(slices=1, sets_per_slice=16, associativity=4, page=0, prior=[])
+@example(slices=4, sets_per_slice=2048, associativity=16, page=0x600,
+         prior=[("prefetch", 3), ("access", 64), ("prefetch", 70)])
+def test_a_primed_eviction_set_reads_all_hits(slices, sets_per_slice,
+                                              associativity, page, prior):
+    c = CacheModel(CacheConfig(slices=slices, sets_per_slice=sets_per_slice,
+                               associativity=associativity))
+    page_paddr = page * PAGE_BYTES
+    keys, walks = page_eviction_sets(c, page_paddr)
+    # prior traffic on the page's lines and the sets' members, which may
+    # leave unused prefetches and other lines in the walked sets
+    first = page_paddr >> LINE_SHIFT
+    lines = [*range(first, first + PAGE_LINES),
+             *sorted({li for walk in walks for li in walk})]
+    for op, i in prior:
+        addr = lines[i % len(lines)] << LINE_SHIFT
+        if op == "access":
+            c.access(addr)
+        else:
+            c.install_prefetch(addr)
+    c.walk_sets(keys, walks)
+    times = c.walk_sets(keys, walks)
+    hit = c.config.hit_latency
+    if slices * sets_per_slice >= PAGE_LINES:
+        assert times == [len(walk) * hit for walk in walks]
+    # a walk of associativity-many lines leaves its set holding exactly
+    # them, so a walk reads all hits iff the last walk at its key held
+    # the same lines; below 64 sets two walks may share a key
+    held = {key: set(walk) for key, walk in zip(keys, walks)}
+    for key, walk, t in zip(keys, walks, times):
+        assert (t == len(walk) * hit) == (set(walk) == held[key])
+        held[key] = set(walk)
 
 
 # a tiny cache: 4 ways, and enough lines per set to displace them

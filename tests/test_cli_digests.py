@@ -129,6 +129,15 @@ CASES = {
                 "--cache-associativity", "8", "--noise-evict", "0.05"),
         {"out.csv":
          "b531a4a84af123b53c5751f4cd714a598a4cc1a60bc1c12f12b1e3229fd5e6ae"}),
+    # 64 sets of 4 ways over 8 slices: each page line has a set of its
+    # own only while all three slice bits fold apart
+    "v1_prime_probe_eight_slices": (
+        ["attack", "--variant", "1", "--channel", "prime_probe",
+         "--rounds", "20", "--seed", "0", "--cache-slices", "8",
+         "--cache-sets-per-slice", "8", "--cache-associativity", "4",
+         "--output", "out.csv"],
+        {"out.csv":
+         "366a71e07146369089b15776b048138bfd12e234ff7ec67f50558e90a9583caa"}),
     "v1_flush_on_switch": (
         _attack(1, "flush_reload", "--flush-on-switch"),
         {"out.csv":

@@ -1,6 +1,7 @@
 """Tests for the reverse-engineering benches, attacks and mitigation."""
 
 import collections
+import copy
 import itertools
 import math
 import random
@@ -353,6 +354,53 @@ def test_page_eviction_sets_match_per_line_search(slices, sets_per_slice,
             assert own not in lines
             assert all(cache.location(li << LINE_SHIFT) == key
                        for li in lines)
+
+
+class _OtherCacheModel(CacheModel):
+    """A cache class of its own, with ``CacheModel``'s placement."""
+
+
+_NOISY = NoiseModel(p_evict=0.3, p_extra_load=1.0, next_line_noise=True)
+
+
+def _v1_page_sets():
+    """The memoised eviction sets of variant 1's watched page."""
+    machine = Machine()
+    sc = _SCENARIOS[1](machine, 0)
+    return experiments._eviction_sets(type(machine.cache),
+                                      machine.cache.config,
+                                      sc.attacker.translate(sc.page_vaddr))
+
+
+def test_shared_eviction_sets_give_the_attack_of_a_fresh_search():
+    def attack():
+        outcome = run_attack(1, "prime_probe", 20, noise=_NOISY, seed=6)
+        return outcome.records, outcome.detail
+
+    first = attack()
+    # another geometry and another cache class take entries of their own
+    run_attack(1, "prime_probe", 20, noise=_NOISY, seed=6,
+               cache_config=CacheConfig(slices=8, sets_per_slice=8,
+                                        associativity=4))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(programs, "CacheModel", _OtherCacheModel)
+        run_attack(1, "prime_probe", 20, noise=_NOISY, seed=6)
+    assert attack() == first
+    experiments._eviction_sets.cache_clear()
+    assert attack() == first
+
+
+def test_an_attack_leaves_the_shared_eviction_sets_as_they_were():
+    # a fresh search: an entry that an earlier attack changed would
+    # already match what this attack leaves of it
+    experiments._eviction_sets.cache_clear()
+    entry = _v1_page_sets()
+    before = copy.deepcopy(entry)
+    hits = experiments._eviction_sets.cache_info().hits
+    run_attack(1, "prime_probe", 20, noise=_NOISY, seed=7)
+    assert experiments._eviction_sets.cache_info().hits == hits + 1
+    assert _v1_page_sets() is entry
+    assert entry == before
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,9 @@ caller placed, so every load is placed by its own access.  Each case of
 ``tests/test_cli_digests.py`` then runs whole and must print the same
 bytes.  A fast path that changes a digest fails its production test
 there; this test overrides that path and still passes, which puts the
-fault in the fast path rather than in the rule.
+fault in the fast path rather than in the rule.  Eviction sets are
+memoised by cache class, so the prime+probe cases search with
+``PerLineCache`` too.
 """
 
 from __future__ import annotations
@@ -76,8 +78,16 @@ def test_every_digest_holds_with_every_fast_path_off(tmp_path, monkeypatch):
         _CALLS["load"] += 1
         return keyed_load(self, ip, paddr)
 
+    memo = experiments._eviction_sets
+    memo_classes = set()
+
+    def recorded_eviction_sets(cache_type, config, page):
+        memo_classes.add(cache_type)
+        return memo(cache_type, config, page)
+
     monkeypatch.setattr(programs, "CacheModel", PerLineCache)
     monkeypatch.setattr(experiments, "CacheModel", PerLineCache)
+    monkeypatch.setattr(experiments, "_eviction_sets", recorded_eviction_sets)
     monkeypatch.setattr(Machine, "load", unkeyed_load)
     monkeypatch.chdir(tmp_path)
     _write_inputs()
@@ -89,6 +99,9 @@ def test_every_digest_holds_with_every_fast_path_off(tmp_path, monkeypatch):
                      for f in digests}
         pinned[name] = digests
     assert got == pinned
+    # the memo keys eviction sets by cache class, so the prime+probe
+    # cases were served sets that a search with PerLineCache found
+    assert memo_classes == {PerLineCache}
     # a refactor that bypasses an override would make this a no-op
     assert set(_CALLS) == {"page_keys", "access_page", "walk_sets",
                            "install_prefetch", "flush_lines", "load"}

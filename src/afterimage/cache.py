@@ -51,11 +51,14 @@ walk order or reversed, so the set is compared with the walk, then
 reversed in place and compared again; when both differ, the set is
 reversed back and the walk goes to the per-line rule.  Whether a walk
 meets an unused prefetch is settled once per call: each unused
-prefetch is placed and its key marked, and a walk on an unmarked key
-meets none, since all its lines sit at its key and walking only clears
-prefetch flags.  An eviction set is a key and its members' line
-indices, ready for ``walk_sets``: its search keeps each new candidate
-that ``location`` places at the key.
+prefetch keeps the key ``install_prefetch`` placed it at, those keys
+are marked, and a walk on an unmarked key meets none, since all its
+lines sit at its key and walking only clears prefetch flags.  An
+eviction set is a key and its members' line indices, ready for
+``walk_sets``: its search keeps each new candidate that ``location``
+places at the key and skips the lines of the page it watches, so no
+set holds a line of its page and page lines that share a key get
+equal sets.
 """
 
 from __future__ import annotations
@@ -131,7 +134,8 @@ class CacheModel:
         self._offset_keys = offset_keys
         # key -> LRU-ordered line indices, most recent last
         self.sets: dict[int, list[int]] = {}
-        self._prefetched: set[int] = set()
+        # unused prefetched line -> the key install_prefetch placed it at
+        self._prefetched: dict[int, int] = {}
         self.demand_accesses = 0
         self.demand_misses = 0
         self.prefetch_installs = 0
@@ -180,7 +184,7 @@ class CacheModel:
             ways.remove(li)
             ways.append(li)
             if li in self._prefetched:
-                self._prefetched.discard(li)
+                del self._prefetched[li]
                 self.useful_prefetch_hits += 1
             return self._hit_latency
         self.demand_misses += 1
@@ -211,12 +215,11 @@ class CacheModel:
                   walks: list[list[int]]) -> list[int]:
         """Demand-access each walk's lines, all placed at its key, in
         order, walk after walk; returns each walk's summed latency."""
-        sets, prefetched, config = self.sets, self._prefetched, self.config
-        hit, miss = config.hit_latency, config.miss_latency
-        # a walk on a key that places none of the unused prefetches
+        sets, hit, miss = self.sets, self._hit_latency, self._miss_latency
+        # a walk on a key that holds none of the unused prefetches
         # meets none of them: all its lines sit at its key, and walking
         # only clears prefetch flags
-        marked = {self.location(li << LINE_SHIFT) for li in prefetched}
+        marked = set(self._prefetched.values())
         access_line = self.access_line
         accesses = misses = 0
         times = []
@@ -224,7 +227,7 @@ class CacheModel:
             ways = sets.get(key)
             n = len(lines)
             if not ways:
-                if 0 < n <= config.associativity and len(set(lines)) == n:
+                if 0 < n <= self._associativity and len(set(lines)) == n:
                     # every access misses into a free way, so the walk
                     # leaves the set in walk order and evicts nothing
                     sets[key] = list(lines)
@@ -274,12 +277,11 @@ class CacheModel:
             return
         self.prefetch_installs += 1
         self._install(ways, li)
-        self._prefetched.add(li)
+        self._prefetched[li] = key
 
     def _install(self, ways: list[int], li: int) -> None:
         if len(ways) >= self._associativity:
-            evicted = ways.pop(0)
-            self._prefetched.discard(evicted)
+            self._prefetched.pop(ways.pop(0), None)
         ways.append(li)
 
     def flush_line(self, paddr: int) -> None:
@@ -295,7 +297,7 @@ class CacheModel:
             ways = sets.get(key)
             if ways and line in ways:
                 ways.remove(line)
-            prefetched.discard(line)
+            prefetched.pop(line, None)
 
 
 def build_eviction_set(cache: CacheModel, key: int,
@@ -322,12 +324,16 @@ def page_eviction_sets(cache: CacheModel, page_paddr: int
     """The keys of the lines of the page at ``page_paddr`` (page
     aligned), as ``page_keys`` gives them, and one eviction set per
     line, each drawn from the pool ``set_index + k * sets_per_slice``
-    for ``k`` in 1..4095 (not the line itself).
+    for ``k`` in 1..4095 whose line is not in the page.  So no set
+    holds a line of the page, and lines that share a key get equal
+    sets.
 
     Pool line ``k`` shares the set bits of the page line ``own``, and
     the slice fold is XOR-linear, so it lands in ``own``'s slice
     exactly when ``k << set_bits`` and ``own``'s high part shifted
-    the same way fold alike.  That depends on the high part alone, so
+    the same way fold alike.  It differs from ``own`` by ``k`` XOR
+    that high part, shifted, so it is in the page exactly when that
+    is below ``PAGE_LINES``.  Both depend on the high part alone, so
     one search per distinct high part finds the ``k`` of every line
     that shares it.
     """
@@ -341,7 +347,8 @@ def page_eviction_sets(cache: CacheModel, page_paddr: int
         highs = member_highs.get(high)
         if highs is None:
             pool = ((set_index | k << set_bits) * LINE_BYTES
-                    for k in range(1, 4096) if k != high)
+                    for k in range(1, 4096)
+                    if (k ^ high) << set_bits >= PAGE_LINES)
             lines = build_eviction_set(cache, key, pool)
             member_highs[high] = [li ^ set_index for li in lines]
         else:

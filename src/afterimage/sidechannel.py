@@ -4,10 +4,11 @@ Every channel is read in one protocol, arm before the victim runs and
 read after it; ``experiments`` builds one observer per channel on these
 functions and places what they walk once per attack.  Prime+Probe works
 on per-line eviction sets, given as their keys and member walks: prime
-(its arm) fills each set and returns its hit baseline time, one per
-set; probe re-walks the sets in reverse and returns one flag per set,
-set when its time moved by more than the cache's latency threshold in
-either direction.  Flush+Reload's arm flushes the page through its
+(its arm) fills each set with one walk and returns its hit baseline
+time, one per set, the time a second walk would read; probe re-walks
+the sets in reverse and returns one flag per set, set when its time
+moved by more than the cache's latency threshold in either direction.
+Flush+Reload's arm flushes the page through its
 ``CacheModel.page_keys``; ``flush_reload`` reloads its 64 lines through
 the same keys in line order, in one ``CacheModel.access_page`` call,
 returns the indices of the lines that hit and leaves all of them
@@ -48,9 +49,19 @@ class StatusProbe(NamedTuple):
 def prime(cache: CacheModel, keys: list[int],
           walks: list[list[int]]) -> list[int]:
     """Fill every eviction set, its members ``walks[i]`` placed at
-    ``keys[i]``, then return its steady hit baseline time."""
+    ``keys[i]``, and return its steady hit baseline time,
+    ``len(walks[i]) * hit_latency``.
+
+    Each walk must be an eviction set of distinct lines, at most
+    ``associativity`` of them, and walks that share a key must hold the
+    same lines, as ``page_eviction_sets`` gives them.  The fill walk
+    then leaves each set holding its walk's lines, none of them an
+    unused prefetch, so a second walk would hit on every line; the
+    baseline is that walk's time, read without making it.
+    """
     cache.walk_sets(keys, walks)
-    return cache.walk_sets(keys, walks)
+    hit = cache.config.hit_latency
+    return [len(lines) * hit for lines in walks]
 
 
 def probe(cache: CacheModel, keys: list[int],

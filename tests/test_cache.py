@@ -277,7 +277,7 @@ def _flush_per_line(c, paddr):
     ways = c.sets.get(c.location(paddr))
     if ways and li in ways:
         ways.remove(li)
-    c._prefetched.discard(li)
+    c._prefetched.pop(li, None)
 
 
 @given(config=_GEOMETRY, page=st.integers(0, (1 << 40) - 1),
@@ -349,20 +349,29 @@ def test_eviction_set_displaces_a_victim_line():
        page=st.integers(0, (1 << 40) - 1),
        prior=st.lists(st.tuples(st.sampled_from(["access", "prefetch"]),
                                 st.integers(0, 1 << 16)), max_size=40))
-# 16 sets: page lines 0 and 16 share key 0, and line 0's search takes
-# line 16 as a member, so the two walks differ and evict each other
+# 16 sets: page lines 0 and 16 share key 0, and line 16 is a candidate
+# for line 0's set.  Both searches skip the page's lines 0..63, so both
+# walks are [64, 80, 96, 112] and neither evicts the other
 @example(slices=1, sets_per_slice=16, associativity=4, page=0, prior=[])
 @example(slices=4, sets_per_slice=2048, associativity=16, page=0x600,
          prior=[("prefetch", 3), ("access", 64), ("prefetch", 70)])
 def test_a_primed_eviction_set_reads_all_hits(slices, sets_per_slice,
                                               associativity, page, prior):
+    # prime returns len(walk) * hit_latency per set without a second
+    # walk; at every geometry a second walk reads exactly that
     c = CacheModel(CacheConfig(slices=slices, sets_per_slice=sets_per_slice,
                                associativity=associativity))
     page_paddr = page * PAGE_BYTES
     keys, walks = page_eviction_sets(c, page_paddr)
+    first = page_paddr >> LINE_SHIFT
+    # no walk holds a line of its page, and walks that share a key,
+    # which below 64 sets some do, are equal
+    walk_at = {}
+    for key, walk in zip(keys, walks):
+        assert not any(first <= li < first + PAGE_LINES for li in walk)
+        assert walk_at.setdefault(key, walk) == walk
     # prior traffic on the page's lines and the sets' members, which may
     # leave unused prefetches and other lines in the walked sets
-    first = page_paddr >> LINE_SHIFT
     lines = [*range(first, first + PAGE_LINES),
              *sorted({li for walk in walks for li in walk})]
     for op, i in prior:
@@ -372,17 +381,8 @@ def test_a_primed_eviction_set_reads_all_hits(slices, sets_per_slice,
         else:
             c.install_prefetch(addr)
     c.walk_sets(keys, walks)
-    times = c.walk_sets(keys, walks)
     hit = c.config.hit_latency
-    if slices * sets_per_slice >= PAGE_LINES:
-        assert times == [len(walk) * hit for walk in walks]
-    # a walk of associativity-many lines leaves its set holding exactly
-    # them, so a walk reads all hits iff the last walk at its key held
-    # the same lines; below 64 sets two walks may share a key
-    held = {key: set(walk) for key, walk in zip(keys, walks)}
-    for key, walk, t in zip(keys, walks, times):
-        assert (t == len(walk) * hit) == (set(walk) == held[key])
-        held[key] = set(walk)
+    assert c.walk_sets(keys, walks) == [len(walk) * hit for walk in walks]
 
 
 # a tiny cache: 4 ways, and enough lines per set to displace them
@@ -485,6 +485,45 @@ def test_walk_sets_match_per_line_access(prior, walks):
     assert c.walk_sets([key for key, _ in walks],
                        [list(lines) for _, lines in walks]) == want
     assert _counters(c) == _counters(ref)
+
+
+_LINE = st.integers(0, 3 * PAGE_LINES - 1)
+
+
+@given(ops=st.lists(st.one_of(
+    st.tuples(st.sampled_from(["access", "prefetch", "flush"]), _LINE),
+    # a prefetch placed from its load's key, in the load's page or not
+    st.tuples(st.just("keyed"), _LINE, _LINE),
+    st.tuples(st.just("page"), st.integers(0, 2)),
+    st.tuples(st.just("walks"),
+              st.lists(st.one_of(*(_walks(k, s) for k, s in _POOLS)),
+                       max_size=4))), max_size=40))
+# a prefetch flushed, and one evicted by four demand lines of its set
+@example(ops=[("prefetch", _SAME[0]), ("flush", _SAME[0])])
+@example(ops=[("keyed", _SAME[0], 0), *(("access", li) for li in _SAME[4:])])
+def test_unused_prefetches_keep_the_key_they_were_placed_at(ops):
+    # walk_sets marks the keys of unused prefetches from these entries
+    c = CacheModel(_TINY)
+    for op, *args in ops:
+        if op == "access":
+            c.access(args[0] * LINE_BYTES)
+        elif op == "prefetch":
+            c.install_prefetch(args[0] * LINE_BYTES)
+        elif op == "flush":
+            c.flush_line(args[0] * LINE_BYTES)
+        elif op == "keyed":
+            target, load = args
+            c.install_prefetch(target * LINE_BYTES,
+                               c.location(load * LINE_BYTES), load)
+        elif op == "page":
+            first = args[0] * PAGE_LINES
+            c.access_page(c.page_keys(first * LINE_BYTES), first)
+        else:
+            c.walk_sets([key for key, _ in args[0]],
+                        [list(lines) for _, lines in args[0]])
+        for li, key in c._prefetched.items():
+            assert key == c.location(li << LINE_SHIFT)
+            assert li in c.sets[key]
 
 
 # each line of the first three pages -> four lines that fill its set

@@ -301,7 +301,8 @@ def test_attack_memory_stays_bounded_in_rounds():
 
 
 def _sets_per_line(cache, page_paddr):
-    """Reference: search each page line's eviction set on its own."""
+    """Reference: search each page line's eviction set on its own, from
+    a pool that skips every line of the page."""
     sets = cache.config.sets_per_slice
     keys, walks = [], []
     for line in range(PAGE_LINES):
@@ -309,7 +310,8 @@ def _sets_per_line(cache, page_paddr):
         key = cache.location(own << LINE_SHIFT)
         set_index = key % sets
         pool = ((set_index + k * sets) * LINE_BYTES for k in range(1, 4096)
-                if set_index + k * sets != own)
+                if (set_index + k * sets) * LINE_BYTES // PAGE_BYTES
+                != page_paddr // PAGE_BYTES)
         keys.append(key)
         walks.append(build_eviction_set(cache, key, pool))
     return keys, walks
@@ -343,15 +345,15 @@ def test_page_eviction_sets_match_per_line_search(slices, sets_per_slice,
         if isinstance(got, str):
             continue
         # each walk holds associativity distinct lines that location
-        # places at its line's key, and never the page line itself
+        # places at its line's key, and never a line of the page
         keys, walks = got
         first = page >> LINE_SHIFT
         assert keys == [cache.location(page + ln * LINE_BYTES)
                         for ln in range(PAGE_LINES)]
         assert len(walks) == PAGE_LINES
-        for own, key, lines in zip(itertools.count(first), keys, walks):
+        for key, lines in zip(keys, walks):
             assert len(set(lines)) == len(lines) == associativity
-            assert own not in lines
+            assert not any(first <= li < first + PAGE_LINES for li in lines)
             assert all(cache.location(li << LINE_SHIFT) == key
                        for li in lines)
 

@@ -54,12 +54,12 @@ class PerLineCache(CacheModel):
 
     def install_prefetch(self, paddr, load_key=None, load_li=0):
         _CALLS["install_prefetch"] += 1
-        li = paddr >> LINE_SHIFT
-        ways = self.sets.setdefault(self.location(paddr), [])
+        li, key = paddr >> LINE_SHIFT, self.location(paddr)
+        ways = self.sets.setdefault(key, [])
         if li not in ways:
             self.prefetch_installs += 1
             self._install(ways, li)
-            self._prefetched.add(li)
+            self._prefetched[li] = key
 
     def flush_lines(self, paddr, keys):
         _CALLS["flush_lines"] += 1
@@ -68,7 +68,7 @@ class PerLineCache(CacheModel):
             ways = self.sets.get(self.location(li << LINE_SHIFT))
             if ways and li in ways:
                 ways.remove(li)
-            self._prefetched.discard(li)
+            self._prefetched.pop(li, None)
 
 
 def test_every_digest_holds_with_every_fast_path_off(tmp_path, monkeypatch):

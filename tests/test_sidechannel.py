@@ -65,6 +65,8 @@ def test_prime_baseline_is_all_hits():
     cache = CacheModel()
     sets = build_page_sets(cache, PAGE, 4)
     assert _prime(cache, sets) == [16 * 40] * 4
+    # prime reads no walk of its own: a second walk must read the same
+    assert cache.walk_sets(*sets) == [16 * 40] * 4
 
 
 def test_probe_without_victim_sees_nothing():
@@ -82,13 +84,13 @@ def test_prime_and_probe_counters_and_lru_order(n):
     cache = CacheModel()
     sets = build_page_sets(cache, PAGE, n)
     baseline = _prime(cache, sets)
-    # the fill walk misses once per member, the timed walk only hits
-    assert cache.demand_accesses == 2 * 16 * n
+    # the fill walk misses once per member, and prime walks only once
+    assert cache.demand_accesses == 16 * n
     assert cache.demand_misses == 16 * n
     for key, lines in zip(*sets):
         assert cache.sets[key] == lines
     _probe(cache, sets, baseline)
-    assert cache.demand_accesses == 3 * 16 * n
+    assert cache.demand_accesses == 2 * 16 * n
     assert cache.demand_misses == 16 * n
     for key, lines in zip(*sets):
         assert cache.sets[key] == lines[::-1]
@@ -197,11 +199,12 @@ def test_prime_probe_rounds_match_per_line_walks(config, rounds):
     if config.sets_per_slice < PAGE_LINES:
         assert len(set(sets[0])) < PAGE_LINES
     ref = copy.deepcopy(cache)
-    threshold = cache.config.threshold
+    threshold, hit = cache.config.threshold, cache.config.hit_latency
     for ops in rounds:
-        _walk_per_line(ref, sets, False)  # the fill walk
+        _walk_per_line(ref, sets, False)  # the fill walk, and no other
         baseline = _prime(cache, sets)
-        assert baseline == _walk_per_line(ref, sets, False)
+        assert baseline == [len(lines) * hit for lines in sets[1]]
+        assert _cache_state(cache) == _cache_state(ref)
         for op in ops:
             _disturb(cache, sets, *op)
             _disturb(ref, sets, *op)

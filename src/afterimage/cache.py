@@ -46,10 +46,12 @@ each pass over them to one ``walk_sets(keys, walks)`` call, which
 demand-accesses each walk's lines in order, walk after walk.  A walk
 onto an empty set fills it in one step.  When the set holds exactly
 the walked lines and none awaits its first demand hit, every access
-hits and leaves the set in walk order.  Prime+probe leaves a set in
-walk order or reversed, so the set is compared with the walk, then
-reversed in place and compared again; when both differ, the set is
-reversed back and the walk goes to the per-line rule.  Whether a walk
+hits and leaves the set in walk order.  Prime+probe walks a set in
+the reverse of the order its last walk left it in, so the set is
+reversed in place and compared with the walk once; when they differ,
+the set is reversed back and the walk goes to the per-line rule.
+A set already in walk order occurs only below 64 sets in all, where
+two eviction sets share a key, and takes that rule too.  Whether a walk
 meets an unused prefetch is settled once per call: each unused
 prefetch keeps the key ``install_prefetch`` placed it at, those keys
 are marked, and a walk on an unmarked key meets none, since all its
@@ -238,19 +240,15 @@ class CacheModel:
             elif len(ways) == n and key not in marked:
                 # when the set holds exactly the walked lines, every
                 # access hits and moves its line to the end, so the walk
-                # leaves the set in walk order.  Prime+probe leaves it in
-                # walk order or reversed: reverse it in place, and leave
-                # any other order to the rule below
-                all_hit = True
-                if ways != lines:
-                    ways.reverse()
-                    if ways != lines:
-                        all_hit = False
-                        ways.reverse()  # LRU order, for the rule below
-                if all_hit:
+                # leaves the set in walk order.  Each prime+probe walk
+                # finds its set in the reverse of its own order: reverse
+                # it in place, and leave any other order to the rule below
+                ways.reverse()
+                if ways == lines:
                     accesses += n
                     times.append(n * hit)
                     continue
+                ways.reverse()  # LRU order, for the rule below
             t = 0
             for li in lines:
                 t += access_line(key, li)

@@ -40,11 +40,15 @@ from typing import Callable, Iterator, NamedTuple
 
 from .cache import CacheConfig, CacheModel, page_eviction_sets
 from .programs import (
+    ELSE_TAG,
+    GADGET,
+    IF_TAG,
+    STRIDE_ELSE,
+    STRIDE_IF,
     Domain,
     Load,
     Machine,
     Placed,
-    build_gadget,
     ip_matching_groups,
     ip_with_tag,
     stride_bytes,
@@ -500,11 +504,9 @@ class _Scenario(NamedTuple):
     detail: dict
 
 
-# Variants 1 and 2 train both arms of the victim's branch: the if arm's
-# tag with one stride, the else arm's tag with another.
-_IF_TAG, _ELSE_TAG = 0x3A, 0xB4
-_STRIDE_IF, _STRIDE_ELSE = 7, 13
-_TWO_SIDED = {_STRIDE_IF: 1, _STRIDE_ELSE: 0}
+# Variants 1 and 2 train both arms of the victim's branch with GADGET:
+# the if arm's tag with one stride, the else arm's tag with another.
+_TWO_SIDED = {STRIDE_IF: 1, STRIDE_ELSE: 0}
 _VICTIM_CODE = 0x700000
 _KERNEL_CODE = 0x7FFF00F000  # fixed: kernel text is not randomized here
 _ARRAY_LINES = 48  # the victim's array; each load picks one of its lines
@@ -513,8 +515,8 @@ _Observer = tuple[Callable[[], object], Callable[..., StrideDetection]]
 
 def _two_arms(array: int) -> dict[int, tuple[int, int]]:
     """The if arm (bit 1) and the else arm (bit 0), loading from ``array``."""
-    return {1: (ip_with_tag(_VICTIM_CODE, _IF_TAG), array),
-            0: (ip_with_tag(_VICTIM_CODE + 0x1000, _ELSE_TAG), array)}
+    return {1: (ip_with_tag(_VICTIM_CODE, IF_TAG), array),
+            0: (ip_with_tag(_VICTIM_CODE + 0x1000, ELSE_TAG), array)}
 
 
 def _same_space(machine: Machine, seed: int) -> _Scenario:
@@ -529,8 +531,7 @@ def _same_space(machine: Machine, seed: int) -> _Scenario:
     dom = Domain("proc")
     # the victim initialised its array earlier; the translation is warm
     machine.tlb.access(page_frame(dom.translate(victim_page)))
-    gadget = build_gadget(_IF_TAG, _ELSE_TAG, _STRIDE_IF, _STRIDE_ELSE)
-    return _Scenario(dom, gadget, victim_page, dom, _two_arms(victim_page),
+    return _Scenario(dom, GADGET, victim_page, dom, _two_arms(victim_page),
                      _TWO_SIDED, {})
 
 
@@ -542,8 +543,7 @@ def _cross_process(machine: Machine, seed: int) -> _Scenario:
     victim = Domain("victim", phys_offset=0x20000000)
     attacker.map_shared(shared_vaddr, shared_paddr)
     victim.map_shared(shared_vaddr, shared_paddr)
-    gadget = build_gadget(_IF_TAG, _ELSE_TAG, _STRIDE_IF, _STRIDE_ELSE)
-    return _Scenario(attacker, gadget, shared_vaddr, victim,
+    return _Scenario(attacker, GADGET, shared_vaddr, victim,
                      _two_arms(shared_vaddr), _TWO_SIDED, {})
 
 
@@ -657,10 +657,6 @@ def _prime_probe(machine: Machine, sc: _Scenario,
     strides = [s for s in sc.decode if s is not None]
     keys, walks, reversed_walks = _eviction_sets(type(cache), cache.config,
                                                  page)
-    baseline: list[int] = []
-
-    def arm() -> None:
-        baseline[:] = prime(cache, keys, walks)
 
     def read(rng: random.Random, victim_loads: list[int]) -> StrideDetection:
         _apply_page_noise(cache, noise, rng, page, victim_loads)
@@ -668,10 +664,10 @@ def _prime_probe(machine: Machine, sc: _Scenario,
         for lines in walks:
             if draw() < p_evict:
                 cache.flush_line(lines[0] << LINE_SHIFT)
-        evicted = probe(cache, keys, reversed_walks, baseline)
+        evicted = probe(cache, keys, reversed_walks)
         return detect_stride({ln for ln, hit in enumerate(evicted) if hit},
                              strides)
-    return arm, read
+    return lambda: prime(cache, keys, walks), read
 
 
 def _status_probe(machine: Machine, sc: _Scenario,

@@ -112,15 +112,14 @@ def table_step(tag, paddr, tags, last, stride, conf, mru, owner, tlb,
     return False, 0, slot
 
 
-def run_table_batch(in_tags, in_addrs, tags, last, stride, conf, mru, owner,
-                    tlb, tlb_capacity):
-    """Replay a load trace; returns lists (emit, target, last, stride, conf)
-    holding each step's emission and touched-entry state."""
+def run_table_batch(in_tags, in_addrs, tags, last, stride, conf, mru, owner):
+    """Replay a load trace with translation off; returns lists (emit,
+    target, last, stride, conf) holding each step's emission and
+    touched-entry state."""
     emits, targets, lasts, strides, confs = [], [], [], [], []
     for tag, paddr in zip(in_tags, in_addrs):
         emitted, target, slot = table_step(
-            tag, paddr, tags, last, stride, conf, mru, owner, tlb,
-            tlb_capacity)
+            tag, paddr, tags, last, stride, conf, mru, owner, None, 0)
         emits.append(emitted)
         targets.append(target)
         lasts.append(last[slot])

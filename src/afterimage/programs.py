@@ -1,21 +1,22 @@
 """Straight-line victim/attacker programs and their execution.
 
-A program is a flat list of ``Load`` steps.  ``Machine.run_program``
-runs placed loads, ``(ip, paddr, key)`` triples as ``Machine.load``
-takes them.  ``Machine.place`` translates a program in a domain and
-places each load's line once, so a program that runs every round is
-placed once; a key of None leaves the placement to the access.  The
-Machine owns the prefetcher table, the TLB and the cache and keeps a
-cycle clock fed by load latencies.  It keeps no log: a run returns the
-physical addresses of the demand loads it made, and everything else is
-read from the state it leaves.  Every demand load in the simulator,
-whether a program step, a bench load, a status probe or a replayed
-trace, goes through ``Machine.load``.  ``Machine.flush`` flushes a run
-of placed lines within one frame, with one TLB access for the frame and
-one cache flush.  Domains give each simulated protection context its
-own page mapping; translation is identity-plus-offset with explicit
-per-frame overrides so that shared memory can alias one physical page
-from several domains.
+A program is a flat list of ``Load`` steps; ``GADGET`` is the one that
+trains variants 1 and 2, two IPs at fixed tags walking fixed strides.
+``Machine.run_program`` runs placed loads, ``(ip, paddr, key)`` triples
+as ``Machine.load`` takes them.  ``Machine.place`` translates a program
+in a domain and places each load's line once, so a program that runs
+every round is placed once; a key of None leaves the placement to the
+access.  The Machine owns the prefetcher table, the TLB and the cache
+and keeps a cycle clock fed by load latencies.  It keeps no log: a run
+returns the physical addresses of the demand loads it made, and
+everything else is read from the state it leaves.  Every demand load in
+the simulator, whether a program step, a bench load, a status probe or
+a replayed trace, goes through ``Machine.load``.  ``Machine.flush``
+flushes a run of placed lines within one frame, with one TLB access for
+the frame and one cache flush.  Domains give each simulated protection
+context its own page mapping; translation is identity-plus-offset with
+explicit per-frame overrides so that shared memory can alias one
+physical page from several domains.
 
 Prefetcher and cache state persist across domain switches unless a flush
 is armed: ``flush_on_switch`` wipes the table at every switch, and a
@@ -24,7 +25,6 @@ is armed: ``flush_on_switch`` wipes the table at every switch, and a
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterator, NamedTuple
 
 from .cache import CacheConfig, CacheModel
@@ -196,29 +196,20 @@ def stride_bytes(stride_lines: int) -> int:
     return sb
 
 
-def build_gadget(if_tag: int, else_tag: int, stride_if: int,
-                 stride_else: int) -> list[Load]:
-    """Training gadget: two load IPs walking distinct strides (in lines).
+#: The training gadget's two load tags, and the stride each walks, in
+#: lines.
+IF_TAG, ELSE_TAG = 0x3A, 0xB4
+STRIDE_IF, STRIDE_ELSE = 7, 13
 
-    The if IP (code page 0x400000) walks from 0x10000 and the else IP
-    (code page 0x401000) from 0x12000, three loads each, interleaved.
-    """
-    iterations, code_base = 3, 0x400000
-    array_if, array_else = 0x10000, 0x12000
-    if if_tag == else_tag:
-        raise ValueError("if/else tags must differ")
-    sb_if = stride_bytes(stride_if)
-    sb_else = stride_bytes(stride_else)
-    if stride_if == stride_else:
-        warnings.warn("equal strides leave the two paths indistinguishable",
-                      stacklevel=2)
-    ip_if = ip_with_tag(code_base, if_tag)
-    ip_else = ip_with_tag(code_base + 0x1000, else_tag)
-    steps: list[Load] = []
-    for i in range(iterations):
-        steps.append(Load(ip_if, array_if + i * sb_if))
-        steps.append(Load(ip_else, array_else + i * sb_else))
-    return steps
+#: Training gadget: the if IP (code page 0x400000, tag ``IF_TAG``)
+#: walks from 0x10000 at ``STRIDE_IF`` and the else IP (code page
+#: 0x401000, tag ``ELSE_TAG``) from 0x12000 at ``STRIDE_ELSE``, three
+#: loads each, interleaved.
+GADGET = [Load(ip, array + i * stride_bytes(stride))
+          for i in range(3)
+          for ip, array, stride in (
+              (ip_with_tag(0x400000, IF_TAG), 0x10000, STRIDE_IF),
+              (ip_with_tag(0x401000, ELSE_TAG), 0x12000, STRIDE_ELSE))]
 
 
 def ip_matching_groups(stride_lines: int) -> Iterator[list[Load]]:

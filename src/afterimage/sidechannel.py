@@ -4,10 +4,9 @@ Every channel is read in one protocol, arm before the victim runs and
 read after it; ``experiments`` builds one observer per channel on these
 functions and places what they walk once per attack.  Prime+Probe works
 on per-line eviction sets, given as their keys and member walks: prime
-(its arm) fills each set with one walk and returns its hit baseline
-time, one per set, the time a second walk would read; probe re-walks
-the sets in reverse and returns one flag per set, set when its time
-moved by more than the cache's latency threshold in either direction.
+(its arm) fills each set with one walk; probe re-walks the sets in
+reverse and returns one flag per set, set when its time exceeds the
+all-hit time of its walk by more than the cache's latency threshold.
 Flush+Reload's arm flushes the page through its
 ``CacheModel.page_keys``; ``flush_reload`` reloads its 64 lines through
 the same keys in line order, in one ``CacheModel.access_page`` call,
@@ -47,35 +46,36 @@ class StatusProbe(NamedTuple):
 
 
 def prime(cache: CacheModel, keys: list[int],
-          walks: list[list[int]]) -> list[int]:
+          walks: list[list[int]]) -> None:
     """Fill every eviction set, its members ``walks[i]`` placed at
-    ``keys[i]``, and return its steady hit baseline time,
-    ``len(walks[i]) * hit_latency``.
+    ``keys[i]``, with one walk.
 
     Each walk must be an eviction set of distinct lines, at most
     ``associativity`` of them, and walks that share a key must hold the
     same lines, as ``page_eviction_sets`` gives them.  The fill walk
     then leaves each set holding its walk's lines, none of them an
-    unused prefetch, so a second walk would hit on every line; the
-    baseline is that walk's time, read without making it.
+    unused prefetch, so a second walk would hit on every line and read
+    ``len(walks[i]) * hit_latency``.
     """
     cache.walk_sets(keys, walks)
-    hit = cache.config.hit_latency
-    return [len(lines) * hit for lines in walks]
 
 
 def probe(cache: CacheModel, keys: list[int],
-          reversed_walks: list[list[int]], baseline: list[int]) -> list[bool]:
+          reversed_walks: list[list[int]]) -> list[bool]:
     """Re-walk the sets, each in the reverse of its prime walk; a set is
-    evicted iff |time - baseline| exceeds the cache's threshold.
+    evicted iff its time exceeds ``len(walk) * hit_latency``, the time
+    of a walk that hits on every line, by more than the cache's
+    threshold.  No walk reads below that time: ``CacheConfig`` keeps the
+    hit latency under the miss latency.
 
     The walk reverses the prime order: under true LRU a same-order probe
     would evict its own next element after a single victim insertion and
     read the whole set as missing.
     """
-    threshold = cache.config.threshold
+    hit, threshold = cache.config.hit_latency, cache.config.threshold
     times = cache.walk_sets(keys, reversed_walks)
-    return [abs(t - b) > threshold for t, b in zip(times, baseline)]
+    return [t - len(lines) * hit > threshold
+            for t, lines in zip(times, reversed_walks)]
 
 
 def flush_reload(cache: CacheModel, page_base: int,

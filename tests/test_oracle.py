@@ -92,7 +92,7 @@ def replay_both(pairs):
     table = PrefetchTable()
     t_emit, *t_out = run_table_batch(
         tags, addrs, table.tags, table.last, table.stride, table.conf,
-        table.mru, table.owner, None, 0)
+        table.mru, table.owner)
 
     return (t_emit, t_out), ReferenceModel().replay(tags, addrs)
 
@@ -215,7 +215,7 @@ def test_check_seed_reports_corrupted_targets(monkeypatch):
     tags, addrs = first_loads(3, 2000)
     table = PrefetchTable()
     emit = run_table_batch(tags, addrs, table.tags, table.last, table.stride,
-                           table.conf, table.mru, table.owner, None, 0)[0]
+                           table.conf, table.mru, table.owner)[0]
     real = kernels.table_step
 
     def off_by_a_line(*args):
@@ -235,7 +235,7 @@ def test_check_seed_locates_a_fault_past_the_first_chunk(monkeypatch):
     tags, addrs = first_loads(3, 9000)
     table = PrefetchTable()
     emit = run_table_batch(tags, addrs, table.tags, table.last, table.stride,
-                           table.conf, table.mru, table.owner, None, 0)[0]
+                           table.conf, table.mru, table.owner)[0]
     real = kernels.table_step
     calls = [0]
 

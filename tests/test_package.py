@@ -314,19 +314,13 @@ def _callees(call, tables):
     return []
 
 
-def _unset_defaults():
-    """``Class.method.param`` or ``function.param`` for each defaulted
-    parameter in the package that no call in the package or the
-    benchmark sets.  A call sets a parameter when it binds it, by
-    position or by keyword, to anything but a literal equal to its
-    default.  Calls match a definition by function name, by method
-    attribute, or by class name for ``__init__``; a call through a
-    dispatch table, ``NAME[...](...)`` with ``NAME`` bound at module
-    level to a dict display of function names, matches each function
-    in it.  A ``*`` or ``**`` argument sets every parameter of what it
-    matches, and a keyword at a call that names no definition sets that
-    parameter everywhere."""
-    trees = _trees()
+def _definitions(trees):
+    """Callee name -> ``(where, params, defaults)`` of each function or
+    method in ``trees``: ``where`` is ``Class.method`` or ``function``,
+    ``params`` its positional parameters after a bound ``self`` or
+    ``cls``, ``defaults`` as ``_defaults`` gives them.  A method is
+    found by its name, an ``__init__`` only by its class's name:
+    ``super().__init__`` reaches a library class."""
     definitions = collections.defaultdict(list)
     for tree in trees.values():
         methods = {id(node): scope.name for scope in ast.walk(tree)
@@ -341,10 +335,31 @@ def _unset_defaults():
             bound_self = cls is not None and not static
             entry = (f"{cls}.{node.name}" if cls else node.name,
                      params[bound_self:], _defaults(node))
-            # ``super().__init__`` reaches a library class: an
-            # ``__init__`` matches only by its class's name
             definitions[cls if node.name == "__init__" else node.name
                         ].append(entry)
+    return definitions
+
+
+def _spread(call):
+    """True when a call passes a ``*`` or ``**`` argument."""
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(kw.arg is None for kw in call.keywords))
+
+
+def _unset_defaults():
+    """``Class.method.param`` or ``function.param`` for each defaulted
+    parameter in the package that no call in the package or the
+    benchmark sets.  A call sets a parameter when it binds it, by
+    position or by keyword, to anything but a literal equal to its
+    default.  Calls match a definition by function name, by method
+    attribute, or by class name for ``__init__``; a call through a
+    dispatch table, ``NAME[...](...)`` with ``NAME`` bound at module
+    level to a dict display of function names, matches each function
+    in it.  A ``*`` or ``**`` argument sets every parameter of what it
+    matches, and a keyword at a call that names no definition sets that
+    parameter everywhere."""
+    trees = _trees()
+    definitions = _definitions(trees)
     unset = {f"{where}.{name}" for entries in definitions.values()
              for where, _params, defaults in entries
              for name, _default in defaults}
@@ -358,8 +373,7 @@ def _unset_defaults():
             named = {kw.arg for kw in call.keywords}
             unset = {p for p in unset if p.rsplit(".", 1)[1] not in named}
             continue
-        spread = (any(isinstance(a, ast.Starred) for a in call.args)
-                  or any(kw.arg is None for kw in call.keywords))
+        spread = _spread(call)
         for where, params, defaults in (entry for callee in callees
                                         for entry in definitions[callee]):
             default_of = dict(defaults)
@@ -376,6 +390,109 @@ def _unset_defaults():
 def test_every_default_is_set_by_some_call():
     # a default that no call overrides is a constant spelt as an option
     assert _unset_defaults() == _UNSET_KEPT
+
+
+#: parameters that every call binds to one fixed value, each kept for a
+#: reason; the list may only shrink
+_FIXED_KEPT: set[str] = set()
+
+
+def _module_literals(tree):
+    """Name -> ``repr`` of its value, for each module-level name bound
+    once, to a literal or as one item of a tuple of literals unpacked
+    into a tuple of names."""
+    bindings = collections.Counter()
+    values = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                pairs = [(target, value)]
+            elif (isinstance(target, ast.Tuple)
+                  and isinstance(value, ast.Tuple)):
+                pairs = zip(target.elts, value.elts)
+            else:
+                continue
+            for name, item in pairs:
+                if isinstance(name, ast.Name):
+                    bindings[name.id] += 1
+                    literal = _literal(item, {})
+                    if literal is not None:
+                        values[name.id] = literal
+    return {name: value for name, value in values.items()
+            if bindings[name] == 1}
+
+
+def _literal(value, literals):
+    """``repr`` of the value an argument passes when it is a literal or
+    a name in ``literals``; None for anything else."""
+    if isinstance(value, ast.Name):
+        return literals.get(value.id)
+    try:
+        return repr(ast.literal_eval(value))
+    except (ValueError, TypeError, SyntaxError):
+        return None
+
+
+def _fixed_parameters():
+    """``Class.method.param`` or ``function.param`` for each parameter
+    that every call in the package and the benchmark binds explicitly,
+    by position or keyword, to one value: the same literal, or a
+    module-level name of the call's module bound once to a literal.
+    Calls match definitions as in ``_unset_defaults``.  A definition
+    that no call matches, or that a ``*`` or ``**`` call matches, is
+    skipped, and a keyword at a call that names no definition varies
+    that parameter everywhere."""
+    trees = _trees()
+    definitions = _definitions(trees)
+    every_tree = [*trees.values(), *_bench_trees()]
+    tables = _dispatch_tables(every_tree)
+    # where -> one {param: literal or None} per matching call
+    bindings = collections.defaultdict(list)
+    spread, named_anywhere = set(), set()
+    for tree in every_tree:
+        literals = _module_literals(tree)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            callees = [c for c in _callees(call, tables) if c in definitions]
+            if not callees:
+                named_anywhere |= {kw.arg for kw in call.keywords}
+            spreads = _spread(call)
+            for where, params, _defaults in (entry for callee in callees
+                                             for entry in definitions[callee]):
+                if spreads:
+                    spread.add(where)
+                    continue
+                bound = [*zip(params, call.args),
+                         *((kw.arg, kw.value) for kw in call.keywords)]
+                bindings[where].append(
+                    {name: _literal(value, literals) for name, value in bound})
+    fixed = set()
+    for where, params, _defaults in (entry for entries in definitions.values()
+                                     for entry in entries):
+        calls = bindings[where]
+        if where in spread or not calls:
+            continue
+        for name in params:
+            if name in named_anywhere:
+                continue
+            values = {call.get(name) for call in calls}
+            if (len(values) == 1 and None not in values
+                    and all(name in call for call in calls)):
+                fixed.add(f"{where}.{name}")
+    return fixed
+
+
+def test_every_parameter_is_varied_by_some_call():
+    # a parameter that every call passes the same value is a constant
+    # spelt as an argument
+    assert _fixed_parameters() == _FIXED_KEPT
 
 
 # --------------------------------------------------------------------------

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 
 from afterimage.cache import CacheConfig
 from afterimage.programs import (
+    ELSE_TAG,
+    GADGET,
+    IF_TAG,
+    STRIDE_ELSE,
+    STRIDE_IF,
     Domain,
     Load,
     Machine,
-    build_gadget,
     ip_matching_groups,
     ip_with_tag,
 )
@@ -38,15 +42,6 @@ def test_domain_translation_and_sharing():
         Domain("x", phys_offset=123)
 
 
-def test_gadget_builder_validation():
-    with pytest.raises(ValueError):
-        build_gadget(0xA0, 0xA0, 7, 13)
-    with pytest.raises(ValueError):
-        build_gadget(0xA0, 0xB4, 32, 13)  # 32 lines overflow the stride field
-    with pytest.warns(UserWarning):
-        build_gadget(0xA0, 0xB4, 7, 7)
-
-
 def _run(m, domain, loads):
     """Place ``loads`` in ``domain`` and run them."""
     return m.run_program(domain, m.place(domain, loads))
@@ -54,22 +49,21 @@ def _run(m, domain, loads):
 
 def test_gadget_trains_both_entries():
     m = Machine()
-    prog = build_gadget(0xA0, 0xB4, 7, 13)
-    _run(m, Domain("a"), prog)
+    _run(m, Domain("a"), GADGET)
     t = m.table
-    assert t.entry(t.lookup(0xA0)).confidence == 2
-    assert t.entry(t.lookup(0xA0)).stride == 7 * 64
-    assert t.entry(t.lookup(0xB4)).confidence == 2
-    assert t.entry(t.lookup(0xB4)).stride == 13 * 64
+    assert t.entry(t.lookup(IF_TAG)).confidence == 2
+    assert t.entry(t.lookup(IF_TAG)).stride == STRIDE_IF * 64
+    assert t.entry(t.lookup(ELSE_TAG)).confidence == 2
+    assert t.entry(t.lookup(ELSE_TAG)).stride == STRIDE_ELSE * 64
 
 
 def test_short_gadget_stays_below_trigger():
     m = Machine()
     # two loads per IP: the first two of the gadget's three rounds
-    _run(m, Domain("a"), build_gadget(0xA0, 0xB4, 7, 13)[:4])
+    _run(m, Domain("a"), GADGET[:4])
     t = m.table
-    assert t.entry(t.lookup(0xA0)).confidence == 1
-    assert t.entry(t.lookup(0xB4)).confidence == 1
+    assert t.entry(t.lookup(IF_TAG)).confidence == 1
+    assert t.entry(t.lookup(ELSE_TAG)).confidence == 1
 
 
 def test_ip_matching_groups_cover_tag_space():
@@ -105,7 +99,7 @@ def test_group_training_triggers_matching_tag():
 def test_state_persists_across_switches_by_default():
     a, b = Domain("a", phys_offset=0), Domain("b", phys_offset=0x100000000)
     m = Machine()
-    _run(m, a, build_gadget(0xA0, 0xB4, 7, 13))
+    _run(m, a, GADGET)
     table, clock = copy.deepcopy(vars(m.table)), m.clock
     assert m.run_program(b, []) == []
     assert vars(m.table) == table
@@ -116,7 +110,7 @@ def test_state_persists_across_switches_by_default():
 def test_flush_on_switch_wipes_the_table():
     a, b = Domain("a"), Domain("b", phys_offset=0x100000000)
     m = Machine(flush_on_switch=True)
-    _run(m, a, build_gadget(0xA0, 0xB4, 7, 13))
+    _run(m, a, GADGET)
     assert len(m.table.owner) == 2
     clock = m.clock
     assert m.run_program(b, []) == []
@@ -281,17 +275,17 @@ def test_cross_process_shared_page_carries_the_stride():
     victim.map_shared(0x30000, shared_phys)
 
     m = Machine()
-    _run(m, attacker, build_gadget(0xA0, 0xB4, 8, 13))
+    _run(m, attacker, GADGET)
     page = attacker.translate(0x20000)
     m.flush(page, m.cache.page_keys(page))
     requests, installs = m.prefetch_requests, m.cache.prefetch_installs
-    [load] = _run(m, victim, [Load(ip_with_tag(0x700000, 0xA0),
+    [load] = _run(m, victim, [Load(ip_with_tag(0x700000, IF_TAG),
                                    0x30000 + 20 * 64)])
 
     # the victim's one load fired the stride trained in the other process
     assert m.prefetch_requests == requests + 1
     assert m.cache.prefetch_installs == installs + 1
-    for line in (load, load + 8 * 64):
+    for line in (load, load + STRIDE_IF * 64):
         li = line >> LINE_SHIFT
         assert li in m.cache.sets.get(m.cache.location(line), ())
     assert page_frame(load) == page_frame(shared_phys)

@@ -52,9 +52,9 @@ def _prime(cache, sets):
     return prime(cache, keys, walks)
 
 
-def _probe(cache, sets, baseline):
+def _probe(cache, sets):
     keys, walks = sets
-    return probe(cache, keys, [lines[::-1] for lines in walks], baseline)
+    return probe(cache, keys, [lines[::-1] for lines in walks])
 
 
 def _reload(cache, page):
@@ -64,18 +64,21 @@ def _reload(cache, page):
 def test_prime_baseline_is_all_hits():
     cache = CacheModel()
     sets = build_page_sets(cache, PAGE, 4)
-    assert _prime(cache, sets) == [16 * 40] * 4
-    # prime reads no walk of its own: a second walk must read the same
+    assert _prime(cache, sets) is None
+    # the fill walk leaves every set holding its walk: a second walk
+    # hits on every line
+    misses = cache.demand_misses
     assert cache.walk_sets(*sets) == [16 * 40] * 4
+    assert cache.demand_misses == misses
 
 
 def test_probe_without_victim_sees_nothing():
     cache = CacheModel()
     sets = build_page_sets(cache, PAGE, 6)
-    baseline = _prime(cache, sets)
+    _prime(cache, sets)
     misses = cache.demand_misses
-    assert _probe(cache, sets, baseline) == [False] * 6
-    # every probe access hits, so each set's time equals its baseline
+    assert _probe(cache, sets) == [False] * 6
+    # every probe access hits, so each set reads its all-hit time
     assert cache.demand_misses == misses
 
 
@@ -83,13 +86,13 @@ def test_probe_without_victim_sees_nothing():
 def test_prime_and_probe_counters_and_lru_order(n):
     cache = CacheModel()
     sets = build_page_sets(cache, PAGE, n)
-    baseline = _prime(cache, sets)
+    _prime(cache, sets)
     # the fill walk misses once per member, and prime walks only once
     assert cache.demand_accesses == 16 * n
     assert cache.demand_misses == 16 * n
     for key, lines in zip(*sets):
         assert cache.sets[key] == lines
-    _probe(cache, sets, baseline)
+    _probe(cache, sets)
     assert cache.demand_accesses == 2 * 16 * n
     assert cache.demand_misses == 16 * n
     for key, lines in zip(*sets):
@@ -99,14 +102,14 @@ def test_prime_and_probe_counters_and_lru_order(n):
 def test_probe_flags_victim_touched_sets():
     cache = CacheModel()
     sets = build_page_sets(cache, PAGE, 16)
-    baseline = _prime(cache, sets)
+    _prime(cache, sets)
     cache.access(PAGE + 3 * LINE_BYTES)  # victim line
     cache.access(PAGE + 10 * LINE_BYTES)  # prefetch target, say
     misses = cache.demand_misses
-    evicted = _probe(cache, sets, baseline)
+    evicted = _probe(cache, sets)
     assert [i for i, e in enumerate(evicted) if e] == [3, 10]
     # one displaced member turns one hit into a miss in each touched set:
-    # |delta| = 160 > 120
+    # delta = 160 > 120
     assert cache.demand_misses - misses == 2
 
 
@@ -186,7 +189,10 @@ def _disturb(cache, sets, op, line, member):
     CacheConfig(),
     # 16 sets per slice: some page lines share a key, so two eviction
     # sets walk the same set within one prime or probe
-    CacheConfig(slices=2, sets_per_slice=16)])
+    CacheConfig(slices=2, sets_per_slice=16),
+    # one miss in a walk (160 cycles over its all-hit time) stays under
+    # the threshold; two exceed it
+    CacheConfig(hit_latency=40, miss_latency=200, threshold=190)])
 @settings(max_examples=25, deadline=None)
 @given(rounds=st.lists(st.lists(st.tuples(
            st.sampled_from(["victim", "prefetch", "flush", "noise",
@@ -199,18 +205,19 @@ def test_prime_probe_rounds_match_per_line_walks(config, rounds):
     if config.sets_per_slice < PAGE_LINES:
         assert len(set(sets[0])) < PAGE_LINES
     ref = copy.deepcopy(cache)
-    threshold, hit = cache.config.threshold, cache.config.hit_latency
+    threshold = cache.config.threshold
     for ops in rounds:
         _walk_per_line(ref, sets, False)  # the fill walk, and no other
-        baseline = _prime(cache, sets)
-        assert baseline == [len(lines) * hit for lines in sets[1]]
+        # the baseline: what a second walk of the primed sets reads
+        baseline = _walk_per_line(copy.deepcopy(ref), sets, False)
+        assert _prime(cache, sets) is None
         assert _cache_state(cache) == _cache_state(ref)
         for op in ops:
             _disturb(cache, sets, *op)
             _disturb(ref, sets, *op)
         times = _walk_per_line(ref, sets, True)
-        assert _probe(cache, sets, baseline) == [
-            abs(t - b) > threshold for t, b in zip(times, baseline)]
+        assert _probe(cache, sets) == [
+            t - b > threshold for t, b in zip(times, baseline)]
         assert _cache_state(cache) == _cache_state(ref)
 
 
@@ -256,8 +263,8 @@ def test_observers_never_touch_the_table():
         table.observe_load(tlb, 0x4010A0, PAGE + i * 448)
     before = copy.deepcopy(vars(table))
     sets = build_page_sets(cache, PAGE, 8)
-    baseline = _prime(cache, sets)
-    _probe(cache, sets, baseline)
+    _prime(cache, sets)
+    _probe(cache, sets)
     cache.flush_lines(PAGE, cache.page_keys(PAGE))
     _reload(cache, PAGE)
     assert vars(table) == before

@@ -683,7 +683,7 @@ def _status_probe(machine: Machine, sc: _Scenario,
                        for p, ok in zip(probes, alive) if not ok})
         return StrideDetection(dict.fromkeys(dead, 1),
                                dead[0] if len(dead) == 1 else None,
-                               len(dead) > 1, dead)
+                               len(dead) > 1)
     return lambda: None, read
 
 

@@ -1,7 +1,10 @@
 """State-machine kernels for the prefetcher table and TLB.
 
 These functions hold the single authoritative implementation of the
-table's update rules.  Table state lives in plain Python lists.
+table's update rules.  Table state lives in plain Python lists.  One
+step answers one load with one value: the page-gated prefetch target
+it fires, or None.  A target may be address 0, so callers test it with
+``is None``, never for truth.
 
 Table state lists (one element per slot):
     tags    int     low-8-bit IP tag of the owning load instruction
@@ -16,8 +19,9 @@ from 0 and only a reset empties them, so slot ``s`` is occupied exactly
 when ``s < len(owner)``.
 
 TLB state: an ``OrderedDict`` whose keys are the cached physical page
-frames, least recently used first, and a capacity.  A hit moves its
-frame to the end; a miss into a full map evicts the first key.
+frames, least recently used first, and a capacity; ``table_step`` reads
+both from the ``uarch.Tlb`` it is given.  A hit moves its frame to the
+end; a miss into a full map evicts the first key.
 """
 
 TABLE_SLOTS = 24
@@ -50,23 +54,23 @@ def tlb_access(lru, capacity, frame):
     return False
 
 
-def table_step(tag, paddr, tags, last, stride, conf, mru, owner, tlb,
-               tlb_capacity):
-    """Feed one demand load to the table.
+def table_step(tag, paddr, tags, last, stride, conf, mru, owner, tlb):
+    """Feed one demand load to the table; returns its prefetch target,
+    or None when it fires none.
 
-    Returns (emitted, target, slot).  A load whose page translation
-    misses while it sits on a different frame than the entry's previous
-    address leaves the entry untouched: the walk consumes the access and
-    only a repeat on the now-warm frame can trigger.  Emitted targets are
-    confined to the load's own frame or the next one up; anything else
-    is dropped after the entry update.  ``tlb`` is the TLB's LRU map, or
-    None when translation is off.
+    ``tlb`` is the ``uarch.Tlb``, or None when translation is off.  A
+    load whose page translation misses while it sits on a different
+    frame than the entry's previous address leaves the entry untouched:
+    the walk consumes the access and only a repeat on the now-warm
+    frame can trigger.  Targets are confined to the load's own frame or
+    the next one up; anything else is dropped after the entry update.
+    Every step leaves ``owner[tag]`` naming the touched slot.
     """
     slot = owner.get(tag, -1)
 
     tlb_hit = True
     if tlb is not None:
-        tlb_hit = tlb_access(tlb, tlb_capacity, paddr >> PAGE_SHIFT)
+        tlb_hit = tlb_access(tlb.lru, tlb.capacity, paddr >> PAGE_SHIFT)
 
     if slot < 0:
         slot = len(owner)
@@ -79,11 +83,11 @@ def table_step(tag, paddr, tags, last, stride, conf, mru, owner, tlb,
         stride[slot] = 0
         conf[slot] = 0
         plru_touch(mru, slot)
-        return False, 0, slot
+        return None
 
     prev = last[slot]
     if not tlb_hit and (paddr >> PAGE_SHIFT) != (prev >> PAGE_SHIFT):
-        return False, 0, slot
+        return None
     last[slot] = paddr
     if not mru[slot]:
         plru_touch(mru, slot)
@@ -97,32 +101,31 @@ def table_step(tag, paddr, tags, last, stride, conf, mru, owner, tlb,
                         else STRIDE_LIMIT if d > 0 else -STRIDE_LIMIT)
         conf[slot] = 1
         if c < CONF_TRIGGER:
-            return False, 0, slot
+            return None
     elif c < CONF_MAX:
         conf[slot] = c + 1
         if c + 1 < CONF_TRIGGER:
-            return False, 0, slot
+            return None
 
     target = paddr + old
     # the stored stride saturates at +/-STRIDE_LIMIT, under a page, so
     # the target is at most one frame from the load's: of the three
     # frames it can reach, only the one below is dropped
     if (target >> PAGE_SHIFT) >= (paddr >> PAGE_SHIFT):
-        return True, target, slot
-    return False, 0, slot
+        return target
+    return None
 
 
 def run_table_batch(in_tags, in_addrs, tags, last, stride, conf, mru, owner):
-    """Replay a load trace with translation off; returns lists (emit,
-    target, last, stride, conf) holding each step's emission and
-    touched-entry state."""
-    emits, targets, lasts, strides, confs = [], [], [], [], []
+    """Replay a load trace with translation off; returns lists (target,
+    last, stride, conf): each step's prefetch target or None, and the
+    touched entry's state after it."""
+    targets, lasts, strides, confs = [], [], [], []
     for tag, paddr in zip(in_tags, in_addrs):
-        emitted, target, slot = table_step(
-            tag, paddr, tags, last, stride, conf, mru, owner, None, 0)
-        emits.append(emitted)
-        targets.append(target)
+        targets.append(table_step(
+            tag, paddr, tags, last, stride, conf, mru, owner, None))
+        slot = owner[tag]
         lasts.append(last[slot])
         strides.append(stride[slot])
         confs.append(conf[slot])
-    return emits, targets, lasts, strides, confs
+    return targets, lasts, strides, confs

@@ -5,7 +5,7 @@ follows the published update recipe line by line, with no table capacity,
 no replacement and no TLB.  It deliberately shares no code with the
 kernels module: the production path is checked against this transcription
 over randomized load streams, and the reference applies the page gate at
-each emission with its own arithmetic.
+each prefetch with its own arithmetic.
 
 Streams are built from short strided bursts so that training, retraining
 and saturation are all exercised.  They draw their tags from a pool as
@@ -41,13 +41,13 @@ def run_reference_batch(in_tags, in_addrs, r_last, r_stride, r_conf, r_valid):
     confidence < 2 a mismatch restarts learning and a match counts up,
     prefetching when confidence first reaches 2.  Stored strides saturate
     at the 13-bit field limit.  A prefetch is dropped unless its target
-    lies in the load's page frame or the next one.  Returns lists (emit,
-    target, last, stride, conf), one element per load.
+    lies in the load's page frame or the next one.  Returns lists (target,
+    last, stride, conf), one element per load, with target None where
+    the load prefetches nothing.
     """
-    out_emit, out_target, out_last, out_stride, out_conf = [], [], [], [], []
+    out_target, out_last, out_stride, out_conf = [], [], [], []
     for t, a in zip(in_tags, in_addrs):
-        emitted = False
-        target = 0
+        target = None
         if r_valid[t]:
             d = a - r_last[t]
             sd = d
@@ -56,7 +56,6 @@ def run_reference_batch(in_tags, in_addrs, r_last, r_stride, r_conf, r_valid):
             elif sd < -FIELD_LIMIT:
                 sd = -FIELD_LIMIT
             if r_conf[t] >= 2:
-                emitted = True
                 target = a + r_stride[t]
                 if d != r_stride[t]:
                     r_stride[t] = sd
@@ -71,26 +70,23 @@ def run_reference_batch(in_tags, in_addrs, r_last, r_stride, r_conf, r_valid):
                 else:
                     r_conf[t] = r_conf[t] + 1
                     if r_conf[t] == 2:
-                        emitted = True
                         target = a + r_stride[t]
             r_last[t] = a
-            if emitted:
+            if target is not None:
                 frame = a >> PAGE_SHIFT
                 target_frame = target >> PAGE_SHIFT
                 if target_frame != frame and target_frame != frame + 1:
-                    emitted = False
-                    target = 0
+                    target = None
         else:
             r_valid[t] = True
             r_last[t] = a
             r_stride[t] = 0
             r_conf[t] = 0
-        out_emit.append(emitted)
         out_target.append(target)
         out_last.append(r_last[t])
         out_stride.append(r_stride[t])
         out_conf.append(r_conf[t])
-    return out_emit, out_target, out_last, out_stride, out_conf
+    return out_target, out_last, out_stride, out_conf
 
 
 class ReferenceModel:
@@ -103,8 +99,8 @@ class ReferenceModel:
         self.valid = [False] * TAG_SPACE
 
     def replay(self, tags, addrs):
-        """Run a load stream; returns lists (emit, target, last, stride,
-        conf), one element per load."""
+        """Run a load stream; returns lists (target, last, stride, conf),
+        one element per load, target None where no prefetch fires."""
         return run_reference_batch(tags, addrs, self.last, self.stride,
                                    self.conf, self.valid)
 
@@ -191,8 +187,7 @@ def check_seed(seed: int, n_loads: int) -> tuple[int, int, str]:
                 k = diff[0]
                 note = (f"seed {seed} step {done + k}: tag {tags[k]} "
                         f"addr {addrs[k]:#x} "
-                        f"table=({t_out[0][k]},{t_out[1][k]}) "
-                        f"ref=({r_out[0][k]},{r_out[1][k]})")
+                        f"table={t_out[0][k]} ref={r_out[0][k]}")
             mism += len(diff)
         done += len(tags)
     return done, mism + _final_state_mismatches(table, ref), note

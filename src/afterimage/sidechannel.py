@@ -34,7 +34,6 @@ class StrideDetection(NamedTuple):
     support: dict[int, int]
     detected: int | None
     ambiguous: bool
-    ranked: list[int]
 
 
 class StatusProbe(NamedTuple):
@@ -110,10 +109,10 @@ def detect_stride(observed, candidates: list[int]) -> StrideDetection:
     ranked = sorted((c for c in candidates if support[c]),
                     key=lambda c: (-support[c], c))
     if not ranked:
-        return StrideDetection(support, None, False, [])
+        return StrideDetection(support, None, False)
     if len(ranked) > 1 and support[ranked[0]] == support[ranked[1]]:
-        return StrideDetection(support, None, True, ranked)
-    return StrideDetection(support, ranked[0], len(ranked) > 1, ranked)
+        return StrideDetection(support, None, True)
+    return StrideDetection(support, ranked[0], len(ranked) > 1)
 
 
 def prefetcher_status_probe(machine: Machine, probes: list[StatusProbe],

@@ -100,14 +100,9 @@ class PrefetchTable:
     def observe_load(self, tlb: Tlb | None, full_ip: Address,
                      paddr: Address) -> Address | None:
         """Feed one demand load; returns its prefetch target or None."""
-        if tlb is None:
-            lru = capacity = None
-        else:
-            lru, capacity = tlb.lru, tlb.capacity
-        emitted, target, _slot = kernels.table_step(
+        return kernels.table_step(
             ip_tag(full_ip), paddr, self.tags, self.last, self.stride,
-            self.conf, self.mru, self.owner, lru, capacity)
-        return target if emitted else None
+            self.conf, self.mru, self.owner, tlb)
 
     @classmethod
     def reset_cost(cls, write_ports: int) -> int:

@@ -473,8 +473,8 @@ def test_status_observer_reads_its_detection_from_the_dead_strides():
 
     # nothing disturbed: every trained entry still fetches
     quiet = status_round(None, NoiseModel(), random.Random(0))
-    assert (quiet.support, quiet.detected, quiet.ambiguous,
-            quiet.ranked) == ({}, None, False, [])
+    assert (quiet.support, quiet.detected, quiet.ambiguous) == (
+        {}, None, False)
     # the victim's if arm retrains the stride-7 entry; the else arm 13
     for bit, stride in ((1, 7), (0, 13)):
         got = status_round(bit, NoiseModel(), random.Random(0))
@@ -482,8 +482,8 @@ def test_status_observer_reads_its_detection_from_the_dead_strides():
             {stride: 1}, stride, False)
     # a drop flag on the else probe kills a second entry: ambiguous
     both = status_round(1, NoiseModel(p_evict=0.5), _Draws(0.9, 0.1))
-    assert (both.support, both.detected, both.ambiguous, both.ranked) == (
-        {7: 1, 13: 1}, None, True, [7, 13])
+    assert (both.support, both.detected, both.ambiguous) == (
+        {7: 1, 13: 1}, None, True)
 
 
 @pytest.mark.parametrize("variant, channel", [

@@ -90,19 +90,19 @@ def replay_both(pairs):
     addrs = [p[1] for p in pairs]
 
     table = PrefetchTable()
-    t_emit, *t_out = run_table_batch(
+    t_out = run_table_batch(
         tags, addrs, table.tags, table.last, table.stride, table.conf,
         table.mru, table.owner)
 
-    return (t_emit, t_out), ReferenceModel().replay(tags, addrs)
+    return t_out, ReferenceModel().replay(tags, addrs)
 
 
 def test_reference_training_sequence():
     ref = ReferenceModel()
     tags = [0xA0] * 3
     addrs = [PAGE, PAGE + 448, PAGE + 896]
-    emit, target, _last, _stride, conf = ref.replay(tags, addrs)
-    assert emit == [False, False, True]
+    target, _last, _stride, conf = ref.replay(tags, addrs)
+    assert [t is not None for t in target] == [False, False, True]
     assert target[2] == PAGE + 1344
     assert conf == [0, 1, 2]
 
@@ -111,8 +111,8 @@ def test_reference_stale_stride_trigger():
     ref = ReferenceModel()
     tags = [0x11] * 4
     addrs = [PAGE, PAGE + 448, PAGE + 896, PAGE + 896 + 320]
-    emit, target, _last, stride, conf = ref.replay(tags, addrs)
-    assert emit[3] and target[3] == PAGE + 896 + 320 + 448
+    target, _last, stride, conf = ref.replay(tags, addrs)
+    assert target[3] is not None and target[3] == PAGE + 896 + 320 + 448
     assert (stride[3], conf[3]) == (320, 1)
 
 
@@ -120,7 +120,7 @@ def test_reference_confidence_saturates():
     ref = ReferenceModel()
     tags = [0x22] * 8
     addrs = [PAGE + i * 64 for i in range(8)]
-    _emit, _target, _last, _stride, conf = ref.replay(tags, addrs)
+    _target, _last, _stride, conf = ref.replay(tags, addrs)
     assert conf[-1] == 3
 
 
@@ -128,7 +128,7 @@ def test_reference_stride_field_saturates():
     ref = ReferenceModel()
     tags = [0x33] * 2
     addrs = [PAGE, PAGE + 5000]
-    _emit, _target, _last, stride, _conf = ref.replay(tags, addrs)
+    _target, _last, stride, _conf = ref.replay(tags, addrs)
     assert stride[1] == 2047
 
 
@@ -140,23 +140,23 @@ def test_reference_gates_its_own_emissions():
         ref = ReferenceModel()
         ref.valid[0x44], ref.last[0x44] = True, PAGE + 100 - s
         ref.stride[0x44], ref.conf[0x44] = s, 2
-        emit, target, *_ = ref.replay([0x44], [PAGE + 100])
-        return emit[0], target[0]
+        target, *_ = ref.replay([0x44], [PAGE + 100])
+        return target[0]
 
-    assert one_step(-200) == (False, 0)  # one frame back
-    assert one_step(2 * 4096) == (False, 0)  # two frames ahead
-    assert one_step(4096 - 50) == (True, PAGE + 4096 + 50)  # next frame
-    assert one_step(64) == (True, PAGE + 164)  # same frame
+    assert one_step(-200) is None  # one frame back
+    assert one_step(2 * 4096) is None  # two frames ahead
+    assert one_step(4096 - 50) == PAGE + 4096 + 50  # next frame
+    assert one_step(64) == PAGE + 164  # same frame
 
 
 def test_routes_agree_on_backward_cross_suppression():
     base = PAGE + 3 * 448
     pairs = [(0xA0, base), (0xA0, base - 448), (0xA0, base - 896),
              (0xA0, PAGE)]  # final target would land one frame back
-    (t_emit, t_out), (g_emit, g_target, r_last, r_stride, r_conf) = \
-        replay_both(pairs)
-    assert not t_emit[3] and not g_emit[3]
-    assert list(t_emit) == list(g_emit)
+    t_out, (g_target, r_last, r_stride, r_conf) = replay_both(pairs)
+    assert t_out[0][3] is None and g_target[3] is None
+    assert [t is not None for t in t_out[0]] == \
+        [t is not None for t in g_target]
     assert list(t_out[0]) == list(g_target)
     assert list(t_out[2]) == list(r_stride)
     assert list(t_out[3]) == list(r_conf)
@@ -168,9 +168,9 @@ def test_routes_agree_on_interleaved_tags():
         pairs.append((0x10, PAGE + i * 448))
         pairs.append((0x20, PAGE + 0x10000 + i * 832))
         pairs.append((0x10, PAGE + 0x20000 + i * 64))  # same tag, second region
-    (t_emit, t_out), (g_emit, g_target, r_last, r_stride, r_conf) = \
-        replay_both(pairs)
-    assert list(t_emit) == list(g_emit)
+    t_out, (g_target, r_last, r_stride, r_conf) = replay_both(pairs)
+    assert [t is not None for t in t_out[0]] == \
+        [t is not None for t in g_target]
     assert list(t_out[0]) == list(g_target)
     assert list(t_out[1]) == list(r_last)
     assert list(t_out[2]) == list(r_stride)
@@ -194,9 +194,9 @@ def test_generated_streams_cover_trigger_paths():
     assert len(tags) == len(addrs) == 20000
     assert len(set(tags)) <= 24
     ref = ReferenceModel()
-    emit, _t, _l, _s, conf = ref.replay(tags, addrs)
+    target, _l, _s, conf = ref.replay(tags, addrs)
     # the stream must actually reach both trigger and saturation states
-    assert sum(emit) > 1000
+    assert sum(t is not None for t in target) > 1000
     assert conf.count(3) > 100
     # and every stride regime, each far more often than another regime
     # could produce it by chance: forward and backward line multiples,
@@ -210,22 +210,24 @@ def test_generated_streams_cover_trigger_paths():
 
 
 def test_check_seed_reports_corrupted_targets(monkeypatch):
-    # a kernel that emits wrong targets must be caught by the list compare,
-    # once per emitting step, with the first such step named in the note
+    # a kernel that prefetches wrong targets must be caught by the list
+    # compare, once per prefetching step, with the first such step named
+    # in the note
     tags, addrs = first_loads(3, 2000)
     table = PrefetchTable()
-    emit = run_table_batch(tags, addrs, table.tags, table.last, table.stride,
-                           table.conf, table.mru, table.owner)[0]
+    fires = [t is not None for t in run_table_batch(
+        tags, addrs, table.tags, table.last, table.stride, table.conf,
+        table.mru, table.owner)[0]]
     real = kernels.table_step
 
     def off_by_a_line(*args):
-        emitted, target, slot = real(*args)
-        return emitted, target + 64 if emitted else target, slot
+        target = real(*args)
+        return target + 64 if target is not None else None
 
     monkeypatch.setattr(kernels, "table_step", off_by_a_line)
     n, mismatches, note = check_seed(3, 2000)
-    assert (n, mismatches) == (2000, sum(emit)) and mismatches > 0
-    assert note.startswith(f"seed 3 step {emit.index(True)}: ")
+    assert (n, mismatches) == (2000, sum(fires)) and mismatches > 0
+    assert note.startswith(f"seed 3 step {fires.index(True)}: ")
 
 
 def test_check_seed_locates_a_fault_past_the_first_chunk(monkeypatch):
@@ -234,22 +236,23 @@ def test_check_seed_locates_a_fault_past_the_first_chunk(monkeypatch):
     # by its index in the whole stream
     tags, addrs = first_loads(3, 9000)
     table = PrefetchTable()
-    emit = run_table_batch(tags, addrs, table.tags, table.last, table.stride,
-                           table.conf, table.mru, table.owner)[0]
+    fires = [t is not None for t in run_table_batch(
+        tags, addrs, table.tags, table.last, table.stride, table.conf,
+        table.mru, table.owner)[0]]
     real = kernels.table_step
     calls = [0]
 
     def off_by_a_line_late(*args):
         calls[0] += 1
-        emitted, target, slot = real(*args)
-        if emitted and calls[0] > 5000:
+        target = real(*args)
+        if target is not None and calls[0] > 5000:
             target += 64
-        return emitted, target, slot
+        return target
 
     monkeypatch.setattr(kernels, "table_step", off_by_a_line_late)
     n, mismatches, note = check_seed(3, 9000)
-    first = emit.index(True, 5000)
-    assert (n, mismatches) == (9000, sum(emit[5000:])) and mismatches > 0
+    first = fires.index(True, 5000)
+    assert (n, mismatches) == (9000, sum(fires[5000:])) and mismatches > 0
     assert first >= CHUNK_LOADS
     assert note.startswith(f"seed 3 step {first}: tag {tags[first]} "
                            f"addr {addrs[first]:#x} ")

@@ -1,9 +1,10 @@
 """Package hygiene: every public name resolves, no module imports a name
-it never uses, no private definition or attribute goes unread, no public
-definition is reached only by tests, no module touches another module's
-private names, no cache key is tested for truth, every library call
-the README shows binds to its signature, and importing the package loads
-no ``dataclasses``.  A dependency-free stand-in for a linter."""
+it never uses, no private definition or attribute and no record field
+goes unread, no public definition is reached only by tests, no module
+touches another module's private names, no cache key is tested for
+truth, every library call the README shows binds to its signature, and
+importing the package loads no ``dataclasses``.  A dependency-free
+stand-in for a linter."""
 
 import ast
 import collections
@@ -493,6 +494,61 @@ def test_every_parameter_is_varied_by_some_call():
     # a parameter that every call passes the same value is a constant
     # spelt as an argument
     assert _fixed_parameters() == _FIXED_KEPT
+
+
+#: record fields that no code in the package or the benchmark reads,
+#: each kept for a reason; the set may only shrink
+_UNREAD_FIELDS_KEPT = {
+    # the planned whole-table oracle check compares MRU bits
+    "PrefetcherEntry.mru_bit",
+    # the planned round diagnoses report every candidate's support
+    "StrideDetection.support",
+    # acceptance 01 gates the oracle's elapsed time
+    "EquivalenceReport.elapsed",
+}
+
+
+def _record_fields(tree):
+    """``Class.field`` -> field name, for each field of each
+    ``NamedTuple`` class a tree defines."""
+    return {f"{node.name}.{item.target.id}": item.target.id
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(isinstance(base, ast.Name) and base.id == "NamedTuple"
+                    for base in node.bases)
+            for item in node.body if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)}
+
+
+def _read_fields(tree):
+    """Every attribute a tree reads and every part of each dotted string
+    it spells, the forms ``getattr`` and a row's keys take."""
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and not isinstance(node.ctx, ast.Store)):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and all(part.isidentifier() for part in node.value.split("."))):
+            names.update(node.value.split("."))
+    return names
+
+
+def _unread_record_fields():
+    """``Class.field`` for each ``NamedTuple`` field in the package that
+    no code in the package or the benchmark reads by attribute or names
+    as a string."""
+    trees = _trees()
+    read = set()
+    for tree in [*trees.values(), *_bench_trees()]:
+        read |= _read_fields(tree)
+    return {where for tree in trees.values()
+            for where, field in _record_fields(tree).items()
+            if field not in read}
+
+
+def test_every_record_field_is_read():
+    # a field that nothing reads is state a record carries for no one
+    assert _unread_record_fields() == _UNREAD_FIELDS_KEPT
 
 
 # --------------------------------------------------------------------------

@@ -282,7 +282,6 @@ def test_detect_stride_ambiguity_is_reported_not_guessed():
     d = detect_stride({10, 17, 31, 44}, [7, 13])
     assert d.support == {7: 1, 13: 1}
     assert d.detected is None and d.ambiguous
-    assert d.ranked == [7, 13]  # count tie falls back to smallest stride
 
 
 def test_detect_stride_prefers_stronger_support():

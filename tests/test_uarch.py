@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from afterimage.kernels import STRIDE_LIMIT
+from afterimage.kernels import STRIDE_LIMIT, run_table_batch
+from afterimage.oracle import ReferenceModel
+from afterimage.programs import Machine
 from afterimage.uarch import (
     PAGE_BYTES,
     PrefetchTable,
@@ -157,6 +159,28 @@ def test_a_trained_stride_targets_at_most_one_frame_away(paddr, stride):
     step = page_frame(target) - page_frame(paddr)
     assert step in (-1, 0, 1)
     assert emitted == ([] if step < 0 else [target])
+
+
+def test_a_prefetch_of_address_zero_is_a_prefetch():
+    # stride -448 down frame 0 trains to a target of physical address 0,
+    # which reads false: every route must report it as a prefetch
+    addrs = [1344, 896, 448]
+    t = PrefetchTable()
+    assert [t.observe_load(None, 0x4010A0, a) for a in addrs] == \
+        [None, None, 0]
+
+    table = PrefetchTable()
+    t_out = run_table_batch([0xA0] * 3, addrs, table.tags, table.last,
+                            table.stride, table.conf, table.mru, table.owner)
+    r_out = ReferenceModel().replay([0xA0] * 3, addrs)
+    assert t_out[0] == r_out[0] == [None, None, 0]
+    assert t_out == r_out
+
+    m = Machine()
+    for a in addrs:
+        m.load(0x4010A0, a)
+    assert m.prefetch_requests == 1
+    assert m.cache.access(0) < m.cache.config.threshold
 
 
 def test_new_frame_with_cold_tlb_needs_two_accesses():
